@@ -81,8 +81,8 @@ impl HeteroPath {
 
     /// The delay bound at a fixed `γ`.
     ///
-    /// Returns `None` if `γ` is out of range or the optimization is
-    /// infeasible.
+    /// Returns `None` if `γ` is out of range, no finite `σ` reaches
+    /// `epsilon` at this `γ`, or the optimization is infeasible.
     ///
     /// # Panics
     ///
@@ -94,6 +94,9 @@ impl HeteroPath {
         }
         let cross: Vec<Ebb> = self.nodes.iter().map(|n| n.cross).collect();
         let sigma = netbound::sigma_for(&self.through, &cross, gamma, epsilon);
+        if !sigma.is_finite() {
+            return None;
+        }
         let params: Vec<optimizer::NodeParams> = self
             .nodes
             .iter()

@@ -134,36 +134,11 @@ impl TandemPath {
             .collect()
     }
 
-    /// The bit-exact memo key of one `(path, ε, γ)` solver instance.
-    /// Two instances with equal keys feed byte-identical inputs into
-    /// `sigma_for` and `optimizer::solve`, so their results are
-    /// interchangeable. The scheduler enters only through its constant
-    /// Δ — `Fifo` and `Delta(0.0)` deliberately share entries.
-    fn solver_key(&self, epsilon: f64, gamma: f64) -> crate::memo::SolverKey {
-        [
-            self.capacity.to_bits(),
-            self.hops as u64,
-            self.through.m().to_bits(),
-            self.through.rho().to_bits(),
-            self.through.alpha().to_bits(),
-            self.cross.m().to_bits(),
-            self.cross.rho().to_bits(),
-            self.cross.alpha().to_bits(),
-            self.scheduler.delta().to_bits(),
-            epsilon.to_bits(),
-            gamma.to_bits(),
-        ]
-    }
-
     /// The end-to-end delay bound at a *fixed* `γ` (steps 1–2 of the
     /// pipeline; no outer optimization).
     ///
-    /// Returns `None` if `γ` is outside `(0, γ_max)` or the optimization
-    /// is infeasible.
-    ///
-    /// When the solver memo cache is enabled on this thread (see
-    /// [`crate::enable_solver_cache`]), identical instances are solved
-    /// once and replayed from the cache.
+    /// Returns `None` if `γ` is outside `(0, γ_max)`, no finite `σ`
+    /// reaches `epsilon` at this `γ`, or the optimization is infeasible.
     ///
     /// # Panics
     ///
@@ -174,18 +149,21 @@ impl TandemPath {
             return None;
         }
         tel::counter("core_gamma_evals_total", 1);
-        crate::memo::solve_cached(self.solver_key(epsilon, gamma), || {
-            let cross_nodes = vec![self.cross; self.hops];
-            let sigma = netbound::sigma_for(&self.through, &cross_nodes, gamma, epsilon);
-            let sol = optimizer::solve(&self.node_params(gamma), sigma)?;
-            Some(E2eDelayBound {
-                delay: sol.delay,
-                epsilon,
-                sigma,
-                gamma,
-                x: sol.x,
-                thetas: sol.thetas,
-            })
+        let cross_nodes = vec![self.cross; self.hops];
+        let sigma = netbound::sigma_for(&self.through, &cross_nodes, gamma, epsilon);
+        if !sigma.is_finite() {
+            // The slot-sum prefactor 1/(1 − e^{−αγ}) overflowed: no
+            // finite slack reaches ε at this γ.
+            return None;
+        }
+        let sol = optimizer::solve(&self.node_params(gamma), sigma)?;
+        Some(E2eDelayBound {
+            delay: sol.delay,
+            epsilon,
+            sigma,
+            gamma,
+            x: sol.x,
+            thetas: sol.thetas,
         })
     }
 
@@ -494,5 +472,17 @@ mod try_bound_tests {
             TandemPath::new(10.0, 3, src.ebb(0.05, 100), src.ebb(0.05, 100), PathScheduler::Fifo);
         assert!(!path.is_stable());
         assert_eq!(path.try_delay_bound(1e-6), Err(Error::Infeasible));
+    }
+
+    #[test]
+    fn gamma_with_no_finite_sigma_has_no_bound() {
+        // 1 − e^{−αγ} rounds to 0 for γ = 1e-18, so the slot-sum
+        // prefactor and σ overflow: no bound at this γ, and no panic.
+        let src = Mmoo::paper_source();
+        let path =
+            TandemPath::new(100.0, 3, src.ebb(0.05, 100), src.ebb(0.05, 100), PathScheduler::Fifo);
+        assert!(path.gamma_max() > 1e-18);
+        assert_eq!(path.delay_bound_at_gamma(1e-6, 1e-18), None);
+        assert!(path.delay_bound_at_gamma(1e-6, 0.5 * path.gamma_max()).is_some());
     }
 }

@@ -10,16 +10,15 @@
 //! * [`solve`] — exact 1-D minimization over `X`. For fixed `X` the
 //!   smallest feasible `θ_h(X)` is available in closed form because the
 //!   constraint's left-hand side is strictly increasing in `θ_h`; the
-//!   objective `X + Σ θ_h(X)` is then minimized by dense grid search
-//!   with local refinement (the function is piecewise smooth with at
-//!   most a few kinks per node).
+//!   objective `X + Σ θ_h(X)` is then continuous and piecewise linear in
+//!   `X`, so its minimum lies at `X = 0` or at one of the at most two
+//!   kinks per node, and the solver evaluates exactly those points.
 //! * [`explicit`] — the paper's explicit procedure (Eqs. (40)–(42)),
 //!   which identifies the index `K` of nodes with `θ_h = 0` and sets `X`
 //!   in closed form. The paper notes the choice is near-optimal; tests
 //!   verify both solvers agree to within a fraction of a percent in the
 //!   paper's regimes, with `solve` never worse.
 
-use crate::Error;
 use nc_telemetry as tel;
 
 /// Per-node constraint parameters of the optimization.
@@ -82,10 +81,17 @@ pub(crate) fn theta_h(x: f64, p: &NodeParams, sigma: f64) -> f64 {
     ((sigma + p.r * (x + p.delta)) / p.c_eff - x).max(p.delta)
 }
 
-/// Objective `d(X) = X + Σ_h θ_h(X)` together with the per-node thetas.
-pub(crate) fn objective(x: f64, params: &[NodeParams], sigma: f64) -> (f64, Vec<f64>) {
+/// Objective `d(X) = X + Σ_h θ_h(X)`.
+fn objective(x: f64, params: &[NodeParams], sigma: f64) -> f64 {
+    x + params.iter().map(|p| theta_h(x, p, sigma)).sum::<f64>()
+}
+
+/// The feasible point induced by `X`: each `θ_h` minimal for that `X`,
+/// and `delay` equal to [`objective`] at `X`.
+fn point(x: f64, params: &[NodeParams], sigma: f64) -> Solution {
     let thetas: Vec<f64> = params.iter().map(|p| theta_h(x, p, sigma)).collect();
-    (x + thetas.iter().sum::<f64>(), thetas)
+    let delay = x + thetas.iter().sum::<f64>();
+    Solution { x, thetas, delay }
 }
 
 /// The objective value `X + Σ_h θ_h(X)` of the *feasible point* induced
@@ -101,11 +107,52 @@ pub fn objective_check(x: f64, params: &[NodeParams], sigma: f64) -> f64 {
     assert!(x >= 0.0, "objective_check: x must be non-negative");
     assert!(sigma >= 0.0, "objective_check: sigma must be non-negative");
     assert!(!params.is_empty(), "objective_check: need at least one node");
-    objective(x, params, sigma).0
+    objective(x, params, sigma)
 }
 
-/// Exact minimization of Eq. (38) over `X` (dense grid + local
-/// refinement). `params[h]` describes node `h+1`.
+/// The `X` values at which node `p`'s `θ_h(X)` changes slope (either
+/// may be non-finite or negative, i.e. absent):
+///
+/// * the Δ kink — for `0 < Δ < ∞` the branch switch `θ_h = Δ` at
+///   `X = σ/(c−r) − Δ`; for finite `Δ ≤ 0` the clamp of `[X + Δ]₊` at
+///   `X = −Δ`;
+/// * the point where `θ_h` reaches 0, i.e. `c·X − r·[X + min(Δ, 0)]₊ = σ`.
+fn kinks(p: &NodeParams, sigma: f64) -> [f64; 2] {
+    let delta_kink = if !p.delta.is_finite() {
+        f64::NAN
+    } else if p.delta > 0.0 {
+        sigma / (p.c_eff - p.r) - p.delta
+    } else {
+        -p.delta
+    };
+    let zero = if p.delta >= 0.0 {
+        sigma / (p.c_eff - p.r)
+    } else if p.delta == f64::NEG_INFINITY {
+        sigma / p.c_eff
+    } else {
+        // c·X − r[X+Δ]₊ = σ: the root lies past the clamp iff σ ≥ −c·Δ.
+        let a = (sigma + p.r * p.delta) / (p.c_eff - p.r);
+        if a >= -p.delta {
+            a
+        } else {
+            sigma / p.c_eff
+        }
+    };
+    [delta_kink, zero]
+}
+
+/// Exact minimization of Eq. (38) over `X`. `params[h]` describes node
+/// `h+1`.
+///
+/// `d(X) = X + Σθ_h(X)` is continuous and piecewise linear, and each
+/// `θ_h` changes slope only where it reaches 0 and at its Δ kink (the
+/// branch switch `X = σ/(c−r) − Δ` for `Δ > 0`, the clamp `X = −Δ` for
+/// finite `Δ ≤ 0`). Past the last kink every `θ_h` is 0 and `d = X`
+/// rises, so the minimum is attained at `X = 0` or at a kink: the
+/// solver evaluates `d` there (at most `2H + 1` points) and keeps the
+/// smallest value. `d` need not be
+/// convex (for `Δ > 0` its slope can fall), which is why no descent or
+/// bracketing step is used.
 ///
 /// Returns `None` if the problem is infeasible (some node has
 /// `c_eff ≤ r` with interfering cross traffic, or non-positive
@@ -113,10 +160,17 @@ pub fn objective_check(x: f64, params: &[NodeParams], sigma: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if `params` is empty or `sigma` is negative.
+/// Panics if `params` is empty, `sigma` is negative, NaN or infinite,
+/// a node's `c_eff` or `r` is not finite, a node's `r` is negative, or
+/// a node's `delta` is NaN.
 pub fn solve(params: &[NodeParams], sigma: f64) -> Option<Solution> {
     assert!(!params.is_empty(), "solve: need at least one node");
-    assert!(sigma >= 0.0, "solve: sigma must be non-negative");
+    assert!(sigma >= 0.0 && sigma.is_finite(), "solve: sigma must be finite and non-negative");
+    for p in params {
+        assert!(p.c_eff.is_finite() && p.r.is_finite(), "solve: node rates must be finite");
+        assert!(p.r >= 0.0, "solve: cross rate r must be non-negative");
+        assert!(!p.delta.is_nan(), "solve: delta must not be NaN");
+    }
     tel::counter("core_solver_calls_total", 1);
     let _timer = tel::timer("core_solver_seconds");
     let out = solve_inner(params, sigma);
@@ -126,237 +180,26 @@ pub fn solve(params: &[NodeParams], sigma: f64) -> Option<Solution> {
     out
 }
 
-/// Guard-railed variant of [`solve`]: validates inputs instead of
-/// asserting, distinguishes *infeasible* from *invalid*, and — when the
-/// grid solver's `X` range overflows (so [`solve`] would falsely report
-/// infeasibility) — falls back to an iteration-capped bracketing +
-/// golden-section search over the convex objective `d(X) = X + Σθ_h(X)`.
-///
-/// Every outcome is reported through telemetry:
-/// `core_solver_path_grid_total` (grid succeeded),
-/// `core_solver_fallback_bisection_total` (fallback rescued the call),
-/// `core_solver_nonfinite_total` (both paths failed to produce a finite
-/// bound).
-pub fn try_solve(params: &[NodeParams], sigma: f64) -> Result<Solution, Error> {
-    tel::counter("core_try_solve_calls_total", 1);
-    if params.is_empty() {
-        return Err(Error::InvalidInput("try_solve: need at least one node".into()));
-    }
-    if !sigma.is_finite() || sigma < 0.0 {
-        return Err(Error::InvalidInput(format!(
-            "try_solve: sigma must be finite and non-negative, got {sigma}"
-        )));
-    }
-    for (i, p) in params.iter().enumerate() {
-        if !p.c_eff.is_finite() || !p.r.is_finite() || p.r < 0.0 {
-            return Err(Error::InvalidInput(format!(
-                "try_solve: node {} has non-finite rates (c_eff = {}, r = {})",
-                i + 1,
-                p.c_eff,
-                p.r
-            )));
-        }
-        if p.delta.is_nan() {
-            return Err(Error::InvalidInput(format!("try_solve: node {} has NaN delta", i + 1)));
-        }
-    }
-    // Feasibility (same test as `solve`, but reported as a value): a
-    // node with no capacity, or with interfering cross traffic at least
-    // as fast as its service, can never satisfy its constraint.
-    for p in params {
-        if p.c_eff <= 0.0 || (p.delta > f64::NEG_INFINITY && p.c_eff <= p.r) {
-            tel::counter("core_solver_infeasible_total", 1);
-            return Err(Error::Infeasible);
-        }
-    }
-    let _timer = tel::timer("core_solver_seconds");
-    if let Some(sol) = solve_inner(params, sigma) {
-        if sol.delay.is_finite() && sol.thetas.iter().all(|t| t.is_finite()) {
-            tel::counter("core_solver_path_grid_total", 1);
-            return Ok(sol);
-        }
-    }
-    // The grid solver bailed even though the problem is feasible — its
-    // `x_max = σ/min-margin` overflowed on a subnormal margin, or the
-    // objective went non-finite somewhere on the grid. Rescue with a
-    // direct 1-D search that never touches the overflowing quantity.
-    let sol = fallback_solve(params, sigma)?;
-    tel::counter("core_solver_fallback_bisection_total", 1);
-    Ok(sol)
-}
-
-/// Iteration caps for the fallback search. 1100 doublings from 1 cover
-/// the entire f64 exponent range; 200 golden-section steps shrink any
-/// bracket below representable resolution.
-const FALLBACK_BRACKET_CAP: u32 = 1100;
-const FALLBACK_GOLDEN_CAP: u32 = 200;
-
-/// Bracketing + golden-section minimization of the convex piecewise-
-/// linear objective `d(X)`, with NaN/∞ detection at every step.
-fn fallback_solve(params: &[NodeParams], sigma: f64) -> Result<Solution, Error> {
-    let d = |x: f64| objective(x, params, sigma).0;
-    // Grow `hi` until d is finite there and no longer decreasing, i.e.
-    // the minimum lies in [0, hi]. Since θ_h ≥ 0 gives d(X) ≥ X, the
-    // objective must eventually rise, so the loop terminates unless d
-    // is non-finite everywhere we look.
-    let mut hi = 1.0f64;
-    let mut bracketed = false;
-    for _ in 0..FALLBACK_BRACKET_CAP {
-        let dh = d(hi);
-        let dm = d(hi / 2.0);
-        if dh.is_finite() && dm.is_finite() && dh >= dm {
-            bracketed = true;
-            break;
-        }
-        hi *= 2.0;
-        if !hi.is_finite() {
-            break;
-        }
-    }
-    if !bracketed {
-        tel::counter("core_solver_nonfinite_total", 1);
-        return Err(Error::NonFinite(
-            "objective stayed NaN/∞ over the entire bracketing range".into(),
-        ));
-    }
-    // Golden-section search on [0, hi]. Convexity makes d unimodal (up
-    // to flat stretches, where every point is optimal), so the search
-    // converges to a global minimizer.
-    let inv_phi = 0.618_033_988_749_894_9_f64;
-    let (mut lo, mut hi) = (0.0f64, hi);
-    let mut a = hi - inv_phi * (hi - lo);
-    let mut b = lo + inv_phi * (hi - lo);
-    let (mut da, mut db) = (d(a), d(b));
-    for _ in 0..FALLBACK_GOLDEN_CAP {
-        if hi - lo <= f64::EPSILON * hi.max(1.0) {
-            break;
-        }
-        // Treat a non-finite probe as "worse": shrink toward the other.
-        if !(da.is_finite()) || (db.is_finite() && db < da) {
-            lo = a;
-            a = b;
-            da = db;
-            b = lo + inv_phi * (hi - lo);
-            db = d(b);
-        } else {
-            hi = b;
-            b = a;
-            db = da;
-            a = hi - inv_phi * (hi - lo);
-            da = d(a);
-        }
-    }
-    // Pick the best among the surviving probes and the left endpoint
-    // (the minimum of a convex d with d'(0⁺) ≥ 0 sits exactly at 0).
-    let mut best_x = 0.0;
-    let mut best_d = f64::INFINITY;
-    for (x, dx) in [(0.0, d(0.0)), (a, da), (b, db), (lo, d(lo)), (hi, d(hi))] {
-        if dx.is_finite() && dx < best_d {
-            best_x = x;
-            best_d = dx;
-        }
-    }
-    if !best_d.is_finite() {
-        tel::counter("core_solver_nonfinite_total", 1);
-        return Err(Error::NonFinite(format!(
-            "fallback search found no finite objective value (best d({best_x}) = {best_d})"
-        )));
-    }
-    let (delay, thetas) = objective(best_x, params, sigma);
-    Ok(Solution { x: best_x, thetas, delay })
-}
-
 fn solve_inner(params: &[NodeParams], sigma: f64) -> Option<Solution> {
     // Feasibility: every node must eventually satisfy its constraint.
-    let mut min_margin = f64::INFINITY;
-    for p in params {
-        if p.c_eff <= 0.0 {
-            return None;
-        }
-        if p.delta > f64::NEG_INFINITY {
-            let margin = p.c_eff - p.r;
-            if margin <= 0.0 {
-                return None;
-            }
-            min_margin = min_margin.min(margin);
-        } else {
-            min_margin = min_margin.min(p.c_eff);
-        }
-    }
-    if sigma == 0.0 {
-        return Some(Solution { x: 0.0, thetas: vec![0.0; params.len()], delay: 0.0 });
-    }
-    // X beyond σ/min-margin gives θ_h = 0 everywhere with d = X, which
-    // is dominated by X_max itself.
-    let x_max = sigma / min_margin;
-    if !x_max.is_finite() {
-        // The margin underflowed to (effectively) zero: the problem is
-        // feasible only in the limit, with an unboundedly large delay.
+    if params.iter().any(|p| p.c_eff <= 0.0 || (p.delta > f64::NEG_INFINITY && p.c_eff <= p.r)) {
         return None;
     }
-    let coarse = 192usize;
     let mut best_x = 0.0;
-    let mut best_d = f64::INFINITY;
-    let evals = std::cell::Cell::new(0u64);
-    let eval = |x: f64, best_x: &mut f64, best_d: &mut f64| {
-        evals.set(evals.get() + 1);
-        let (d, _) = objective(x, params, sigma);
-        if d < *best_d {
-            *best_d = d;
-            *best_x = x;
-        }
-    };
-    for i in 0..=coarse {
-        eval(x_max * i as f64 / coarse as f64, &mut best_x, &mut best_d);
-    }
-    // Kink candidates: X where a node's θ_h(X) crosses its Δ or hits 0
-    // are where d(X) changes slope; include the explicit-procedure
-    // candidates as well (they are often exactly optimal).
-    for p in params {
-        if p.delta > 0.0 && p.delta.is_finite() {
-            // θ_a(X) = Δ ⇒ X = σ/(c−r) − Δ.
-            let x = sigma / (p.c_eff - p.r) - p.delta;
-            if (0.0..=x_max).contains(&x) {
-                eval(x, &mut best_x, &mut best_d);
+    let mut best_d = objective(0.0, params, sigma);
+    let mut evals = 1u64;
+    for x in params.iter().flat_map(|p| kinks(p, sigma)) {
+        if x > 0.0 && x.is_finite() {
+            evals += 1;
+            let d = objective(x, params, sigma);
+            if d < best_d {
+                best_d = d;
+                best_x = x;
             }
         }
-        if p.delta <= 0.0 && p.delta.is_finite() {
-            let x = -p.delta;
-            if (0.0..=x_max).contains(&x) {
-                eval(x, &mut best_x, &mut best_d);
-            }
-        }
-        // θ_h(X) = 0 boundary.
-        let x0 = if p.delta >= 0.0 {
-            sigma / (p.c_eff - p.r)
-        } else {
-            // c·x − r[x+Δ]₊ = σ: try both clamping regimes.
-            let a = (sigma + p.r * p.delta) / (p.c_eff - p.r);
-            if a >= -p.delta {
-                a
-            } else {
-                sigma / p.c_eff
-            }
-        };
-        if x0.is_finite() && (0.0..=x_max).contains(&x0) {
-            eval(x0, &mut best_x, &mut best_d);
-        }
     }
-    // Local refinement around the incumbent.
-    let mut lo = (best_x - x_max / coarse as f64).max(0.0);
-    let mut hi = (best_x + x_max / coarse as f64).min(x_max);
-    for _ in 0..2 {
-        let n = 48usize;
-        for i in 0..=n {
-            eval(lo + (hi - lo) * i as f64 / n as f64, &mut best_x, &mut best_d);
-        }
-        let step = (hi - lo) / n as f64;
-        lo = (best_x - step).max(0.0);
-        hi = (best_x + step).min(x_max);
-    }
-    let (delay, thetas) = objective(best_x, params, sigma);
-    tel::counter("core_solver_evals_total", evals.get() + 1);
-    Some(Solution { x: best_x, thetas, delay })
+    tel::counter("core_solver_evals_total", evals);
+    Some(point(best_x, params, sigma))
 }
 
 /// The paper's explicit near-optimal procedure for a *homogeneous* path
@@ -393,8 +236,7 @@ pub fn explicit(
     if delta == f64::INFINITY {
         // BMUX, Eq. (43): θ ≡ 0, X = σ/(C − ρ_c − Hγ).
         let x = sigma / (capacity - rho_c - h_f * gamma);
-        let (d, thetas) = objective(x, &params, sigma);
-        return Some(Solution { x, thetas, delay: d });
+        return Some(point(x, &params, sigma));
     }
     // Eq. (40): smallest K with Σ_{h>K} (C−ρ_c−hγ)/(C−(h−1)γ) < 1,
     // additionally requiring θ_h(X) > Δ for h > K when Δ ≥ 0.
@@ -429,8 +271,7 @@ pub fn explicit(
                 }
             }
         }
-        let (d, thetas) = objective(x, &params, sigma);
-        return Some(Solution { x, thetas, delay: d });
+        return Some(point(x, &params, sigma));
     }
     // No admissible K: fall back to the numeric solver's answer.
     tel::counter("core_explicit_fallback_total", 1);
@@ -635,76 +476,138 @@ mod tests {
     }
 
     #[test]
-    fn try_solve_agrees_with_solve_on_well_posed_inputs() {
-        let (c, rc) = (100.0, 40.0);
-        let sigma = 300.0;
-        for h in [1usize, 5, 12] {
-            for delta in [f64::NEG_INFINITY, -4.0, 0.0, 2.0, f64::INFINITY] {
-                let params = homogeneous(c, 0.2, rc, delta, h);
-                let want = solve(&params, sigma).unwrap().delay;
-                let got = try_solve(&params, sigma).unwrap().delay;
-                assert!((got - want).abs() <= 1e-9 * want.max(1.0), "{got} vs {want}");
-            }
-        }
+    fn solve_finds_the_minimum_of_a_non_convex_objective() {
+        // Δ > 0 makes d(X) non-convex: slopes 0.4 on [0, 9), 0 on
+        // [9, 10), 1 beyond, so d(0) = (σ + r·Δ)/c = 6.4 is optimal.
+        let p = [NodeParams { c_eff: 10.0, r: 4.0, delta: 1.0 }];
+        let sigma = 60.0;
+        assert!((objective(9.0, &p, sigma) - 10.0).abs() < 1e-12);
+        assert!((objective(9.5, &p, sigma) - 10.0).abs() < 1e-12);
+        let sol = solve(&p, sigma).unwrap();
+        assert!((sol.delay - 6.4).abs() < 1e-12, "{}", sol.delay);
+        assert_eq!(sol.x, 0.0);
     }
 
     #[test]
-    fn try_solve_rejects_invalid_inputs_as_values() {
-        let p = NodeParams { c_eff: 10.0, r: 4.0, delta: 0.0 };
-        assert!(matches!(try_solve(&[], 1.0), Err(Error::InvalidInput(_))));
-        assert!(matches!(try_solve(&[p], -1.0), Err(Error::InvalidInput(_))));
-        assert!(matches!(try_solve(&[p], f64::NAN), Err(Error::InvalidInput(_))));
-        let nan = NodeParams { c_eff: f64::NAN, r: 4.0, delta: 0.0 };
-        assert!(matches!(try_solve(&[nan], 1.0), Err(Error::InvalidInput(_))));
-        let nan_delta = NodeParams { c_eff: 10.0, r: 4.0, delta: f64::NAN };
-        assert!(matches!(try_solve(&[nan_delta], 1.0), Err(Error::InvalidInput(_))));
-    }
-
-    #[test]
-    fn try_solve_reports_infeasibility() {
-        let params = homogeneous(100.0, 0.2, 101.0, 0.0, 3);
-        assert_eq!(try_solve(&params, 10.0), Err(Error::Infeasible));
-    }
-
-    #[test]
-    fn try_solve_fallback_rescues_margin_overflow() {
+    fn solve_handles_a_margin_underflow() {
         // The service margin c_eff − r is the smallest representable
-        // gap below 10 (~1.8e-15) while σ is huge, so the grid solver's
-        // x_max = σ/margin overflows to ∞ and `solve` falsely reports
-        // infeasibility. The problem is perfectly feasible: with Δ = −5
-        // the cross term vanishes for X < 5, so d(0) = σ/c_eff is both
-        // feasible and optimal.
+        // gap below 10 (~1.8e-15) while σ is huge, so σ/(c_eff − r)
+        // overflows. With Δ = −5 the cross term vanishes for X < 5, so
+        // d(0) = σ/c_eff is both feasible and optimal.
         let r = f64::from_bits(10.0f64.to_bits() - 1); // nextafter(10, -∞)
         let p = NodeParams { c_eff: 10.0, r, delta: -5.0 };
         assert!(p.c_eff > p.r, "margin must be positive for the case to be feasible");
         let sigma = 1e300;
-        assert!(!(sigma / (p.c_eff - p.r)).is_finite(), "x_max must overflow");
-        assert_eq!(solve(&[p], sigma), None, "grid solver is expected to bail here");
-        let sol = try_solve(&[p], sigma).expect("fallback must rescue this");
+        assert!(!(sigma / (p.c_eff - p.r)).is_finite(), "σ/margin must overflow");
+        let sol = solve(&[p], sigma).expect("feasible despite the overflowing margin");
         let want = sigma / p.c_eff;
-        assert!(
-            (sol.delay - want).abs() <= 1e-9 * want,
-            "fallback delay {} should be σ/c_eff = {want}",
-            sol.delay
-        );
-        // The rescued solution still satisfies the node constraint.
+        assert!((sol.delay - want).abs() <= 1e-9 * want, "delay {} should be {want}", sol.delay);
         let th = sol.thetas[0];
         let lhs = p.c_eff * (sol.x + th) - p.r * (sol.x + p.delta.min(th)).max(0.0);
-        assert!(lhs >= sigma * (1.0 - 1e-9), "rescued solution infeasible: lhs = {lhs}");
+        assert!(lhs >= sigma * (1.0 - 1e-9), "solution infeasible: lhs = {lhs}");
+    }
+
+    const P: NodeParams = NodeParams { c_eff: 10.0, r: 4.0, delta: 0.0 };
+
+    #[test]
+    #[should_panic(expected = "need at least one node")]
+    fn solve_rejects_an_empty_path() {
+        solve(&[], 1.0);
     }
 
     #[test]
-    fn try_solve_fallback_matches_grid_when_both_work() {
-        // Sanity: force the fallback path on a well-posed instance and
-        // check it lands on (essentially) the grid optimum.
-        let params = homogeneous(100.0, 0.2, 40.0, 0.0, 5);
-        let sigma = 400.0;
-        let grid = solve(&params, sigma).unwrap().delay;
-        let fb = fallback_solve(&params, sigma).unwrap().delay;
-        assert!(
-            fb <= grid * (1.0 + 1e-6) + 1e-9,
-            "fallback {fb} worse than grid {grid} on a convex objective"
-        );
+    #[should_panic(expected = "sigma must be finite and non-negative")]
+    fn solve_rejects_negative_sigma() {
+        solve(&[P], -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite and non-negative")]
+    fn solve_rejects_nan_sigma() {
+        solve(&[P], f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma must be finite and non-negative")]
+    fn solve_rejects_infinite_sigma() {
+        solve(&[P], f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "node rates must be finite")]
+    fn solve_rejects_nan_capacity() {
+        solve(&[NodeParams { c_eff: f64::NAN, ..P }], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "node rates must be finite")]
+    fn solve_rejects_infinite_cross_rate() {
+        solve(&[NodeParams { r: f64::INFINITY, ..P }], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross rate r must be non-negative")]
+    fn solve_rejects_negative_cross_rate() {
+        solve(&[NodeParams { r: -1.0, ..P }], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "delta must not be NaN")]
+    fn solve_rejects_nan_delta() {
+        solve(&[NodeParams { delta: f64::NAN, ..P }], 1.0);
+    }
+
+    /// One random node: `r < c_eff` so every Δ kind is feasible, with Δ
+    /// drawn from −∞, negative, 0, positive, and +∞.
+    fn random_node() -> impl proptest::strategy::Strategy<Value = NodeParams> {
+        use proptest::prelude::*;
+        (
+            1.0f64..100.0,
+            0.0f64..0.95,
+            prop_oneof![
+                Just(f64::NEG_INFINITY),
+                -50.0f64..-1e-3,
+                Just(0.0),
+                1e-3f64..50.0,
+                Just(f64::INFINITY),
+            ],
+        )
+            .prop_map(|(c_eff, frac, delta)| NodeParams { c_eff, r: frac * c_eff, delta })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn solve_is_never_worse_than_a_dense_oracle(
+            params in proptest::collection::vec(random_node(), 1..=12),
+            sigma in 0.1f64..5000.0,
+        ) {
+            // Past σ/min-margin every θ_h is 0 and d = X rises, so the
+            // dense grid over [0, x_hi] brackets the true minimum.
+            let margin = params
+                .iter()
+                .map(|p| if p.delta == f64::NEG_INFINITY { p.c_eff } else { p.c_eff - p.r })
+                .fold(f64::INFINITY, f64::min);
+            let x_hi = sigma / margin;
+            let n = 20_000;
+            let oracle = (0..=n)
+                .map(|i| objective(x_hi * i as f64 / n as f64, &params, sigma))
+                .fold(f64::INFINITY, f64::min);
+            let sol = solve(&params, sigma).unwrap();
+            proptest::prop_assert!(
+                sol.delay <= oracle * (1.0 + 1e-12),
+                "solve {} worse than the dense oracle {oracle}",
+                sol.delay
+            );
+            proptest::prop_assert!(sol.x >= 0.0);
+            for (p, &th) in params.iter().zip(&sol.thetas) {
+                proptest::prop_assert!(th >= 0.0);
+                let lhs = p.c_eff * (sol.x + th) - p.r * (sol.x + p.delta.min(th)).max(0.0);
+                proptest::prop_assert!(
+                    lhs >= sigma * (1.0 - 1e-9),
+                    "infeasible θ = {th} at {p:?}: lhs = {lhs}, σ = {sigma}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Typed errors for the analysis crate.
 //!
-//! The original solver entry points ([`solve`](crate::e2e::optimizer::solve),
-//! [`explicit`](crate::e2e::optimizer::explicit)) keep their historical
-//! panic-on-misuse/`Option` contract; the `try_*` variants surface the
-//! same conditions as values so callers — the scenario engine, the CLI
-//! — can map them onto distinct exit codes instead of aborting.
+//! The Eq. (38) solvers ([`solve`](crate::e2e::optimizer::solve),
+//! [`explicit`](crate::e2e::optimizer::explicit)) panic on invalid
+//! input and return `None` when infeasible; the `try_delay_bound`
+//! methods of [`TandemPath`](crate::TandemPath) and
+//! [`MmooTandem`](crate::MmooTandem) surface these conditions as values
+//! so callers — the scenario engine, the CLI — can map them onto
+//! distinct exit codes instead of aborting.
 
 use std::fmt;
 
@@ -18,9 +20,8 @@ pub enum Error {
     /// (a node's effective capacity does not exceed the interfering
     /// cross rate).
     Infeasible,
-    /// The solver hit its guardrails: the objective stayed NaN/∞ even
-    /// after the bisection fallback, so no finite bound exists to
-    /// report.
+    /// The optimized bound came out NaN or infinite, so no finite
+    /// bound exists to report.
     NonFinite(String),
 }
 

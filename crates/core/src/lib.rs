@@ -59,7 +59,6 @@ pub mod admission;
 mod delta;
 pub mod e2e;
 mod error;
-mod memo;
 mod packet;
 pub mod scaling;
 mod schedulability;
@@ -73,10 +72,6 @@ pub use e2e::{
     E2eDelayBound, MmooDelayBound, MmooTandem, SourceDelayBound, SourceTandem, TandemPath,
 };
 pub use error::Error;
-pub use memo::{
-    current_solver_cache, enable_solver_cache, solver_cache_stats, SolverCache, SolverCacheGuard,
-    SolverCacheStats,
-};
 pub use packet::{packetization_penalty, packetize_service, packetized_delay_bound};
 pub use schedulability::{
     adversarial_scenario, delay_feasible, min_feasible_delay, AdversarialScenario,

@@ -28,8 +28,9 @@ fn delay_bound_records_counters_timings_and_nested_spans() {
     let counter = |name: &str| snap.counter_value(name, &[]);
     assert!(counter("core_delay_bound_calls_total") > 0);
     assert!(counter("core_solver_calls_total") > 0);
-    // Every successful solve performs at least the 193-point coarse grid.
-    assert!(counter("core_solver_evals_total") >= 193 * counter("core_solver_calls_total") / 2);
+    // Every solve evaluates d(X) at X = 0 and at most two kinks per node.
+    let (calls, evals) = (counter("core_solver_calls_total"), counter("core_solver_evals_total"));
+    assert!(calls <= evals && evals <= (2 * tandem.hops as u64 + 2) * calls, "{evals}/{calls}");
     assert!(counter("core_gamma_evals_total") > 0);
     assert!(counter("core_netbound_sigma_calls_total") == counter("core_gamma_evals_total"));
     assert!(counter("core_s_evals_total") > 0);

@@ -246,16 +246,13 @@ fn fig3_cells(smoke: bool) -> Vec<Fig3Cell> {
 
 /// The Fig. 3 analysis sweep as a bench body: the BMUX, FIFO, and
 /// EDF(short-deadline) columns of the mix-sweep experiment, computed
-/// through [`SweepEngine`] with a fresh solver cache per repetition (so
-/// hits/misses are comparable across reps). The second EDF regime is
-/// omitted: it exercises the same fixed-point kernel and would double
-/// the per-cell cost without covering new code.
+/// through [`SweepEngine`]. The second EDF regime is omitted: it
+/// exercises the same fixed-point kernel and would double the per-cell
+/// cost without covering new code.
 fn fig3_sweep_body(smoke: bool, threads: usize) -> Box<dyn Fn()> {
     let eps = if smoke { 1e-6 } else { 1e-9 };
     let cells = fig3_cells(smoke);
     Box::new(move || {
-        let cache = nc_core::SolverCache::new();
-        let _guard = cache.enable();
         let bounds = SweepEngine::new(threads).run(cells.len(), |i| {
             let c = &cells[i];
             let bmux = tandem(c.n_through, c.n_cross, c.hops, PathScheduler::Bmux)

@@ -7,7 +7,6 @@ use crate::error::Error;
 use crate::experiments;
 use crate::model::{Experiment, Scenario};
 use crate::opts::RunOpts;
-use nc_core::SolverCacheStats;
 use nc_sim::DelayStats;
 
 /// What a scenario run produced beyond its stdout tables.
@@ -16,16 +15,10 @@ pub struct RunSummary {
     /// Merged delay statistics, for experiments that simulate
     /// (`simulate`; the figure overlays report inline instead).
     pub delay_stats: Option<DelayStats>,
-    /// Solver memo-cache activity during this run, summed across the
-    /// main thread and every sweep worker (hits > 0 whenever the
-    /// experiment revisits an Eq. (38) instance, e.g. any sweep with
-    /// both FIFO and EDF columns).
-    pub cache: SolverCacheStats,
 }
 
-/// Runs a [`Scenario`] under [`RunOpts`]: enables the solver memo
-/// cache for the duration of the run, dispatches to the experiment
-/// runner, and writes the requested telemetry artifacts.
+/// Runs a [`Scenario`] under [`RunOpts`]: dispatches to the experiment
+/// runner and writes the requested telemetry artifacts.
 #[derive(Debug)]
 pub struct Engine {
     scenario: Scenario,
@@ -69,22 +62,16 @@ impl Engine {
 
     /// Runs the scenario to completion.
     ///
-    /// Analysis results are bitwise-independent of the cache, the
-    /// thread count, and the telemetry feature; stdout is therefore
-    /// reproducible byte for byte for a fixed scenario + options —
-    /// including runs resumed from a checkpoint.
+    /// Analysis results are bitwise-independent of the thread count
+    /// and the telemetry feature; stdout is therefore reproducible byte
+    /// for byte for a fixed scenario + options — including runs resumed
+    /// from a checkpoint.
     ///
     /// Failures surface as the typed [`Error`] taxonomy, so callers can
     /// map a bad fault plan, a checkpoint mismatch, a runtime failure,
     /// and an infeasible analysis onto distinct exit codes.
     pub fn run(self) -> Result<RunSummary, Error> {
         let artifacts = RunArtifacts::begin(&self.scenario.name, &self.opts);
-        // An explicit handle rather than `enable_solver_cache()`: the
-        // parallel sweep engine picks the current cache up and shares
-        // it across its workers, and the handle's stats cover every
-        // worker's probes — a thread-local delta would not.
-        let cache = nc_core::SolverCache::new();
-        let guard = cache.enable();
         if let Some(title) = &self.scenario.title {
             println!("# {title}");
         }
@@ -124,10 +111,9 @@ impl Engine {
                 None
             }
         };
-        drop(guard);
         artifacts
             .try_finish()
             .map_err(|e| Error::Runtime(format!("cannot write telemetry artifacts: {e}")))?;
-        Ok(RunSummary { delay_stats, cache: cache.stats() })
+        Ok(RunSummary { delay_stats })
     }
 }

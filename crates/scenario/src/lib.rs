@@ -4,9 +4,8 @@
 //! A [`Scenario`] is one JSON document describing an experiment —
 //! topology, MMOO traffic mix, schedulers, analysis options, and the
 //! Monte Carlo overlay defaults. The [`Engine`] runs it through one
-//! code path: analysis (with the `nc-core` solver memo cache enabled
-//! for the duration of the run), the optional simulation overlay, and
-//! the telemetry artifacts of [`RunArtifacts`].
+//! code path: analysis, the optional simulation overlay, and the
+//! telemetry artifacts of [`RunArtifacts`].
 //!
 //! The figure binaries in `nc-bench` and the `linksched` CLI are thin
 //! wrappers over shipped scenario files (`examples/scenarios/*.json`);
@@ -29,7 +28,7 @@
 //! .unwrap();
 //! let opts = Engine::default_opts(&scenario);
 //! let summary = Engine::new(scenario, opts).run().unwrap();
-//! assert!(summary.cache.misses > 0); // the grid search hit the solver
+//! assert!(summary.delay_stats.is_none()); // analysis-only: no simulation
 //! ```
 
 #![forbid(unsafe_code)]

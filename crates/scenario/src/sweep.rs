@@ -2,19 +2,13 @@
 //!
 //! The figure experiments evaluate a grid of independent Eq. (38)
 //! instances — hop count × utilization × scheduler — and each cell is
-//! pure CPU with no shared mutable state beyond the solver memo cache.
+//! pure CPU with no shared mutable state.
 //! [`SweepEngine`] fans those cells across scoped worker threads with
 //! the same determinism contract as the Monte Carlo engine
 //! (`nc_sim::MonteCarlo`): cells are claimed from an atomic counter,
 //! results are stored by cell index, and the caller consumes them in
 //! index order — so the output is bitwise-identical for every thread
 //! count.
-//!
-//! Workers share the solver cache installed on the spawning thread
-//! (captured via [`nc_core::current_solver_cache`]), so a FIFO cell
-//! computed by worker 0 still saves the EDF fixed point of worker 3
-//! the re-solve. Sharing never perturbs results: cache keys are bit
-//! patterns and hits return bit-identical values.
 //!
 //! Per-worker utilization is reported through `nc-telemetry`
 //! (`sweep_workers`, `sweep_wall_seconds`, `sweep_worker_busy_seconds`,
@@ -69,10 +63,6 @@ impl SweepEngine {
     /// worker the cells run inline on the calling thread (no spawn,
     /// no locking).
     ///
-    /// Workers install the solver cache that is current on the calling
-    /// thread, so a surrounding [`nc_core::SolverCache::enable`] (or
-    /// `enable_solver_cache`) scope is shared by the whole sweep.
-    ///
     /// # Panics
     ///
     /// A panicking cell propagates to the caller (after the remaining
@@ -90,18 +80,14 @@ impl SweepEngine {
             self.report(1, t0.elapsed().as_secs_f64(), None);
             return out;
         }
-        let shared_cache = nc_core::current_solver_cache();
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<T>>> = Mutex::new((0..cells).map(|_| None).collect());
         let busy: Mutex<Vec<f64>> = Mutex::new(vec![0.0; workers]);
         std::thread::scope(|scope| {
-            let (cell, cache) = (&cell, &shared_cache);
+            let cell = &cell;
             let (next, results, busy) = (&next, &results, &busy);
             for w in 0..workers {
                 scope.spawn(move || {
-                    // Share the caller's memo so every worker benefits
-                    // from every other worker's solves.
-                    let _guard = cache.as_ref().map(|c| c.enable());
                     let mut my_busy = 0.0;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -173,30 +159,6 @@ mod tests {
         assert_eq!(SweepEngine::new(2).effective_threads(100), 2);
         assert!(SweepEngine::new(0).effective_threads(100) >= 1);
         assert_eq!(SweepEngine::new(5).effective_threads(0), 1);
-    }
-
-    #[test]
-    fn workers_share_the_callers_solver_cache() {
-        let cache = nc_core::SolverCache::new();
-        let _guard = cache.enable();
-        let src = nc_traffic::Mmoo::paper_source();
-        let bounds = SweepEngine::new(4).run(8, |_| {
-            // Identical instances: after the first solve, every other
-            // cell must hit the shared memo regardless of its worker.
-            nc_core::TandemPath::new(
-                100.0,
-                5,
-                src.ebb(0.05, 100),
-                src.ebb(0.05, 100),
-                nc_core::PathScheduler::Fifo,
-            )
-            .delay_bound(1e-9)
-        });
-        for b in &bounds {
-            assert_eq!(b, &bounds[0], "shared cache must return bit-identical bounds");
-        }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "workers must hit the shared cache: {stats:?}");
     }
 
     #[test]

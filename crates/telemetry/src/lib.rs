@@ -8,8 +8,9 @@
 //! * **enabled** — counters/gauges/histograms record into either a
 //!   local [`MetricSet`] shard (hot paths, merged deterministically
 //!   like `nc-sim`'s `DelayStats`) or the process-global registry
-//!   ([`counter`], [`observe`], [`timer`]); [`span`] guards append to a
-//!   bounded trace buffer.
+//!   ([`counter`], [`observe`], [`timer`]), which keeps one shard per
+//!   thread so parallel workers never wait on each other; [`span`]
+//!   guards append to a bounded trace buffer.
 //! * **disabled** (default) — every recording call is an inlineable
 //!   no-op with no clock reads, locks, or allocation; the exporters and
 //!   [`RunManifest`] still work (they emit empty metric sections), so
@@ -69,15 +70,56 @@ pub use spans::{
     DEFAULT_TRACE_CAPACITY,
 };
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Whether the `enabled` feature was compiled in.
 pub const ENABLED: bool = cfg!(feature = "enabled");
 
-fn global() -> &'static Mutex<MetricSet> {
-    static GLOBAL: OnceLock<Mutex<MetricSet>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(MetricSet::new()))
+/// The process-global registry: one shard per recording thread, so a
+/// record takes only its own thread's (uncontended) lock, plus the
+/// merged shards of threads that have exited. Snapshots merge them.
+struct Registry {
+    retired: MetricSet,
+    live: Vec<Arc<Mutex<MetricSet>>>,
+}
+
+static REGISTRY: Mutex<Registry> =
+    Mutex::new(Registry { retired: MetricSet::new(), live: Vec::new() });
+
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().expect("metric registry poisoned")
+}
+
+fn lock(shard: &Mutex<MetricSet>) -> MutexGuard<'_, MetricSet> {
+    shard.lock().expect("metric shard poisoned")
+}
+
+/// The calling thread's shard; folded into `retired` when it exits.
+struct LocalShard(Arc<Mutex<MetricSet>>);
+
+impl Drop for LocalShard {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        reg.retired.merge(&lock(&self.0));
+        reg.live.retain(|s| !Arc::ptr_eq(s, &self.0));
+    }
+}
+
+thread_local! {
+    static LOCAL: LocalShard = {
+        let shard = Arc::new(Mutex::new(MetricSet::new()));
+        registry().live.push(Arc::clone(&shard));
+        LocalShard(shard)
+    };
+}
+
+/// Applies `f` to the calling thread's shard (to `retired` while the
+/// thread is being torn down).
+fn record(f: impl Fn(&mut MetricSet)) {
+    if LOCAL.try_with(|l| f(&mut lock(&l.0))).is_err() {
+        f(&mut registry().retired);
+    }
 }
 
 /// Adds to an unlabelled counter in the process-global registry.
@@ -86,7 +128,7 @@ pub fn counter(name: &str, n: u64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").counter_add(name, &[], n);
+    record(|m| m.counter_add(name, &[], n));
 }
 
 /// Adds to a labelled counter in the process-global registry.
@@ -95,16 +137,17 @@ pub fn counter_labeled(name: &str, labels: &[(&str, &str)], n: u64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").counter_add(name, labels, n);
+    record(|m| m.counter_add(name, labels, n));
 }
 
-/// Sets a gauge in the process-global registry.
+/// Sets a gauge in the process-global registry. Gauges set by
+/// different threads merge to their maximum in snapshots.
 #[inline]
 pub fn gauge(name: &str, v: f64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").gauge_set(name, &[], v);
+    record(|m| m.gauge_set(name, &[], v));
 }
 
 /// Records a histogram sample in the process-global registry.
@@ -113,7 +156,7 @@ pub fn observe(name: &str, v: f64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").observe(name, &[], v);
+    record(|m| m.observe(name, &[], v));
 }
 
 /// Merges a metric shard into the process-global registry.
@@ -121,17 +164,23 @@ pub fn merge_global(shard: &MetricSet) {
     if !ENABLED || shard.is_empty() {
         return;
     }
-    global().lock().expect("metric registry poisoned").merge(shard);
+    record(|m| m.merge(shard));
 }
 
-/// A snapshot of the process-global registry.
+/// A snapshot of the process-global registry: every thread's shard
+/// merged. Counters are exact whichever threads recorded them.
 pub fn global_snapshot() -> MetricSet {
-    global().lock().expect("metric registry poisoned").clone()
+    let reg = registry();
+    let mut set = reg.retired.clone();
+    reg.live.iter().for_each(|s| set.merge(&lock(s)));
+    set
 }
 
 /// Clears the process-global registry (tests).
 pub fn reset_global() {
-    *global().lock().expect("metric registry poisoned") = MetricSet::new();
+    let mut reg = registry();
+    reg.retired = MetricSet::new();
+    reg.live.iter().for_each(|s| *lock(s) = MetricSet::new());
 }
 
 /// Starts a wall-time timer that records its elapsed seconds into the
@@ -185,6 +234,20 @@ mod tests {
         } else {
             assert!(snap.is_empty());
         }
+        reset_global();
+        assert!(global_snapshot().is_empty());
+
+        // Per-thread shards: counts from live and exited threads add up.
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| (0..1000).for_each(|_| counter("t_threads_total", 1)));
+            }
+        });
+        counter("t_threads_total", 5);
+        assert_eq!(
+            global_snapshot().counter_value("t_threads_total", &[]),
+            4005 * u64::from(ENABLED)
+        );
         reset_global();
         assert!(global_snapshot().is_empty());
     }

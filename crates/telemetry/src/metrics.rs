@@ -218,8 +218,8 @@ pub struct MetricSet {
 
 impl MetricSet {
     /// An empty set.
-    pub fn new() -> Self {
-        MetricSet::default()
+    pub const fn new() -> Self {
+        MetricSet { entries: BTreeMap::new() }
     }
 
     /// Whether no series have been recorded.

@@ -12,8 +12,8 @@
 //!
 //! Every command builds a [`nc_scenario::Scenario`] and runs it through
 //! [`nc_scenario::Engine`] — the same code path as the figure binaries
-//! — so the analysis, the Monte Carlo overlay, the Eq. (38) solver memo
-//! cache, and the telemetry artifacts behave identically everywhere.
+//! — so the analysis, the Monte Carlo overlay, and the telemetry
+//! artifacts behave identically everywhere.
 //! `run` executes a declarative scenario file (see
 //! `examples/scenarios/`).
 //!
@@ -156,8 +156,8 @@ OPTIONS:
     --cross-max NC     largest cross-flow count (sweep)         [default: 500]
 
 `run` executes a declarative scenario file (see examples/scenarios/)
-through the same engine as the figure binaries, including the solver
-memo cache and the telemetry artifact outputs.
+through the same engine as the figure binaries, including the
+telemetry artifact outputs.
 
 `bench` times a pinned suite of analysis-sweep, min-plus-kernel, and
 simulator workloads and writes median + IQR wall times plus telemetry

@@ -4,9 +4,9 @@
 //!
 //! The engine guarantees this by construction (cells are pure
 //! functions of their index, results are stored by index and printed
-//! serially in order, and the shared solver cache only ever returns
-//! bit-exact values) — these tests pin the guarantee at the binary
-//! boundary, where a regression would silently corrupt figure output.
+//! serially in order, and cells share no mutable state) — these tests
+//! pin the guarantee at the binary boundary, where a regression would
+//! silently corrupt figure output.
 //!
 //! Small purpose-built grids keep the fast tests fast; the shipped
 //! full-size Fig. 3 scenario has an `#[ignore]`d variant for the
@@ -77,7 +77,7 @@ impl Drop for Scratch {
 #[test]
 fn utilization_sweep_is_thread_invariant() {
     // The shipped CI scenario exercises the real utilization_sweep
-    // path including the shared-cache FIFO/EDF columns.
+    // path including the FIFO/EDF columns.
     assert_thread_invariant(
         &repo_path("examples/scenarios/sweep_small.json"),
         "sweep_small (utilization_sweep)",
