@@ -32,6 +32,15 @@ use nc_traffic::{Ebb, Mmoo};
 use optimizer::NodeParams;
 pub use source_tandem::{SourceDelayBound, SourceTandem};
 
+/// Relative tolerance of the EDF deadline fixed point: the final
+/// bracket width (`ratio > 1`) or step (`ratio ≤ 1`) is at most
+/// `EDF_TOL·d`.
+const EDF_TOL: f64 = 1e-9;
+/// Iteration caps of the two fixed-point loops; exhausting one is
+/// counted as `core_edf_nonconverged_total`.
+const EDF_BRACKET_CAP: usize = 100;
+const EDF_ASCENT_CAP: usize = 200;
+
 /// A homogeneous tandem path (Fig. 1): `hops` nodes of rate `capacity`,
 /// a through EBB aggregate, i.i.d. EBB cross aggregates, and one
 /// Δ-scheduler used at every node.
@@ -267,12 +276,27 @@ impl TandemPath {
     /// `d*_c = cross_over_through · d*_0` (the paper uses
     /// `cross_over_through = 10` in Examples 1 and 3).
     ///
-    /// Solved by damped fixed-point iteration on
-    /// `d ↦ bound(Δ = (1 − ratio)·d/H)`; returns the bound together
-    /// with the converged per-node deadline `d*_0`.
+    /// The bound is a fixed point `d = T(d)`, where `T(d)` is
+    /// [`TandemPath::delay_bound`] at `Δ = (1 − ratio)·d/H`. The delay
+    /// bound rises with `Δ`, so `T` is monotone in `d` and each case has
+    /// a solver that cannot miss:
     ///
-    /// Returns `None` for unstable paths or if the iteration fails to
-    /// converge within 200 steps (not observed in practice).
+    /// * `ratio > 1` (`Δ < 0`): `T` falls, so `g(d) = T(d) − d` has one
+    ///   root, bracketed by `g(0) = d_FIFO > 0 ≥ g(d_FIFO)`. Illinois
+    ///   (modified regula falsi) shrinks the bracket to `≤ 1e-9·d` and
+    ///   returns its upper end `b`, which carries the certificate
+    ///   `T(b) ≤ b`.
+    /// * `ratio ≤ 1` (`Δ ≥ 0`): `T` rises, so plain iteration
+    ///   `d ← T(d)` from `d_FIFO` climbs to the least fixed point; it
+    ///   stops at the first `d` with `T(d) ≤ (1 + 1e-9)·d`.
+    ///
+    /// Either way the returned bound is `T(d)` at the returned
+    /// per-node deadline `d*_0 = d/H`, so it is a sound EDF bound for
+    /// exactly those deadlines.
+    ///
+    /// Returns `None` for unstable paths, or if either loop exhausts its
+    /// iteration cap; the latter is counted in
+    /// `core_edf_nonconverged_total`.
     ///
     /// # Panics
     ///
@@ -291,25 +315,55 @@ impl TandemPath {
             return None;
         }
         let _span = tel::span("core.edf_fixed_point");
-        // Δ(d) = d*_0 − d*_c = (1 − ratio)·d/H.
         let h = self.hops as f64;
-        let delta_of = |d: f64| (1.0 - cross_over_through) * d / h;
-        // Initialize from FIFO (Δ = 0).
-        let mut d = self.with_scheduler(PathScheduler::Fifo).delay_bound(epsilon)?.delay;
-        for _ in 0..200 {
+        let t = |d: f64| {
             tel::counter("core_edf_fixed_point_iterations_total", 1);
-            let sched = PathScheduler::Delta(delta_of(d));
-            let b = self.with_scheduler(sched).delay_bound(epsilon)?;
-            let next = 0.5 * (d + b.delay);
-            let done = (next - d).abs() <= 1e-9 * d.max(1e-9);
-            d = next;
-            if done {
-                let d_star_0 = d / h;
-                let mut out = b;
-                out.delay = d;
-                return Some((out, d_star_0));
+            let delta = (1.0 - cross_over_through) * d / h;
+            self.with_scheduler(PathScheduler::Delta(delta)).delay_bound(epsilon)
+        };
+        let fifo = self.with_scheduler(PathScheduler::Fifo).delay_bound(epsilon)?.delay;
+        if cross_over_through > 1.0 {
+            // Keep g(lo) > 0 ≥ g(hi); `moved_hi` records which end the
+            // previous step replaced.
+            let (mut lo, mut g_lo) = (0.0, fifo);
+            let mut hi = fifo;
+            let mut at_hi = t(hi)?;
+            let mut g_hi = at_hi.delay - hi;
+            let mut moved_hi = None;
+            for _ in 0..EDF_BRACKET_CAP {
+                if g_hi == 0.0 || hi - lo <= EDF_TOL * hi {
+                    return Some((at_hi, hi / h));
+                }
+                let c = lo + (hi - lo) * g_lo / (g_lo - g_hi);
+                let at_c = t(c)?;
+                let g_c = at_c.delay - c;
+                // Illinois: halve the value kept at an end that survives
+                // two steps in a row, so that end moves too.
+                if g_c <= 0.0 {
+                    (hi, g_hi, at_hi) = (c, g_c, at_c);
+                    if moved_hi == Some(true) {
+                        g_lo *= 0.5;
+                    }
+                    moved_hi = Some(true);
+                } else {
+                    (lo, g_lo) = (c, g_c);
+                    if moved_hi == Some(false) {
+                        g_hi *= 0.5;
+                    }
+                    moved_hi = Some(false);
+                }
+            }
+        } else {
+            let mut d = fifo;
+            for _ in 0..EDF_ASCENT_CAP {
+                let at_d = t(d)?;
+                if at_d.delay <= (1.0 + EDF_TOL) * d {
+                    return Some((at_d, d / h));
+                }
+                d = at_d.delay;
             }
         }
+        tel::counter("core_edf_nonconverged_total", 1);
         None
     }
 }
@@ -484,5 +538,116 @@ mod try_bound_tests {
         assert!(path.gamma_max() > 1e-18);
         assert_eq!(path.delay_bound_at_gamma(1e-6, 1e-18), None);
         assert!(path.delay_bound_at_gamma(1e-6, 0.5 * path.gamma_max()).is_some());
+    }
+}
+
+#[cfg(test)]
+mod edf_fixed_point_tests {
+    use super::*;
+    use proptest::strategy::Strategy;
+
+    const EPS: f64 = 1e-9;
+
+    /// Fig. 2's through aggregate (N0 = 100) against `n_cross` cross
+    /// flows per node at moment parameter `s`.
+    fn fig2_path(hops: usize, n_cross: usize, s: f64) -> TandemPath {
+        let src = Mmoo::paper_source();
+        TandemPath::new(100.0, hops, src.ebb(s, 100), src.ebb(s, n_cross), PathScheduler::Fifo)
+    }
+
+    /// `T(d)`: the bound at the deadlines the fixed point derives from `d`.
+    fn t(path: &TandemPath, ratio: f64, d: f64) -> f64 {
+        let delta = (1.0 - ratio) * d / path.hops() as f64;
+        path.with_scheduler(PathScheduler::Delta(delta)).delay_bound(EPS).unwrap().delay
+    }
+
+    /// The damped iteration `d ← (d + T(d))/2` the bracketed solver
+    /// replaced, kept as a reference: `None` where it hits its cap.
+    fn damped_reference(path: &TandemPath, ratio: f64) -> Option<f64> {
+        let mut d = path.with_scheduler(PathScheduler::Fifo).delay_bound(EPS)?.delay;
+        for _ in 0..200 {
+            let next = (d + t(path, ratio, d)) / 2.0;
+            let done = (next - d).abs() <= 1e-9 * d.max(1e-9);
+            d = next;
+            if done {
+                return Some(d);
+            }
+        }
+        None
+    }
+
+    fn bound(path: &TandemPath, sched: PathScheduler) -> f64 {
+        path.with_scheduler(sched).delay_bound(EPS).unwrap().delay
+    }
+
+    #[test]
+    fn bracketed_result_carries_its_certificate() {
+        let path = fig2_path(10, 300, 0.03);
+        let (b, d0) = path.edf_delay_bound_fixed_point(EPS, 10.0).unwrap();
+        let d = d0 * 10.0;
+        // The reported bound is T at the reported deadline (up to the
+        // rounding of d*_0·H), and sits on the certified side T(d) ≤ d ...
+        assert!((b.delay - t(&path, 10.0, d)).abs() <= 1e-12 * d);
+        assert!(b.delay <= d, "T(d) = {} > d = {d}", b.delay);
+        // ... while one bracket width below d, T still lies above the
+        // diagonal: the root is within 1e-9·d.
+        let lo = d * (1.0 - EDF_TOL);
+        assert!(t(&path, 10.0, lo) > lo, "bracket wider than 1e-9·d at d = {d}");
+    }
+
+    #[test]
+    fn fig2_h10_high_load_cell_converges() {
+        // H = 10, U = 95% (Nc = 533): the damped iteration oscillates
+        // to its cap at this s, which used to print `-` in Fig. 2.
+        let path = fig2_path(10, 533, 0.0049);
+        assert_eq!(damped_reference(&path, 10.0), None);
+        let (b, _) = path.edf_delay_bound_fixed_point(EPS, 10.0).unwrap();
+        let sp = bound(&path, PathScheduler::ThroughPriority);
+        let fifo = bound(&path, PathScheduler::Fifo);
+        assert!(sp <= b.delay && b.delay <= fifo, "SP {sp}, EDF {}, FIFO {fifo}", b.delay);
+    }
+
+    #[test]
+    fn equal_deadlines_return_the_fifo_bound() {
+        let path = fig2_path(5, 200, 0.04);
+        let fifo = path.with_scheduler(PathScheduler::Fifo).delay_bound(EPS).unwrap();
+        let (b, d0) = path.edf_delay_bound_fixed_point(EPS, 1.0).unwrap();
+        assert_eq!(b, fifo);
+        assert_eq!(d0.to_bits(), (fifo.delay / 5.0).to_bits());
+    }
+
+    #[test]
+    fn shorter_cross_deadlines_climb_to_a_fixed_point() {
+        let path = fig2_path(5, 300, 0.03);
+        let (b, d0) = path.edf_delay_bound_fixed_point(EPS, 0.5).unwrap();
+        let d = d0 * 5.0;
+        let fifo = bound(&path, PathScheduler::Fifo);
+        let bmux = bound(&path, PathScheduler::Bmux);
+        assert!(fifo <= b.delay && b.delay <= bmux, "FIFO {fifo}, EDF {}, BMUX {bmux}", b.delay);
+        assert!(d <= b.delay && b.delay <= d * (1.0 + EDF_TOL), "T({d}) = {}", b.delay);
+    }
+
+    const RATIOS: [f64; 15] =
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0];
+
+    proptest::proptest! {
+        #[test]
+        fn agrees_with_the_damped_iteration_wherever_it_converges(
+            hops in 1usize..=12,
+            ratio in (0usize..RATIOS.len()).prop_map(|i| RATIOS[i]),
+            n_cross in 20usize..=450,
+            s in 0.01f64..0.1,
+        ) {
+            let path = fig2_path(hops, n_cross, s);
+            proptest::prop_assume!(path.is_stable());
+            if let Some(want) = damped_reference(&path, ratio) {
+                let (got, _) = path.edf_delay_bound_fixed_point(EPS, ratio).unwrap();
+                proptest::prop_assert!(
+                    (got.delay - want).abs() <= 1e-8 * want,
+                    "H = {hops}, ratio = {ratio}: {} vs damped {want}",
+                    got.delay
+                );
+            }
+        }
     }
 }

@@ -3,7 +3,8 @@
 //! Runs a pinned suite of workloads — the Fig. 3 analysis sweep (serial
 //! and parallel), the min-plus kernels, and the tandem simulator — with
 //! warmup and repetition control, and reports median + IQR wall times
-//! plus telemetry op counts as `BENCH_5.json`. The suite is *pinned*:
+//! plus telemetry op counts to the `--out` path (a `BENCH_N.json`
+//! report; the flag is required). The suite is *pinned*:
 //! workload sizes are compiled in (only `--smoke` shrinks them), so a
 //! sequence of bench files tracks the repo's performance trajectory
 //! over time rather than whatever each commit felt like measuring.
@@ -23,9 +24,9 @@ use std::time::Instant;
 /// Flag summary for `linksched bench` (printed by the binary on a
 /// parse error).
 pub const BENCH_USAGE: &str = "\
-usage: linksched bench [options]
+usage: linksched bench --out P [options]
 
-    --out P        output path for the bench report    [default: BENCH_5.json]
+    --out P        output path for the bench report (required)
     --smoke        shrink every workload (CI-sized run)
     --reps N       timed repetitions per workload      [default: 5, smoke 3]
     --warmup N     untimed warmup runs per workload    [default: 1]
@@ -53,24 +54,20 @@ pub struct BenchOpts {
     pub perf_guard: bool,
 }
 
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            out: "BENCH_5.json".to_string(),
+impl BenchOpts {
+    /// Parses bench flags, rejecting unknown options and a missing
+    /// `--out` (there is no default path, so a run never overwrites a
+    /// committed report by accident).
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let mut o = BenchOpts {
+            out: String::new(),
             smoke: false,
             reps: None,
             warmup: None,
             threads: 0,
             filter: None,
             perf_guard: false,
-        }
-    }
-}
-
-impl BenchOpts {
-    /// Parses bench flags, rejecting unknown options.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut o = BenchOpts::default();
+        };
         let mut it = args.into_iter();
         while let Some(flag) = it.next() {
             let val = |it: &mut dyn Iterator<Item = String>| {
@@ -86,6 +83,9 @@ impl BenchOpts {
                 "--perf-guard" => o.perf_guard = true,
                 other => return Err(format!("unknown option `{other}`")),
             }
+        }
+        if o.out.is_empty() {
+            return Err("missing required option `--out P`".into());
         }
         if o.reps == Some(0) {
             return Err("`--reps` must be at least 1".into());
@@ -160,7 +160,7 @@ pub struct BenchReport {
 const GUARD_MARGIN: f64 = 1.15;
 
 impl BenchReport {
-    /// Serializes the report as the `BENCH_5.json` document
+    /// Serializes the report as a `BENCH_N.json` document
     /// (`schema: linksched-bench/1`; see EXPERIMENTS.md).
     pub fn to_json(&self) -> String {
         let entries: Vec<String> = self.entries.iter().map(entry_json).collect();
@@ -550,7 +550,7 @@ mod tests {
     #[test]
     fn parse_rejects_unknown_and_zero_reps() {
         assert!(BenchOpts::parse(["--bogus".to_string()]).is_err());
-        assert!(BenchOpts::parse(["--reps".to_string(), "0".to_string()]).is_err());
+        assert!(BenchOpts::parse(["--out", "b.json", "--reps", "0"].map(String::from)).is_err());
         assert!(BenchOpts::parse(["--reps".to_string()]).is_err());
     }
 

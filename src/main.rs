@@ -138,7 +138,7 @@ USAGE:
                        [--slots N] [--metrics-out P] [--trace-out P]
                        [--events-out P] [--manifest-out P] [--progress]
                        [--checkpoint P] [--checkpoint-every N] [--resume]
-    linksched bench    [--out P] [--smoke] [--reps N] [--warmup N]
+    linksched bench    --out P [--smoke] [--reps N] [--warmup N]
                        [--threads N] [--filter S] [--perf-guard]
 
 OPTIONS:
@@ -161,7 +161,8 @@ telemetry artifact outputs.
 
 `bench` times a pinned suite of analysis-sweep, min-plus-kernel, and
 simulator workloads and writes median + IQR wall times plus telemetry
-op counts to BENCH_5.json (see EXPERIMENTS.md).
+op counts to the required `--out` path, e.g. BENCH_9.json (see
+EXPERIMENTS.md).
 
 Traffic is the paper's Markov-modulated on-off source: 1.5 Mbps peak,
 ≈0.15 Mbps mean per flow.";

@@ -324,6 +324,12 @@ fn exit_codes_distinguish_failure_classes() {
     // An overloaded tandem has no finite delay bound: infeasible (7).
     let out = probe(&["bound", "--hops", "2", "--through", "900", "--cross", "0"]);
     assert_eq!(out.status.code(), Some(7), "infeasible analysis is exit code 7");
+
+    // `bench` has no default report path: a missing `--out` is a usage
+    // error (2).
+    let out = probe(&["bench", "--smoke", "--filter", "no-such-workload"]);
+    assert_eq!(out.status.code(), Some(2), "bench without --out is exit code 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
 }
 
 /// Scenario files shipped in the repository must all parse (full runs
