@@ -11,7 +11,8 @@
 //!
 //! `--perf-guard` runs only the two analysis workloads with the
 //! parallel side pinned to 2 threads and fails (for CI) if the parallel
-//! sweep is slower than the serial one beyond a small noise margin.
+//! sweep is slower than the serial one beyond a small noise margin. On
+//! a single-CPU machine the guard is reported as skipped.
 
 use crate::sweep::SweepEngine;
 use crate::{flows_for_utilization, tandem};
@@ -146,17 +147,52 @@ pub struct BenchReport {
     /// `serial median / parallel median` for the Fig. 3 sweep, when
     /// both entries ran.
     pub speedup: Option<f64>,
-    /// Perf-guard verdict: `None` unless `--perf-guard`, otherwise
-    /// whether the parallel sweep stayed within the noise margin.
-    pub guard_ok: Option<bool>,
+    /// Perf-guard verdict: `None` unless `--perf-guard`.
+    pub guard: Option<PerfGuard>,
+}
+
+/// The `--perf-guard` verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PerfGuard {
+    /// The parallel sweep stayed within the noise margin.
+    Pass,
+    /// The parallel sweep was slower than serial beyond the margin.
+    Fail,
+    /// The property is not observable on this machine; the reason is
+    /// reported (`single-cpu`: 2 threads only time-slice one core).
+    Skipped(&'static str),
+}
+
+impl PerfGuard {
+    /// The verdict from the CPU count and the fastest serial and
+    /// parallel repetitions of the Fig. 3 sweep.
+    fn judge(cores: usize, serial_min: Option<f64>, parallel_min: Option<f64>) -> Self {
+        if cores < 2 {
+            return PerfGuard::Skipped("single-cpu");
+        }
+        match (serial_min, parallel_min) {
+            (Some(s), Some(p)) if p <= s * GUARD_MARGIN => PerfGuard::Pass,
+            _ => PerfGuard::Fail,
+        }
+    }
+
+    /// The report's `perf_guard` object: `ok` is `null` when skipped.
+    fn to_json(self) -> String {
+        match self {
+            PerfGuard::Pass | PerfGuard::Fail => format!(
+                "{{\"margin\":{},\"ok\":{}}}",
+                json::num(GUARD_MARGIN),
+                self == PerfGuard::Pass
+            ),
+            PerfGuard::Skipped(why) => format!("{{\"ok\":null,\"skipped\":{}}}", json::string(why)),
+        }
+    }
 }
 
 /// Noise margin for `--perf-guard`: the 2-thread sweep's *fastest*
 /// repetition may be at most this factor slower than serial's fastest
 /// before the guard fails. Minima (not medians) because they are the
-/// robust estimator under scheduler noise on shared CI machines; the
-/// margin absorbs the residual jitter of a single-core worst case,
-/// where 2 threads merely time-slice the same work.
+/// robust estimator under scheduler noise on shared CI machines.
 const GUARD_MARGIN: f64 = 1.15;
 
 impl BenchReport {
@@ -168,12 +204,7 @@ impl BenchReport {
             Some(s) => format!("{{\"fig3_parallel_over_serial\":{}}}", json::num(s)),
             None => "null".to_string(),
         };
-        let guard = match self.guard_ok {
-            Some(ok) => {
-                format!("{{\"margin\":{},\"ok\":{ok}}}", json::num(GUARD_MARGIN))
-            }
-            None => "null".to_string(),
-        };
+        let guard = self.guard.map_or("null".to_string(), PerfGuard::to_json);
         let unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
@@ -440,7 +471,7 @@ fn measure(w: &Workload, reps: usize, warmup: usize) -> BenchEntry {
 
 /// Runs the bench suite, prints one summary line per workload, writes
 /// the report to [`BenchOpts::out`], and returns it. A `--perf-guard`
-/// failure is reported in [`BenchReport::guard_ok`], not as an `Err`
+/// failure is reported in [`BenchReport::guard`], not as an `Err`
 /// (the binary maps it to a nonzero exit).
 pub fn run(opts: &BenchOpts) -> Result<BenchReport, String> {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -484,31 +515,26 @@ pub fn run(opts: &BenchOpts) -> Result<BenchReport, String> {
     if let Some(x) = speedup {
         println!("fig3 sweep speedup: {x:.2}x ({threads} threads over serial)");
     }
-    let guard_ok = if opts.perf_guard {
-        let ok = if cores < 2 {
-            // On one CPU the "parallel" sweep merely time-slices the
-            // same work; the property under guard (low parallel
-            // overhead) is not observable, so don't fail on noise.
-            println!("perf-guard: single-CPU machine, passing vacuously (timings recorded)");
-            true
-        } else {
-            let serial_min = stat_of("analysis/fig3-sweep-serial", |e| e.min_s);
-            let parallel_min = stat_of("analysis/fig3-sweep-parallel", |e| e.min_s);
-            let ok = match (serial_min, parallel_min) {
-                (Some(s), Some(p)) => p <= s * GUARD_MARGIN,
-                _ => false,
-            };
-            println!(
+    let guard = opts.perf_guard.then(|| {
+        let guard = PerfGuard::judge(
+            cores,
+            stat_of("analysis/fig3-sweep-serial", |e| e.min_s),
+            stat_of("analysis/fig3-sweep-parallel", |e| e.min_s),
+        );
+        match guard {
+            PerfGuard::Skipped(why) => println!("perf-guard: skipped ({why}; timings recorded)"),
+            _ => println!(
                 "perf-guard: parallel sweep at {threads} threads is {} (margin {GUARD_MARGIN:.2}x)",
-                if ok { "not slower than serial" } else { "SLOWER than serial" }
-            );
-            ok
-        };
-        Some(ok)
-    } else {
-        None
-    };
-    let report = BenchReport { smoke, entries, speedup, guard_ok };
+                if guard == PerfGuard::Pass {
+                    "not slower than serial"
+                } else {
+                    "SLOWER than serial"
+                }
+            ),
+        }
+        guard
+    });
+    let report = BenchReport { smoke, entries, speedup, guard };
     let doc = report.to_json();
     json::validate(&doc).map_err(|e| format!("internal error: bench JSON invalid: {e}"))?;
     tel::export::write_file(&opts.out, &doc)
@@ -595,7 +621,7 @@ mod tests {
                 ops: vec![("minplus_convolution_total".into(), 42)],
             }],
             speedup: Some(1.8),
-            guard_ok: Some(true),
+            guard: Some(PerfGuard::Pass),
         };
         let doc = report.to_json();
         let parsed = json::parse(&doc).expect("valid JSON");
@@ -618,6 +644,19 @@ mod tests {
             parsed.get("perf_guard").and_then(|g| g.get("ok")).and_then(|v| v.as_bool()),
             Some(true)
         );
+    }
+
+    #[test]
+    fn perf_guard_is_skipped_on_one_cpu() {
+        assert_eq!(PerfGuard::judge(1, Some(1.0), Some(9.0)), PerfGuard::Skipped("single-cpu"));
+        assert_eq!(PerfGuard::judge(2, Some(1.0), Some(1.1)), PerfGuard::Pass);
+        assert_eq!(PerfGuard::judge(2, Some(1.0), Some(1.2)), PerfGuard::Fail);
+        assert_eq!(PerfGuard::judge(2, None, Some(1.0)), PerfGuard::Fail);
+        let skipped = json::parse(&PerfGuard::Skipped("single-cpu").to_json()).expect("JSON");
+        assert!(skipped.get("ok").is_some_and(|v| v.is_null()));
+        assert_eq!(skipped.get("skipped").and_then(|v| v.as_str()), Some("single-cpu"));
+        let failed = json::parse(&PerfGuard::Fail.to_json()).expect("JSON");
+        assert_eq!(failed.get("ok").and_then(|v| v.as_bool()), Some(false));
     }
 
     #[test]

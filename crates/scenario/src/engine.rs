@@ -68,9 +68,13 @@ impl Engine {
     /// from a checkpoint.
     ///
     /// Failures surface as the typed [`Error`] taxonomy, so callers can
-    /// map a bad fault plan, a checkpoint mismatch, a runtime failure,
-    /// and an infeasible analysis onto distinct exit codes.
+    /// map a `validate`/`faulted` run too short to pass its warm-up (a
+    /// usage error), a bad fault plan, a checkpoint mismatch, a runtime
+    /// failure, and an infeasible analysis onto distinct exit codes.
     pub fn run(self) -> Result<RunSummary, Error> {
+        if let Experiment::Validate(_) | Experiment::Faulted(_) = &self.scenario.experiment {
+            experiments::check_past_warmup(self.opts.slots)?;
+        }
         let artifacts = RunArtifacts::begin(&self.scenario.name, &self.opts);
         if let Some(title) = &self.scenario.title {
             println!("# {title}");

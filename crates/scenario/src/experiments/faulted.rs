@@ -70,7 +70,7 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
             n_cross: p.cross,
             source,
             scheduler: sim_sched,
-            warmup: 10_000,
+            warmup: super::TANDEM_WARMUP,
             packet_size: None,
         };
         let clean = run_cell(&clean_opts, cfg, bound, &format!("clean-{}", case.label))?;

@@ -177,7 +177,7 @@ fn cfg(
         n_cross,
         source,
         scheduler,
-        warmup: 10_000,
+        warmup: super::TANDEM_WARMUP,
         packet_size: None,
     }
 }

@@ -62,37 +62,97 @@ impl Source for MmooState {
     }
 }
 
+/// `⌈p·2⁵³⌉`: the integer form of the stay test `u ≥ p` on a uniform
+/// `u = (w >> 11)·2⁻⁵³` drawn from a 64-bit word `w` (the `f64` draw of
+/// [`rand::RngExt::random`]). The scaling by 2⁵³ and the ceiling are both
+/// exact in `f64`, so `(w >> 11) ≥ ⌈p·2⁵³⌉` holds exactly when `u ≥ p`.
+fn stay_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// An aggregate of independent MMOO flows, stepped jointly.
+///
+/// Stored as a struct of arrays: one shared model, one ON flag per
+/// flow, and the count of flows currently ON. Each step draws one
+/// 64-bit word per flow, in flow order, exactly as stepping a
+/// [`MmooState`] per flow would, and the emission is read from a
+/// per-aggregate table indexed by the ON count, so sample paths and
+/// emitted amounts are bit-identical to the per-flow loop.
 #[derive(Debug, Clone)]
 pub struct MmooAggregate {
-    flows: Vec<MmooState>,
+    model: Mmoo,
+    on: Vec<bool>,
+    on_count: usize,
+    /// [`stay_threshold`] of `p11` (stay OFF) and `p22` (stay ON).
+    stay_off: u64,
+    stay_on: u64,
+    /// `emitted[k]`: the left-to-right `f64` sum of the per-flow
+    /// emissions when `k` flows are ON (OFF flows add an exact `0.0`).
+    emitted: Vec<f64>,
 }
 
 impl MmooAggregate {
-    /// `n` i.i.d. stationary flows of the given model.
+    /// `n` i.i.d. stationary flows of the given model (one draw per
+    /// flow, in flow order, as [`MmooState::stationary`]).
     pub fn stationary<R: Rng + ?Sized>(model: Mmoo, n: usize, rng: &mut R) -> Self {
-        MmooAggregate { flows: (0..n).map(|_| MmooState::stationary(model, rng)).collect() }
+        let on: Vec<bool> = (0..n).map(|_| MmooState::stationary(model, rng).is_on()).collect();
+        let mut emitted = Vec::with_capacity(n + 1);
+        emitted.push(std::iter::repeat_n(0.0, n).sum::<f64>());
+        for k in 1..=n {
+            emitted.push(emitted[k - 1] + model.peak());
+        }
+        MmooAggregate {
+            model,
+            on_count: on.iter().filter(|&&on| on).count(),
+            on,
+            stay_off: stay_threshold(model.p11()),
+            stay_on: stay_threshold(model.p22()),
+            emitted,
+        }
     }
 
     /// Number of flows in the aggregate.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.on.len()
     }
 
     /// Whether the aggregate is empty.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.on.is_empty()
     }
 
     /// Number of flows currently ON.
     pub fn on_count(&self) -> usize {
-        self.flows.iter().filter(|f| f.is_on()).count()
+        self.on_count
+    }
+
+    /// The per-flow analytical model.
+    pub fn model(&self) -> &Mmoo {
+        &self.model
+    }
+
+    /// Advances one slot: returns the aggregate emission of the flows
+    /// that are ON, then performs every flow's state transition.
+    ///
+    /// Generic so a concrete generator (the tandem simulator's
+    /// `StdRng`) inlines into the per-flow loop.
+    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        let emitted = self.emitted[self.on_count];
+        let (stay_off, stay_on) = (self.stay_off, self.stay_on);
+        let mut on_count = 0;
+        for on in &mut self.on {
+            let stay = if *on { stay_on } else { stay_off };
+            *on ^= rng.next_u64() >> 11 >= stay;
+            on_count += usize::from(*on);
+        }
+        self.on_count = on_count;
+        emitted
     }
 }
 
 impl Source for MmooAggregate {
     fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
-        self.flows.iter_mut().map(|f| f.step(rng)).sum()
+        self.step(rng)
     }
 }
 
@@ -100,6 +160,38 @@ impl Source for CbrSource {
     fn pull(&mut self, _rng: &mut dyn Rng) -> f64 {
         self.rate()
     }
+}
+
+/// Draws a state from the stationary distribution `pi` by inversion
+/// (one uniform draw).
+fn stationary_state<R: Rng + ?Sized>(pi: &[f64], rng: &mut R) -> usize {
+    let u = rng.random::<f64>();
+    let mut acc = 0.0;
+    for (i, &p) in pi.iter().enumerate() {
+        acc += p;
+        if u < acc {
+            return i;
+        }
+    }
+    pi.len() - 1
+}
+
+/// One slot of an MMP flow in `state`: returns the state's rate, then
+/// moves to the next state by inversion on the transition row (one
+/// uniform draw; the state is kept if rounding leaves `u` above the
+/// row's running sum).
+fn mmp_step<R: Rng + ?Sized>(model: &Mmp, state: &mut usize, rng: &mut R) -> f64 {
+    let emitted = model.rates()[*state];
+    let u = rng.random::<f64>();
+    let mut acc = 0.0;
+    for (j, &p) in model.transition()[*state].iter().enumerate() {
+        acc += p;
+        if u < acc {
+            *state = j;
+            break;
+        }
+    }
+    emitted
 }
 
 /// Simulation state of one general Markov-modulated flow (see
@@ -124,17 +216,7 @@ impl MmpState {
     /// Creates a flow whose initial state is drawn from the stationary
     /// distribution.
     pub fn stationary<R: Rng + ?Sized>(model: Mmp, rng: &mut R) -> Self {
-        let pi = model.stationary();
-        let u = rng.random::<f64>();
-        let mut acc = 0.0;
-        let mut state = pi.len() - 1;
-        for (i, &p) in pi.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                state = i;
-                break;
-            }
-        }
+        let state = stationary_state(&model.stationary(), rng);
         MmpState { model, state }
     }
 
@@ -146,18 +228,7 @@ impl MmpState {
     /// Advances one slot: emits the current state's rate, then performs
     /// the state transition.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let emitted = self.model.rates()[self.state];
-        let u = rng.random::<f64>();
-        let row = &self.model.transition()[self.state];
-        let mut acc = 0.0;
-        for (j, &p) in row.iter().enumerate() {
-            acc += p;
-            if u < acc {
-                self.state = j;
-                break;
-            }
-        }
-        emitted
+        mmp_step(&self.model, &mut self.state, rng)
     }
 }
 
@@ -167,32 +238,44 @@ impl Source for MmpState {
     }
 }
 
-/// An aggregate of independent general Markov-modulated flows.
+/// An aggregate of independent general Markov-modulated flows: one
+/// shared model and one state index per flow, stepped in flow order
+/// with the same draws as a [`MmpState`] per flow.
 #[derive(Debug, Clone)]
 pub struct MmpAggregate {
-    flows: Vec<MmpState>,
+    model: Mmp,
+    states: Vec<usize>,
 }
 
 impl MmpAggregate {
     /// `n` i.i.d. stationary flows of the given model.
     pub fn stationary<R: Rng + ?Sized>(model: &Mmp, n: usize, rng: &mut R) -> Self {
-        MmpAggregate { flows: (0..n).map(|_| MmpState::stationary(model.clone(), rng)).collect() }
+        let pi = model.stationary();
+        let states = (0..n).map(|_| stationary_state(&pi, rng)).collect();
+        MmpAggregate { model: model.clone(), states }
     }
 
     /// Number of flows in the aggregate.
     pub fn len(&self) -> usize {
-        self.flows.len()
+        self.states.len()
     }
 
     /// Whether the aggregate is empty.
     pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
+        self.states.is_empty()
+    }
+
+    /// Advances one slot: returns the flows' summed rates (left to
+    /// right), then performs every flow's state transition.
+    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        let model = &self.model;
+        self.states.iter_mut().map(|state| mmp_step(model, state, rng)).sum()
     }
 }
 
 impl Source for MmpAggregate {
     fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
-        self.flows.iter_mut().map(|f| f.step(rng)).sum()
+        self.step(rng)
     }
 }
 
@@ -200,24 +283,25 @@ impl Source for MmpAggregate {
 #[derive(Debug, Clone)]
 pub struct PoissonBatchSim {
     model: PoissonBatch,
+    /// `e^{-λ}`, the stopping level of Knuth's sampler.
+    exp_neg_lambda: f64,
 }
 
 impl PoissonBatchSim {
     /// Wraps the analytical model for simulation.
     pub fn new(model: PoissonBatch) -> Self {
-        PoissonBatchSim { model }
+        PoissonBatchSim { model, exp_neg_lambda: (-model.lambda()).exp() }
     }
 }
 
 impl Source for PoissonBatchSim {
     fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
         // Knuth's Poisson sampler; λ is small (per-slot) in all uses.
-        let l = (-self.model.lambda()).exp();
         let mut k = 0u32;
         let mut p = 1.0;
         loop {
             p *= rng.random::<f64>();
-            if p <= l {
+            if p <= self.exp_neg_lambda {
                 break;
             }
             k += 1;
@@ -262,6 +346,34 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A generator that replays one fixed word.
+    struct Word(u64);
+
+    impl Rng for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn stay_threshold_is_the_float_stay_test() {
+        let half_eps = f64::EPSILON / 2.0;
+        for p in [0.0, 1.0, half_eps, 1.0 - half_eps, 0.1, 1.0 / 3.0, 0.5, 0.9, 0.989] {
+            let t = stay_threshold(p);
+            for m in [t.saturating_sub(1), t, t + 1] {
+                if m >= 1 << 53 {
+                    continue;
+                }
+                for low in [0, 0x7ff] {
+                    let w = m << 11 | low;
+                    let leaves = Word(w).random::<f64>() >= p;
+                    assert_eq!(w >> 11 >= t, leaves, "p = {p}, word {w:#x}");
+                }
+            }
+        }
+        assert_eq!((stay_threshold(0.0), stay_threshold(1.0)), (0, 1 << 53));
+    }
 
     #[test]
     fn mmoo_long_run_rate_matches_mean() {

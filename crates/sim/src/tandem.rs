@@ -4,7 +4,7 @@ use crate::error::Error;
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan};
 use crate::node::{Chunk, Node, NodePolicy};
 use crate::scheduler::SchedulerKind;
-use crate::source::{MmooAggregate, Source};
+use crate::source::MmooAggregate;
 use crate::stats::DelayStats;
 use nc_telemetry::{Histogram, MetricSet};
 use nc_traffic::Mmoo;
@@ -322,7 +322,7 @@ impl TandemSim {
     /// Advances one slot.
     pub fn step(&mut self) {
         let t = self.slot;
-        let raw_thr = self.through.pull(&mut self.rng);
+        let raw_thr = self.through.step(&mut self.rng);
         let (thr_bits, thr_packets) = self.quantize(0, raw_thr);
         // Reuse the per-step buffers (taken out of `self` to satisfy the
         // borrow checker, restored below); both end each step drained,
@@ -368,7 +368,7 @@ impl TandemSim {
                 }
                 self.nodes[h].enqueue(c);
             }
-            let raw_cross = self.cross[h].pull(&mut self.rng);
+            let raw_cross = self.cross[h].step(&mut self.rng);
             let (cross_bits, cross_packets) = self.quantize(h + 1, raw_cross);
             let mut cross_arrived_kb = 0.0_f64;
             if cross_bits > 0.0 {

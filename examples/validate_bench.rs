@@ -58,10 +58,28 @@ fn check(doc: &Json) -> Result<(), String> {
             return Err(format!("no `{want}` entry in a multi-kind report"));
         }
     }
-    if doc.get("perf_guard").is_none() {
-        return Err("missing `perf_guard`".into());
+    check_perf_guard(doc.get("perf_guard").ok_or("missing `perf_guard`")?)
+}
+
+/// `perf_guard` is `null` (no `--perf-guard`), a verdict
+/// `{"margin": m, "ok": bool}`, or a skip `{"ok": null, "skipped": why}`
+/// (single-CPU machines, where the guard is not observable).
+fn check_perf_guard(guard: &Json) -> Result<(), String> {
+    if guard.is_null() {
+        return Ok(());
     }
-    Ok(())
+    let ok = guard.get("ok").ok_or("`perf_guard` has no `ok`")?;
+    if ok.is_null() {
+        return match guard.get("skipped").and_then(Json::as_str) {
+            Some(why) if !why.is_empty() => Ok(()),
+            _ => Err("`perf_guard.ok` is null without a `skipped` reason".into()),
+        };
+    }
+    ok.as_bool().ok_or("`perf_guard.ok` is not a boolean or null")?;
+    match guard.get("margin").and_then(Json::as_f64) {
+        Some(m) if m.is_finite() && m >= 1.0 => Ok(()),
+        _ => Err("`perf_guard.margin` missing or below 1".into()),
+    }
 }
 
 fn main() -> ExitCode {
@@ -92,5 +110,26 @@ fn main() -> ExitCode {
             eprintln!("FAIL {path}: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn guard(text: &str) -> Result<(), String> {
+        check_perf_guard(&json::parse(text).expect("test JSON parses"))
+    }
+
+    #[test]
+    fn perf_guard_shapes() {
+        assert!(guard("null").is_ok());
+        assert!(guard(r#"{"margin":1.15,"ok":true}"#).is_ok());
+        assert!(guard(r#"{"margin":1.15,"ok":false}"#).is_ok());
+        assert!(guard(r#"{"ok":null,"skipped":"single-cpu"}"#).is_ok());
+        assert!(guard(r#"{"ok":null}"#).is_err());
+        assert!(guard(r#"{"ok":true}"#).is_err());
+        assert!(guard(r#"{"margin":1.15,"ok":"yes"}"#).is_err());
+        assert!(guard("{}").is_err());
     }
 }

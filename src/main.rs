@@ -107,7 +107,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
 
 /// `linksched bench [options]`: the pinned perf-trajectory suite.
 /// Exit codes: 2 for a flag error, 6 for a runtime failure (e.g. the
-/// report cannot be written), 1 for a `--perf-guard` regression.
+/// report cannot be written), 1 for a `--perf-guard` regression (a
+/// guard skipped on a single-CPU machine exits 0).
 fn cmd_bench(args: &[String]) -> ExitCode {
     let opts = match nc_scenario::bench_harness::BenchOpts::parse(args.to_vec()) {
         Ok(o) => o,
@@ -117,7 +118,9 @@ fn cmd_bench(args: &[String]) -> ExitCode {
         }
     };
     match nc_scenario::bench_harness::run(&opts) {
-        Ok(report) if report.guard_ok == Some(false) => ExitCode::from(1),
+        Ok(report) if report.guard == Some(nc_scenario::bench_harness::PerfGuard::Fail) => {
+            ExitCode::from(1)
+        }
         Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

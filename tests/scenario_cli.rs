@@ -31,10 +31,10 @@ fn run_scenario(name: &str, extra: &[&str]) -> String {
     String::from_utf8(run(&refs).stdout).expect("stdout is UTF-8")
 }
 
-fn assert_matches_golden(scenario: &str, golden: &str) {
+fn assert_matches_golden(scenario: &str, extra: &[&str], golden: &str) {
     let expected = std::fs::read_to_string(repo_path(golden)).expect("golden file");
-    let actual = run_scenario(scenario, &[]);
-    assert_eq!(expected, actual, "`linksched run {scenario}` diverged from {golden}");
+    let actual = run_scenario(scenario, extra);
+    assert_eq!(expected, actual, "`linksched run {scenario} {extra:?}` diverged from {golden}");
 }
 
 /// A unique scratch directory, removed on drop.
@@ -64,17 +64,56 @@ impl Drop for Scratch {
 
 #[test]
 fn small_sweep_matches_golden() {
-    assert_matches_golden("sweep_small.json", "tests/golden/small/sweep_small.txt");
+    assert_matches_golden("sweep_small.json", &[], "tests/golden/small/sweep_small.txt");
 }
 
 #[test]
 fn bound_demo_matches_golden() {
-    assert_matches_golden("bound_demo.json", "tests/golden/small/bound_demo.txt");
+    assert_matches_golden("bound_demo.json", &[], "tests/golden/small/bound_demo.txt");
 }
 
 #[test]
 fn hetero_simulation_matches_golden() {
-    assert_matches_golden("simulate_hetero.json", "tests/golden/small/simulate_hetero.txt");
+    assert_matches_golden("simulate_hetero.json", &[], "tests/golden/small/simulate_hetero.txt");
+}
+
+/// The `validate` and `faulted` tandems (every scheduler row, clean
+/// and faulted links) are pinned at a size just past their 10 000-slot
+/// warm-up, so their simulated sample paths are checked on every run.
+const SMALL_TANDEM: [&str; 4] = ["--reps", "2", "--slots", "12000"];
+
+#[test]
+fn small_validate_matches_golden() {
+    assert_matches_golden("validate.json", &SMALL_TANDEM, "tests/golden/small/validate_small.txt");
+}
+
+#[test]
+fn small_faulted_tandem_matches_golden() {
+    assert_matches_golden(
+        "faulted_tandem.json",
+        &SMALL_TANDEM,
+        "tests/golden/small/faulted_tandem_small.txt",
+    );
+}
+
+/// A `validate`/`faulted` run that ends inside the warm-up would
+/// record no samples; it is a usage error (2) naming the warm-up, and
+/// prints no table.
+#[test]
+fn tandem_runs_inside_the_warmup_are_usage_errors() {
+    for scenario in ["validate.json", "faulted_tandem.json"] {
+        for slots in ["6000", "10000"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_linksched"))
+                .args(["run", &repo_path(&format!("examples/scenarios/{scenario}"))])
+                .args(["--reps", "1", "--slots", slots])
+                .output()
+                .expect("spawn");
+            assert_eq!(out.status.code(), Some(2), "{scenario} --slots {slots}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("10000-slot warm-up"), "{scenario}: {stderr}");
+            assert!(out.stdout.is_empty(), "{scenario}: no table on a rejected run");
+        }
+    }
 }
 
 #[test]
