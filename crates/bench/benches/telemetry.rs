@@ -29,9 +29,15 @@ fn smoke_cfg() -> SimConfig {
 /// Raw cost of the recording primitives (no-ops without the feature).
 fn bench_primitives(c: &mut Criterion) {
     let mut g = c.benchmark_group("telemetry_primitives");
-    g.bench_function("counter", |b| b.iter(|| tel::counter(black_box("bench_counter_total"), 1)));
-    g.bench_function("observe", |b| b.iter(|| tel::observe(black_box("bench_hist"), 1.5)));
-    g.bench_function("timer", |b| b.iter(|| drop(tel::timer("bench_timer_seconds"))));
+    static COUNTER: tel::Counter = tel::Counter::new("bench_counter_total");
+    static HIST: tel::Timing = tel::Timing::new("bench_hist");
+    static TIMER: tel::Timing = tel::Timing::new("bench_timer_seconds");
+    g.bench_function("counter", |b| b.iter(|| COUNTER.add(black_box(1))));
+    g.bench_function("keyed_counter", |b| {
+        b.iter(|| tel::counter(black_box("bench_keyed_counter_total"), 1))
+    });
+    g.bench_function("observe", |b| b.iter(|| HIST.observe(black_box(1.5))));
+    g.bench_function("timer", |b| b.iter(|| drop(TIMER.start())));
     g.bench_function("span", |b| b.iter(|| drop(tel::span(black_box("bench.span")))));
     tel::reset_global();
     tel::reset_spans();

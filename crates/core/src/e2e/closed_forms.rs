@@ -1,12 +1,17 @@
 //! Closed-form special cases of the optimization (Section IV).
 
+use nc_telemetry::Counter;
+
+static BMUX_CALLS: Counter = Counter::labeled("core_closed_form_calls_total", &[("form", "bmux")]);
+static FIFO_CALLS: Counter = Counter::labeled("core_closed_form_calls_total", &[("form", "fifo")]);
+
 /// Blind multiplexing (Eq. (43)): `Δ_{0,c} = ∞` gives
 /// `θ_h ≡ 0` and `d(σ) = σ / (C − ρ_c − Hγ)` — the bound of Ciucu,
 /// Burchard & Liebeherr (2006).
 ///
 /// Returns `None` when `C − ρ_c − Hγ ≤ 0`.
 pub fn bmux_delay(capacity: f64, gamma: f64, rho_c: f64, hops: usize, sigma: f64) -> Option<f64> {
-    nc_telemetry::counter_labeled("core_closed_form_calls_total", &[("form", "bmux")], 1);
+    BMUX_CALLS.add(1);
     let margin = capacity - rho_c - hops as f64 * gamma;
     if margin <= 0.0 {
         return None;
@@ -21,7 +26,7 @@ pub fn bmux_delay(capacity: f64, gamma: f64, rho_c: f64, hops: usize, sigma: f64
 ///
 /// Returns `None` when infeasible.
 pub fn fifo_delay(capacity: f64, gamma: f64, rho_c: f64, hops: usize, sigma: f64) -> Option<f64> {
-    nc_telemetry::counter_labeled("core_closed_form_calls_total", &[("form", "fifo")], 1);
+    FIFO_CALLS.add(1);
     if capacity - rho_c - hops as f64 * gamma <= 0.0 {
         return None;
     }

@@ -32,6 +32,12 @@ use nc_traffic::{Ebb, Mmoo};
 use optimizer::NodeParams;
 pub use source_tandem::{SourceDelayBound, SourceTandem};
 
+static GAMMA_EVALS: tel::Counter = tel::Counter::new("core_gamma_evals_total");
+static DELAY_BOUND_CALLS: tel::Counter = tel::Counter::new("core_delay_bound_calls_total");
+static DELAY_BOUND_SECONDS: tel::Timing = tel::Timing::new("core_delay_bound_seconds");
+static EDF_ITERATIONS: tel::Counter = tel::Counter::new("core_edf_fixed_point_iterations_total");
+static EDF_NONCONVERGED: tel::Counter = tel::Counter::new("core_edf_nonconverged_total");
+
 /// Relative tolerance of the EDF deadline fixed point: the final
 /// bracket width (`ratio > 1`) or step (`ratio ≤ 1`) is at most
 /// `EDF_TOL·d`.
@@ -157,7 +163,7 @@ impl TandemPath {
         if gamma <= 0.0 || gamma >= self.gamma_max() {
             return None;
         }
-        tel::counter("core_gamma_evals_total", 1);
+        GAMMA_EVALS.add(1);
         let cross_nodes = vec![self.cross; self.hops];
         let sigma = netbound::sigma_for(&self.through, &cross_nodes, gamma, epsilon);
         if !sigma.is_finite() {
@@ -206,8 +212,8 @@ impl TandemPath {
     /// ```
     pub fn delay_bound(&self, epsilon: f64) -> Option<E2eDelayBound> {
         let _span = tel::span("core.path.delay_bound");
-        let _timer = tel::timer("core_delay_bound_seconds");
-        tel::counter("core_delay_bound_calls_total", 1);
+        let _timer = DELAY_BOUND_SECONDS.start();
+        DELAY_BOUND_CALLS.add(1);
         let gamma_max = self.gamma_max();
         if gamma_max <= 0.0 {
             return None;
@@ -317,7 +323,7 @@ impl TandemPath {
         let _span = tel::span("core.edf_fixed_point");
         let h = self.hops as f64;
         let t = |d: f64| {
-            tel::counter("core_edf_fixed_point_iterations_total", 1);
+            EDF_ITERATIONS.add(1);
             let delta = (1.0 - cross_over_through) * d / h;
             self.with_scheduler(PathScheduler::Delta(delta)).delay_bound(epsilon)
         };
@@ -363,7 +369,7 @@ impl TandemPath {
                 d = at_d.delay;
             }
         }
-        tel::counter("core_edf_nonconverged_total", 1);
+        EDF_NONCONVERGED.add(1);
         None
     }
 }

@@ -1,6 +1,9 @@
 //! The network bounding function ε_net (Eqs. (31) and (34)).
 
+use nc_telemetry::Counter;
 use nc_traffic::{Ebb, ExpBound};
+
+static SIGMA_CALLS: Counter = Counter::new("core_netbound_sigma_calls_total");
 
 /// Assembles the end-to-end bounding function for a path of `hops`
 /// nodes: the through flow's sample-path envelope bound ε_g plus the
@@ -47,7 +50,7 @@ pub fn total_bound(through: &Ebb, cross_per_node: &[Ebb], gamma: f64) -> ExpBoun
 /// As for [`total_bound`]; additionally if `epsilon` is not in `(0, 1)`.
 pub fn sigma_for(through: &Ebb, cross_per_node: &[Ebb], gamma: f64, epsilon: f64) -> f64 {
     assert!(epsilon > 0.0 && epsilon < 1.0, "sigma_for: epsilon must be in (0,1)");
-    nc_telemetry::counter("core_netbound_sigma_calls_total", 1);
+    SIGMA_CALLS.add(1);
     total_bound(through, cross_per_node, gamma).sigma_for(epsilon).unwrap_or(0.0)
 }
 

@@ -7,6 +7,8 @@ use crate::e2e::{additive, E2eDelayBound, TandemPath};
 use nc_telemetry as tel;
 use nc_traffic::TrafficSource;
 
+static S_EVALS: tel::Counter = tel::Counter::new("core_s_evals_total");
+
 /// A homogeneous tandem whose through and cross aggregates come from
 /// (possibly different) [`TrafficSource`] models.
 ///
@@ -150,7 +152,7 @@ impl<'a> SourceTandem<'a> {
     {
         let mut best: Option<(E2eDelayBound, f64, f64)> = None;
         let consider = |s: f64, best: &mut Option<(E2eDelayBound, f64, f64)>| {
-            tel::counter("core_s_evals_total", 1);
+            S_EVALS.add(1);
             if let Some(path) = self.path_at(s) {
                 if let Some((b, aux)) = f(&path) {
                     if best.as_ref().is_none_or(|(cur, _, _)| b.delay < cur.delay) {

@@ -6,6 +6,9 @@ use nc_minplus::Curve;
 use nc_telemetry as tel;
 use nc_traffic::DetEnvelope;
 
+static CHECKS: tel::Counter = tel::Counter::new("core_schedulability_checks_total");
+static BISECTIONS: tel::Counter = tel::Counter::new("core_schedulability_bisections_total");
+
 /// `sup_{t>0} [ Σ_k G_k(t + δ_k) − C·t ]` for piecewise-linear
 /// envelopes, where `δ_k` may be negative (shift right) or positive
 /// (shift left). Returns `+∞` when the envelope rates exceed `C`.
@@ -71,7 +74,7 @@ pub fn delay_feasible(
 ) -> bool {
     assert!(capacity > 0.0 && capacity.is_finite(), "delay_feasible: capacity must be positive");
     assert!(d >= 0.0 && !d.is_nan(), "delay_feasible: delay must be non-negative");
-    tel::counter("core_schedulability_checks_total", 1);
+    CHECKS.add(1);
     assert_eq!(envelopes.len(), sched.flows(), "delay_feasible: one envelope per flow required");
     assert!(j < sched.flows(), "delay_feasible: flow index out of range");
     let terms: Vec<(&Curve, f64)> = sched
@@ -114,7 +117,7 @@ pub fn min_feasible_delay(
     }
     let mut lo = 0.0_f64;
     for _ in 0..200 {
-        tel::counter("core_schedulability_bisections_total", 1);
+        BISECTIONS.add(1);
         let mid = 0.5 * (lo + hi);
         if delay_feasible(capacity, sched, envelopes, j, mid) {
             hi = mid;

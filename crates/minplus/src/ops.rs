@@ -3,6 +3,15 @@
 use crate::curve::{Curve, CurveError, Segment, EPS};
 use nc_telemetry as tel;
 
+static CONVOLUTION: tel::Counter = tel::Counter::new("minplus_convolution_total");
+static CONVOLUTION_SECONDS: tel::Timing = tel::Timing::new("minplus_convolution_seconds");
+static SEGMENT_MERGE_CONVOLUTION: tel::Counter =
+    tel::Counter::new("minplus_segment_merge_convolution_total");
+static SEGMENT_MERGE_CONVOLUTION_SECONDS: tel::Timing =
+    tel::Timing::new("minplus_segment_merge_convolution_seconds");
+static DECONVOLUTION: tel::Counter = tel::Counter::new("minplus_deconvolution_total");
+static DECONVOLUTION_SECONDS: tel::Timing = tel::Timing::new("minplus_deconvolution_seconds");
+
 /// Pointwise combination operator used by the segment-merge algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PointwiseOp {
@@ -109,8 +118,8 @@ impl Curve {
         // Recursive cases (latency peeling) count as separate ops; the
         // timer histogram then records nested durations, which is fine
         // for a per-call latency distribution.
-        tel::counter("minplus_convolution_total", 1);
-        let _timer = tel::timer("minplus_convolution_seconds");
+        CONVOLUTION.add(1);
+        let _timer = CONVOLUTION_SECONDS.start();
         // δ_d is the shift operator; δ_0 is the identity.
         if let Some(d) = self.as_delta() {
             return other.shift_right(d);
@@ -174,8 +183,8 @@ impl Curve {
     /// [`Curve::convolve`] dispatches here for shapes without a cheaper
     /// special case; calling it directly skips the shape probes.
     pub fn convolve_segment_merge(&self, other: &Curve) -> Curve {
-        tel::counter("minplus_segment_merge_convolution_total", 1);
-        let _timer = tel::timer("minplus_segment_merge_convolution_seconds");
+        SEGMENT_MERGE_CONVOLUTION.add(1);
+        let _timer = SEGMENT_MERGE_CONVOLUTION_SECONDS.start();
         let fu = convex_components(self);
         let gv = convex_components(other);
         // The endpoint candidates s ∈ {0, t} contribute min(f, g).
@@ -227,8 +236,8 @@ impl Curve {
     /// is not convex; the candidate-point argument below relies on the
     /// concavity of `u ↦ f(t+u) − g(u)`.
     pub fn deconvolve(&self, other: &Curve) -> Result<Option<Curve>, CurveError> {
-        tel::counter("minplus_deconvolution_total", 1);
-        let _timer = tel::timer("minplus_deconvolution_seconds");
+        DECONVOLUTION.add(1);
+        let _timer = DECONVOLUTION_SECONDS.start();
         if !self.is_concave() {
             return Err(CurveError::BadParameter("deconvolve: f must be concave"));
         }

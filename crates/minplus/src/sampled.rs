@@ -3,6 +3,12 @@
 use crate::curve::{Curve, CurveError, Segment};
 use nc_telemetry as tel;
 
+static GRID_CONVOLUTION: tel::Counter = tel::Counter::new("minplus_grid_convolution_total");
+static GRID_CONVOLUTION_SECONDS: tel::Timing = tel::Timing::new("minplus_grid_convolution_seconds");
+static GRID_DECONVOLUTION: tel::Counter = tel::Counter::new("minplus_grid_deconvolution_total");
+static GRID_DECONVOLUTION_SECONDS: tel::Timing =
+    tel::Timing::new("minplus_grid_deconvolution_seconds");
+
 /// A curve sampled on the uniform grid `0, dt, 2·dt, …, (n−1)·dt`.
 ///
 /// `SampledCurve` is the general-purpose fallback representation for
@@ -119,8 +125,8 @@ impl SampledCurve {
             self.dt,
             other.dt
         );
-        tel::counter("minplus_grid_convolution_total", 1);
-        let _timer = tel::timer("minplus_grid_convolution_seconds");
+        GRID_CONVOLUTION.add(1);
+        let _timer = GRID_CONVOLUTION_SECONDS.start();
         let n = self.values.len().min(other.values.len());
         out.clear();
         out.resize(n, f64::INFINITY);
@@ -190,8 +196,8 @@ impl SampledCurve {
         if other.values.len() < n {
             return Err(CurveError::ShortHorizon { needed: n, got: other.values.len() });
         }
-        tel::counter("minplus_grid_deconvolution_total", 1);
-        let _timer = tel::timer("minplus_grid_deconvolution_seconds");
+        GRID_DECONVOLUTION.add(1);
+        let _timer = GRID_DECONVOLUTION_SECONDS.start();
         out.resize(n, 0.0);
         for (k, slot) in out.iter_mut().enumerate() {
             let mut best: f64 = 0.0;

@@ -1,6 +1,8 @@
 //! Run-artifact collection (metrics, traces, events, manifest) and the
 //! figure binaries' Monte Carlo overlay column.
 
+use crate::error::Error;
+use crate::experiments::all_replications_ran;
 use crate::opts::RunOpts;
 use crate::CAPACITY;
 use nc_sim::MonteCarloReport;
@@ -103,12 +105,16 @@ pub const OVERLAY_EPS: f64 = 1e-3;
 /// engine per the options and merges the report's metric shard into the
 /// global registry. The merged statistics are bitwise-identical for any
 /// `--threads` value.
+///
+/// # Errors
+///
+/// [`Error::Runtime`] if a replication panicked.
 pub fn overlay_report(
     opts: &RunOpts,
     n_through: usize,
     n_cross: usize,
     hops: usize,
-) -> MonteCarloReport {
+) -> Result<MonteCarloReport, Error> {
     let cfg = nc_sim::SimConfig {
         capacity: CAPACITY,
         hops,
@@ -122,17 +128,22 @@ pub fn overlay_report(
     let cell = format!("overlay-h{hops}-n{n_through}-c{n_cross}");
     let report = opts.monte_carlo_cell(&[], &cell).run(cfg);
     tel::merge_global(&report.metrics);
-    report
+    all_replications_ran(report, &cell)
 }
 
 /// Formats the merged simulated `q(1 − OVERLAY_EPS)` plus its
 /// across-replication spread for the figure binaries' `--sim` overlay
 /// column (see [`overlay_report`]).
-pub fn sim_overlay(opts: &RunOpts, n_through: usize, n_cross: usize, hops: usize) -> String {
-    let mut report = overlay_report(opts, n_through, n_cross, hops);
+pub fn sim_overlay(
+    opts: &RunOpts,
+    n_through: usize,
+    n_cross: usize,
+    hops: usize,
+) -> Result<String, Error> {
+    let mut report = overlay_report(opts, n_through, n_cross, hops)?;
     let q = 1.0 - OVERLAY_EPS;
-    match (report.merged.quantile(q), report.quantile_spread(q)) {
+    Ok(match (report.merged.quantile(q), report.quantile_spread(q)) {
         (Some(m), Some((lo, hi))) => format!("{m:9.2} [{lo:.2}, {hi:.2}]"),
         _ => format!("{:>9} -", "-"),
-    }
+    })
 }

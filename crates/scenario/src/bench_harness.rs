@@ -142,6 +142,10 @@ pub struct BenchEntry {
 pub struct BenchReport {
     /// Whether the suite ran at smoke size.
     pub smoke: bool,
+    /// CPUs available to the process when it ran. The report also
+    /// records the build profile and whether telemetry was compiled in,
+    /// which are properties of the binary.
+    pub cpus: usize,
     /// Entries in suite order.
     pub entries: Vec<BenchEntry>,
     /// `serial median / parallel median` for the Fig. 3 sweep, when
@@ -209,10 +213,14 @@ impl BenchReport {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
+        let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
         format!(
             "{{\n  \"schema\":\"linksched-bench/1\",\n  \"unix_ms\":{unix_ms},\n  \
+             \"profile\":\"{profile}\",\n  \"telemetry\":{},\n  \"cpus\":{},\n  \
              \"smoke\":{},\n  \"entries\":[\n{}\n  ],\n  \"speedup\":{speedup},\n  \
              \"perf_guard\":{guard}\n}}\n",
+            tel::ENABLED,
+            self.cpus,
             self.smoke,
             entries.join(",\n"),
         )
@@ -534,7 +542,7 @@ pub fn run(opts: &BenchOpts) -> Result<BenchReport, String> {
         }
         guard
     });
-    let report = BenchReport { smoke, entries, speedup, guard };
+    let report = BenchReport { smoke, cpus: cores, entries, speedup, guard };
     let doc = report.to_json();
     json::validate(&doc).map_err(|e| format!("internal error: bench JSON invalid: {e}"))?;
     tel::export::write_file(&opts.out, &doc)
@@ -606,6 +614,7 @@ mod tests {
     fn report_json_is_valid_and_complete() {
         let report = BenchReport {
             smoke: true,
+            cpus: 2,
             entries: vec![BenchEntry {
                 name: "analysis/fig3-sweep-serial".into(),
                 kind: "analysis-sweep",
@@ -626,6 +635,10 @@ mod tests {
         let doc = report.to_json();
         let parsed = json::parse(&doc).expect("valid JSON");
         assert_eq!(parsed.get("schema").and_then(|v| v.as_str()), Some("linksched-bench/1"));
+        let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+        assert_eq!(parsed.get("profile").and_then(|v| v.as_str()), Some(profile));
+        assert_eq!(parsed.get("telemetry").and_then(|v| v.as_bool()), Some(tel::ENABLED));
+        assert_eq!(parsed.get("cpus").and_then(|v| v.as_u64()), Some(2));
         let entries = parsed.get("entries").and_then(|v| v.as_array()).expect("entries");
         assert_eq!(entries.len(), 1);
         let e = &entries[0];

@@ -81,24 +81,23 @@ impl Engine {
         }
         let delay_stats = match &self.scenario.experiment {
             Experiment::UtilizationSweep(p) => {
-                experiments::utilization_sweep::run(p, &self.opts);
+                experiments::utilization_sweep::run(p, &self.opts)?;
                 None
             }
             Experiment::MixSweep(p) => {
-                experiments::mix_sweep::run(p, &self.opts);
+                experiments::mix_sweep::run(p, &self.opts)?;
                 None
             }
             Experiment::PathSweep(p) => {
-                experiments::path_sweep::run(p, &self.opts);
+                experiments::path_sweep::run(p, &self.opts)?;
                 None
             }
             Experiment::Validate(p) => {
-                experiments::validate::run(p, &self.opts, &self.scenario.name)
-                    .map_err(Error::Runtime)?;
+                experiments::validate::run(p, &self.opts, &self.scenario.name)?;
                 None
             }
             Experiment::Ablation => {
-                experiments::ablation::run(&self.opts);
+                experiments::ablation::run(&self.opts)?;
                 None
             }
             Experiment::Bound(p) => {

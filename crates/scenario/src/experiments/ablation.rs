@@ -16,6 +16,8 @@
 //! figure experiments they take no scenario parameters; the scenario
 //! contributes the Monte Carlo defaults for ablation 4.
 
+use super::all_replications_ran;
+use crate::error::Error;
 use crate::opts::RunOpts;
 use crate::{flows_for_utilization, tandem, CAPACITY, EPSILON};
 use nc_core::e2e::netbound;
@@ -31,11 +33,11 @@ fn homogeneous(gamma: f64, rho_c: f64, delta: f64, hops: usize) -> Vec<NodeParam
         .collect()
 }
 
-pub(crate) fn run(opts: &RunOpts) {
+pub(crate) fn run(opts: &RunOpts) -> Result<(), Error> {
     ablation_optimizer();
     ablation_slack_split();
     ablation_gamma_grid();
-    ablation_engine(opts);
+    ablation_engine(opts)
 }
 
 /// Explicit (paper) vs numeric (exact) optimizer.
@@ -144,7 +146,7 @@ fn ablation_gamma_grid() {
 
 /// Parallel engine speedup + determinism, and streaming-vs-exact
 /// fidelity, on a validation-sized cell.
-fn ablation_engine(opts: &RunOpts) {
+fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     println!("\n# Ablation 4 — Monte Carlo engine ({} reps x {} slots)", opts.reps, opts.slots);
     let cfg = SimConfig {
         capacity: 20.0,
@@ -160,12 +162,12 @@ fn ablation_engine(opts: &RunOpts) {
     // bitwise-identical across runs.
     let seq = opts.monte_carlo_cell(&[], "engine-seq").threads(1);
     let t0 = Instant::now();
-    let mut merged_seq = seq.run(cfg);
+    let mut merged_seq = all_replications_ran(seq.run(cfg), "engine-seq")?;
     let t_seq = t0.elapsed();
     let par = opts.monte_carlo_cell(&[], "engine-par");
     let workers = par.effective_threads();
     let t1 = Instant::now();
-    let mut merged_par = par.run(cfg);
+    let mut merged_par = all_replications_ran(par.run(cfg), "engine-par")?;
     let t_par = t1.elapsed();
     nc_telemetry::merge_global(&merged_seq.metrics);
     nc_telemetry::merge_global(&merged_par.metrics);
@@ -184,8 +186,8 @@ fn ablation_engine(opts: &RunOpts) {
     );
     // (b) Streaming reservoir vs exact collection: moments must agree
     // exactly, quantiles up to reservoir resolution.
-    let mut exact =
-        MonteCarlo::new(opts.reps, opts.slots, opts.seed).threads(opts.threads).run(cfg);
+    let exact = MonteCarlo::new(opts.reps, opts.slots, opts.seed).threads(opts.threads).run(cfg);
+    let mut exact = all_replications_ran(exact, "engine-exact")?;
     let mean_gap =
         (merged_par.merged.mean().unwrap_or(0.0) - exact.merged.mean().unwrap_or(0.0)).abs();
     let q_stream = merged_par.merged.quantile(q).unwrap_or(f64::NAN);
@@ -194,4 +196,5 @@ fn ablation_engine(opts: &RunOpts) {
         "streaming vs exact: mean gap {mean_gap:.2e}   q({q}) {q_stream:.2} vs {q_exact:.2} ({:+.2}%)",
         100.0 * (q_stream - q_exact) / q_exact
     );
+    Ok(())
 }

@@ -2,6 +2,7 @@
 //! tandem simulations (the scenario forms of `linksched
 //! bound`/`sweep`/`simulate`).
 
+use super::all_replications_ran;
 use crate::error::Error;
 use crate::model::{Bound, CrossSweep, Simulate};
 use crate::opts::RunOpts;
@@ -133,14 +134,11 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
                 })?
             }
         };
-        if report.panicked > 0 {
-            eprintln!("warning: {} replication(s) panicked and were excluded", report.panicked);
-        }
         if report.resumed > 0 {
             eprintln!("resumed {} finished replication(s) from checkpoint", report.resumed);
         }
         nc_telemetry::merge_global(&report.metrics);
-        report.merged
+        all_replications_ran(report, "simulate")?.merged
     } else {
         // Single replication: the seed is used directly, matching the
         // historical `linksched simulate` behaviour. (Checkpointing is

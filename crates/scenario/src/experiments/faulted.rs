@@ -12,6 +12,7 @@
 //! changes the damage. Fair-queueing rows (GPS/SCFQ) are measured
 //! against the BMUX envelope, as in the validation experiment.
 
+use super::all_replications_ran;
 use crate::error::Error;
 use crate::model::Faulted;
 use crate::opts::RunOpts;
@@ -113,12 +114,6 @@ fn run_cell(
 ) -> Result<MonteCarloReport, Error> {
     let thresholds: Vec<f64> = bound.into_iter().collect();
     let report = opts.monte_carlo_cell(&thresholds, cell).try_run(cfg)?;
-    if report.panicked > 0 {
-        eprintln!(
-            "warning: {} replication(s) panicked in cell {cell} and were excluded",
-            report.panicked
-        );
-    }
     nc_telemetry::merge_global(&report.metrics);
-    Ok(report)
+    all_replications_ran(report, cell)
 }

@@ -2,6 +2,7 @@
 //! (the paper's Fig. 3, Example 2), with EDF evaluated in both
 //! deadline regimes of the example.
 
+use crate::error::Error;
 use crate::model::MixSweep;
 use crate::opts::RunOpts;
 use crate::sweep::SweepEngine;
@@ -17,7 +18,7 @@ struct Cell {
     n_cross: usize,
 }
 
-pub(crate) fn run(p: &MixSweep, opts: &RunOpts) {
+pub(crate) fn run(p: &MixSweep, opts: &RunOpts) -> Result<(), Error> {
     let n_total = flows_for_utilization(p.u_total);
     println!("# N_total = {n_total}, eps = {:.0e}", p.epsilon);
     if opts.sim {
@@ -82,7 +83,7 @@ pub(crate) fn run(p: &MixSweep, opts: &RunOpts) {
             let edf_short = fmt(edf_short);
             let edf_long = fmt(edf_long);
             let overlay = if opts.sim {
-                format!("  {}", sim_overlay(opts, c.n_through, c.n_cross, c.hops))
+                format!("  {}", sim_overlay(opts, c.n_through, c.n_cross, c.hops)?)
             } else {
                 String::new()
             };
@@ -99,4 +100,5 @@ pub(crate) fn run(p: &MixSweep, opts: &RunOpts) {
             );
         }
     }
+    Ok(())
 }

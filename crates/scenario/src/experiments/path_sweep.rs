@@ -2,6 +2,7 @@
 //! Fig. 4, Example 3), including the additive node-by-node BMUX
 //! baseline.
 
+use crate::error::Error;
 use crate::model::PathSweep;
 use crate::opts::RunOpts;
 use crate::sweep::SweepEngine;
@@ -15,7 +16,7 @@ struct Cell {
     n_half: usize,
 }
 
-pub(crate) fn run(p: &PathSweep, opts: &RunOpts) {
+pub(crate) fn run(p: &PathSweep, opts: &RunOpts) -> Result<(), Error> {
     println!("# eps = {:.0e}, EDF: d*_0 = d/H, d*_c = {} d/H", p.epsilon, p.edf_cross_ratio);
     if opts.sim {
         println!(
@@ -64,7 +65,7 @@ pub(crate) fn run(p: &PathSweep, opts: &RunOpts) {
             let c = &cells[i];
             let (additive, bmux, fifo, edf) = bounds[i];
             let overlay = if opts.sim {
-                format!("  {}", sim_overlay(opts, c.n_half, c.n_half, c.hops))
+                format!("  {}", sim_overlay(opts, c.n_half, c.n_half, c.hops)?)
             } else {
                 String::new()
             };
@@ -79,4 +80,5 @@ pub(crate) fn run(p: &PathSweep, opts: &RunOpts) {
             );
         }
     }
+    Ok(())
 }

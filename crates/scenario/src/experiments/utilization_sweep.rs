@@ -3,6 +3,7 @@
 //! section per path length, with BMUX/FIFO/EDF columns and the
 //! FIFO/BMUX ratio.
 
+use crate::error::Error;
 use crate::model::UtilizationSweep;
 use crate::opts::RunOpts;
 use crate::sweep::SweepEngine;
@@ -17,7 +18,7 @@ struct Cell {
     n_cross: usize,
 }
 
-pub(crate) fn run(p: &UtilizationSweep, opts: &RunOpts) {
+pub(crate) fn run(p: &UtilizationSweep, opts: &RunOpts) -> Result<(), Error> {
     let n_through = flows_for_utilization(p.u_through);
     println!(
         "# N0 = {n_through} (U0 = {:.0}%), eps = {:.0e}, EDF: d*_0 = d/H, d*_c = {} d/H",
@@ -79,7 +80,7 @@ pub(crate) fn run(p: &UtilizationSweep, opts: &RunOpts) {
                 _ => format!("{:>12}", "-"),
             };
             let overlay = if opts.sim {
-                format!("  {}", sim_overlay(opts, n_through, c.n_cross, c.hops))
+                format!("  {}", sim_overlay(opts, n_through, c.n_cross, c.hops)?)
             } else {
                 String::new()
             };
@@ -95,4 +96,5 @@ pub(crate) fn run(p: &UtilizationSweep, opts: &RunOpts) {
             );
         }
     }
+    Ok(())
 }

@@ -10,6 +10,8 @@
 //! BMUX envelope, which dominates every work-conserving locally-FIFO
 //! discipline.
 
+use super::all_replications_ran;
+use crate::error::Error;
 use crate::model::Validate;
 use crate::opts::RunOpts;
 use crate::{fmt, is_fair_queueing, parse_sched};
@@ -19,7 +21,7 @@ use nc_sim::{MonteCarloReport, SchedulerKind, SimConfig};
 use nc_telemetry::json;
 use nc_traffic::Mmoo;
 
-pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), String> {
+pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error> {
     let source = Mmoo::paper_source();
     let capacity = p.capacity;
     let eps = p.epsilon;
@@ -43,7 +45,7 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), String
         // lazily so scenarios without such rows skip it.
         let mut bmux_ref: Option<Option<f64>> = None;
         for case in &p.schedulers {
-            let (analysis_sched, sim_sched) = parse_sched(&case.sched)?;
+            let (analysis_sched, sim_sched) = parse_sched(&case.sched).map_err(Error::Runtime)?;
             if is_fair_queueing(&case.sched) {
                 let bmux_bound = *bmux_ref.get_or_insert_with(|| {
                     MmooTandem {
@@ -62,7 +64,7 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), String
                     cfg(capacity, hops, n_through, n_cross, sim_sched, source),
                     bmux_bound,
                     &format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label),
-                );
+                )?;
                 let q = report.merged.quantile(1.0 - eps).unwrap_or(f64::NAN);
                 let q_spread = report.quantile_spread(1.0 - eps);
                 let note = match bmux_bound {
@@ -107,7 +109,7 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), String
                 cfg(capacity, hops, n_through, n_cross, sim_sched, source),
                 bound,
                 &format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label),
-            );
+            )?;
             let q = report.merged.quantile(1.0 - eps).unwrap_or(f64::NAN);
             let q_spread = report.quantile_spread(1.0 - eps);
             let (viol, p_spread, valid) = match bound {
@@ -157,7 +159,7 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), String
 
     if let Some(path) = &opts.json {
         nc_telemetry::export::write_file(path, &out.render())
-            .map_err(|e| format!("cannot write --json output to {path}: {e}"))?;
+            .map_err(|e| Error::Runtime(format!("cannot write --json output to {path}: {e}")))?;
     }
     Ok(())
 }
@@ -185,12 +187,17 @@ fn cfg(
 /// Runs one table cell: `opts.reps` replications merged through the
 /// engine, tracking the cell's bound as an exact threshold. Folds the
 /// cell's metric shard into the process-wide registry for the artifact
-/// writers.
-fn run_cell(opts: &RunOpts, cfg: SimConfig, bound: Option<f64>, cell: &str) -> MonteCarloReport {
+/// writers, and fails if a replication panicked.
+fn run_cell(
+    opts: &RunOpts,
+    cfg: SimConfig,
+    bound: Option<f64>,
+    cell: &str,
+) -> Result<MonteCarloReport, Error> {
     let thresholds: Vec<f64> = bound.into_iter().collect();
     let report = opts.monte_carlo_cell(&thresholds, cell).run(cfg);
     nc_telemetry::merge_global(&report.metrics);
-    report
+    all_replications_ran(report, cell)
 }
 
 /// The γ = 0 BMUX optimizer bound and the classical min-plus pipeline

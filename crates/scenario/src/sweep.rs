@@ -21,6 +21,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+static CELLS: tel::Counter = tel::Counter::new("sweep_cells_total");
+
 /// Fans independent analytical cells across scoped threads with
 /// deterministic, index-ordered results.
 ///
@@ -73,7 +75,7 @@ impl SweepEngine {
         F: Fn(usize) -> T + Sync,
     {
         let workers = self.effective_threads(cells);
-        tel::counter("sweep_cells_total", cells as u64);
+        CELLS.add(cells as u64);
         let t0 = Instant::now();
         if workers <= 1 {
             let out: Vec<T> = (0..cells).map(cell).collect();

@@ -59,6 +59,17 @@ impl Histogram {
         }
     }
 
+    /// A histogram from its fields, as [`Histogram::record`] leaves them.
+    pub(crate) fn from_parts(
+        count: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+        buckets: [u64; HIST_BUCKETS],
+    ) -> Self {
+        Histogram { count, sum, min, max, buckets }
+    }
+
     /// The bucket index a sample falls into.
     pub fn bucket_index(v: f64) -> usize {
         if v.is_nan() || v <= f64::powi(2.0, HIST_MIN_EXP) {

@@ -1,8 +1,8 @@
-//! Validates a `linksched bench` report (`BENCH_5.json`) with the
+//! Validates a `linksched bench` report (`BENCH_N.json`) with the
 //! crate-internal JSON reader (no external tools): the document must
-//! parse, declare the `linksched-bench/1` schema, and carry at least
-//! one entry of each workload kind with finite, ordered timing
-//! statistics.
+//! parse, declare the `linksched-bench/1` schema, say what was measured
+//! (build profile, telemetry on/off, CPU count), and carry at least one
+//! entry of each workload kind with finite, ordered timing statistics.
 //!
 //! Used by the CI bench job:
 //!
@@ -18,6 +18,7 @@ fn check(doc: &Json) -> Result<(), String> {
     if schema != "linksched-bench/1" {
         return Err(format!("unexpected schema `{schema}`"));
     }
+    check_build(doc)?;
     let entries = doc.get("entries").and_then(Json::as_array).ok_or("missing `entries`")?;
     if entries.is_empty() {
         return Err("`entries` is empty".into());
@@ -61,6 +62,20 @@ fn check(doc: &Json) -> Result<(), String> {
     check_perf_guard(doc.get("perf_guard").ok_or("missing `perf_guard`")?)
 }
 
+/// What was measured: `profile` is `release` or `debug`, `telemetry`
+/// a boolean, and `cpus` at least 1.
+fn check_build(doc: &Json) -> Result<(), String> {
+    match doc.get("profile").and_then(Json::as_str) {
+        Some("release" | "debug") => {}
+        _ => return Err("`profile` missing or not `release`/`debug`".into()),
+    }
+    doc.get("telemetry").and_then(Json::as_bool).ok_or("`telemetry` missing or not a boolean")?;
+    match doc.get("cpus").and_then(Json::as_u64) {
+        Some(n) if n >= 1 => Ok(()),
+        _ => Err("`cpus` missing or below 1".into()),
+    }
+}
+
 /// `perf_guard` is `null` (no `--perf-guard`), a verdict
 /// `{"margin": m, "ok": bool}`, or a skip `{"ok": null, "skipped": why}`
 /// (single-CPU machines, where the guard is not observable).
@@ -84,7 +99,7 @@ fn check_perf_guard(guard: &Json) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let Some(path) = std::env::args().nth(1) else {
-        eprintln!("usage: validate_bench <BENCH_5.json>");
+        eprintln!("usage: validate_bench <BENCH_N.json>");
         return ExitCode::FAILURE;
     };
     let text = match std::fs::read_to_string(&path) {
@@ -119,6 +134,22 @@ mod tests {
 
     fn guard(text: &str) -> Result<(), String> {
         check_perf_guard(&json::parse(text).expect("test JSON parses"))
+    }
+
+    fn build(text: &str) -> Result<(), String> {
+        check_build(&json::parse(text).expect("test JSON parses"))
+    }
+
+    #[test]
+    fn build_fields_are_required() {
+        assert!(build(r#"{"profile":"release","telemetry":true,"cpus":2}"#).is_ok());
+        assert!(build(r#"{"profile":"debug","telemetry":false,"cpus":1}"#).is_ok());
+        assert!(build(r#"{"telemetry":true,"cpus":2}"#).is_err());
+        assert!(build(r#"{"profile":"fast","telemetry":true,"cpus":2}"#).is_err());
+        assert!(build(r#"{"profile":"release","cpus":2}"#).is_err());
+        assert!(build(r#"{"profile":"release","telemetry":"on","cpus":2}"#).is_err());
+        assert!(build(r#"{"profile":"release","telemetry":true}"#).is_err());
+        assert!(build(r#"{"profile":"release","telemetry":true,"cpus":0}"#).is_err());
     }
 
     #[test]

@@ -155,6 +155,53 @@ fn sweep_scenario_artifacts_parse_and_cache_hits() {
     }
 }
 
+/// Every counter series of the small sweep. Names, labels and values
+/// must not depend on how the program records them (static handles or
+/// keyed calls). Timings and gauges depend on the wall clock and are
+/// left out.
+#[cfg(feature = "telemetry")]
+const SWEEP_SMALL_COUNTERS: &str = "\
+# TYPE core_delay_bound_calls_total counter
+core_delay_bound_calls_total 1216
+# TYPE core_edf_fixed_point_iterations_total counter
+core_edf_fixed_point_iterations_total 760
+# TYPE core_gamma_evals_total counter
+core_gamma_evals_total 94848
+# TYPE core_netbound_sigma_calls_total counter
+core_netbound_sigma_calls_total 94848
+# TYPE core_s_evals_total counter
+core_s_evals_total 459
+# TYPE core_solver_calls_total counter
+core_solver_calls_total 94848
+# TYPE core_solver_evals_total counter
+core_solver_evals_total 403104
+# TYPE sweep_cells_total counter
+sweep_cells_total 3
+";
+
+#[cfg(feature = "telemetry")]
+#[test]
+fn sweep_counter_export_is_pinned() {
+    let scratch = Scratch::new("counters");
+    let metrics = scratch.path("metrics.prom");
+    run_scenario("sweep_small.json", &["--metrics-out", &metrics]);
+    let text = scratch.read("metrics.prom");
+    // Keep the lines of every `# TYPE … counter` block.
+    let mut counters = String::new();
+    let mut in_counter = false;
+    for line in text.lines() {
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            in_counter = decl.ends_with(" counter");
+        }
+        if in_counter {
+            counters.push_str(line);
+            counters.push('\n');
+        }
+    }
+    assert_eq!(counters, SWEEP_SMALL_COUNTERS);
+    assert!(!text.contains("core_solver_seconds"), "the solver is counted, not timed");
+}
+
 #[cfg(feature = "telemetry")]
 fn prom_counter(text: &str, name: &str) -> Option<f64> {
     text.lines()
