@@ -8,7 +8,7 @@
 //! `(C^h − (h−1)γ)(X + θ_h) − (ρ_c^h + γ)·[X + Δ_{0,h}(θ_h)]₊ ≥ σ`.
 
 use crate::delta::PathScheduler;
-use crate::e2e::{netbound, optimizer, E2eDelayBound};
+use crate::e2e::{gamma, E2eDelayBound};
 use nc_traffic::Ebb;
 
 /// One node of a heterogeneous tandem.
@@ -89,72 +89,30 @@ impl HeteroPath {
     /// Panics if `epsilon` is not in `(0, 1)`.
     pub fn delay_bound_at_gamma(&self, epsilon: f64, gamma: f64) -> Option<E2eDelayBound> {
         assert!(epsilon > 0.0 && epsilon < 1.0, "delay_bound_at_gamma: epsilon must be in (0,1)");
-        if gamma <= 0.0 || gamma >= self.gamma_max() {
-            return None;
-        }
-        let cross: Vec<Ebb> = self.nodes.iter().map(|n| n.cross).collect();
-        let sigma = netbound::sigma_for(&self.through, &cross, gamma, epsilon);
-        if !sigma.is_finite() {
-            return None;
-        }
-        let params: Vec<optimizer::NodeParams> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| optimizer::NodeParams {
-                c_eff: n.capacity - i as f64 * gamma,
-                r: n.cross.rho() + gamma,
-                delta: n.scheduler.delta(),
-            })
-            .collect();
-        let sol = optimizer::solve(&params, sigma)?;
-        Some(E2eDelayBound {
-            delay: sol.delay,
-            epsilon,
-            sigma,
-            gamma,
-            x: sol.x,
-            thetas: sol.thetas,
-        })
+        gamma::at_gamma(&self.through, &self.segments(), self.gamma_max(), epsilon, gamma)
     }
 
-    /// The delay bound optimized over `γ` (grid with refinement).
+    /// The delay bound optimized over `γ` (grid with refinement, as in
+    /// [`TandemPath::delay_bound`](crate::TandemPath::delay_bound)).
     ///
     /// # Panics
     ///
     /// Panics if `epsilon` is not in `(0, 1)`.
     pub fn delay_bound(&self, epsilon: f64) -> Option<E2eDelayBound> {
-        let gamma_max = self.gamma_max();
-        if gamma_max <= 0.0 || !gamma_max.is_finite() {
-            return None;
-        }
-        let mut best: Option<E2eDelayBound> = None;
-        let consider = |g: f64, best: &mut Option<E2eDelayBound>| {
-            if let Some(b) = self.delay_bound_at_gamma(epsilon, g) {
-                if best.as_ref().is_none_or(|cur| b.delay < cur.delay) {
-                    *best = Some(b);
-                }
-            }
-        };
-        let n = 28usize;
-        for i in 1..n {
-            consider(gamma_max * i as f64 / n as f64, &mut best);
-        }
-        if let Some(cur) = best.clone() {
-            let mut lo = (cur.gamma - gamma_max / n as f64).max(gamma_max * 1e-9);
-            let mut hi = (cur.gamma + gamma_max / n as f64).min(gamma_max * (1.0 - 1e-9));
-            for _ in 0..3 {
-                let m = 16usize;
-                for i in 0..=m {
-                    consider(lo + (hi - lo) * i as f64 / m as f64, &mut best);
-                }
-                let g = best.as_ref().expect("refinement keeps a candidate").gamma;
-                let step = (hi - lo) / m as f64;
-                lo = (g - step).max(gamma_max * 1e-9);
-                hi = (g + step).min(gamma_max * (1.0 - 1e-9));
-            }
-        }
-        best
+        gamma::search(&self.through, &self.segments(), self.gamma_max(), epsilon)
+    }
+
+    /// Runs of equal consecutive nodes.
+    fn segments(&self) -> Vec<gamma::Segment> {
+        self.nodes
+            .chunk_by(|a, b| a == b)
+            .map(|run| gamma::Segment {
+                capacity: run[0].capacity,
+                cross: run[0].cross,
+                delta: run[0].scheduler.delta(),
+                len: run.len(),
+            })
+            .collect()
     }
 }
 

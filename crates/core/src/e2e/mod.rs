@@ -20,6 +20,7 @@
 pub mod additive;
 pub mod closed_forms;
 pub mod deterministic;
+mod gamma;
 pub mod hetero;
 pub mod netbound;
 pub mod optimizer;
@@ -29,10 +30,8 @@ use crate::delta::PathScheduler;
 use crate::Error;
 use nc_telemetry as tel;
 use nc_traffic::{Ebb, Mmoo};
-use optimizer::NodeParams;
 pub use source_tandem::{SourceDelayBound, SourceTandem};
 
-static GAMMA_EVALS: tel::Counter = tel::Counter::new("core_gamma_evals_total");
 static DELAY_BOUND_CALLS: tel::Counter = tel::Counter::new("core_delay_bound_calls_total");
 static DELAY_BOUND_SECONDS: tel::Timing = tel::Timing::new("core_delay_bound_seconds");
 static EDF_ITERATIONS: tel::Counter = tel::Counter::new("core_edf_fixed_point_iterations_total");
@@ -139,14 +138,14 @@ impl TandemPath {
         self.gamma_max() > 0.0
     }
 
-    fn node_params(&self, gamma: f64) -> Vec<NodeParams> {
-        (1..=self.hops)
-            .map(|h| NodeParams {
-                c_eff: self.capacity - (h as f64 - 1.0) * gamma,
-                r: self.cross.rho() + gamma,
-                delta: self.scheduler.delta(),
-            })
-            .collect()
+    /// The path as one segment of `hops` equal nodes.
+    fn segment(&self) -> [gamma::Segment; 1] {
+        [gamma::Segment {
+            capacity: self.capacity,
+            cross: self.cross,
+            delta: self.scheduler.delta(),
+            len: self.hops,
+        }]
     }
 
     /// The end-to-end delay bound at a *fixed* `γ` (steps 1–2 of the
@@ -160,26 +159,7 @@ impl TandemPath {
     /// Panics if `epsilon` is not in `(0, 1)`.
     pub fn delay_bound_at_gamma(&self, epsilon: f64, gamma: f64) -> Option<E2eDelayBound> {
         assert!(epsilon > 0.0 && epsilon < 1.0, "delay_bound_at_gamma: epsilon must be in (0,1)");
-        if gamma <= 0.0 || gamma >= self.gamma_max() {
-            return None;
-        }
-        GAMMA_EVALS.add(1);
-        let cross_nodes = vec![self.cross; self.hops];
-        let sigma = netbound::sigma_for(&self.through, &cross_nodes, gamma, epsilon);
-        if !sigma.is_finite() {
-            // The slot-sum prefactor 1/(1 − e^{−αγ}) overflowed: no
-            // finite slack reaches ε at this γ.
-            return None;
-        }
-        let sol = optimizer::solve(&self.node_params(gamma), sigma)?;
-        Some(E2eDelayBound {
-            delay: sol.delay,
-            epsilon,
-            sigma,
-            gamma,
-            x: sol.x,
-            thetas: sol.thetas,
-        })
+        gamma::at_gamma(&self.through, &self.segment(), self.gamma_max(), epsilon, gamma)
     }
 
     /// The probabilistic end-to-end delay bound
@@ -214,42 +194,7 @@ impl TandemPath {
         let _span = tel::span("core.path.delay_bound");
         let _timer = DELAY_BOUND_SECONDS.start();
         DELAY_BOUND_CALLS.add(1);
-        let gamma_max = self.gamma_max();
-        if gamma_max <= 0.0 {
-            return None;
-        }
-        let mut best: Option<E2eDelayBound> = None;
-        let consider = |g: f64, best: &mut Option<E2eDelayBound>| {
-            if let Some(b) = self.delay_bound_at_gamma(epsilon, g) {
-                if best.as_ref().is_none_or(|cur| b.delay < cur.delay) {
-                    *best = Some(b);
-                }
-            }
-        };
-        let n = 28usize;
-        {
-            let _grid = tel::span("core.path.gamma_grid");
-            for i in 1..n {
-                consider(gamma_max * i as f64 / n as f64, &mut best);
-            }
-        }
-        let step0 = gamma_max / n as f64;
-        if let Some(cur) = best.clone() {
-            let _refine = tel::span("core.path.gamma_refine");
-            let mut lo = (cur.gamma - step0).max(gamma_max * 1e-9);
-            let mut hi = (cur.gamma + step0).min(gamma_max * (1.0 - 1e-9));
-            for _ in 0..3 {
-                let m = 16usize;
-                for i in 0..=m {
-                    consider(lo + (hi - lo) * i as f64 / m as f64, &mut best);
-                }
-                let g = best.as_ref().expect("refinement keeps a candidate").gamma;
-                let step = (hi - lo) / m as f64;
-                lo = (g - step).max(gamma_max * 1e-9);
-                hi = (g + step).min(gamma_max * (1.0 - 1e-9));
-            }
-        }
-        best
+        gamma::search(&self.through, &self.segment(), self.gamma_max(), epsilon)
     }
 
     /// Guard-railed variant of [`TandemPath::delay_bound`]: reports a

@@ -23,22 +23,44 @@ static SIGMA_CALLS: Counter = Counter::new("core_netbound_sigma_calls_total");
 ///
 /// Panics if `hops` is zero or `gamma` is not strictly positive.
 pub fn total_bound(through: &Ebb, cross_per_node: &[Ebb], gamma: f64) -> ExpBound {
-    assert!(!cross_per_node.is_empty(), "total_bound: need at least one hop");
+    total_bound_runs(through, runs(cross_per_node), gamma, &mut Vec::new())
+}
+
+/// Consecutive equal cross aggregates as `(aggregate, count)` runs.
+fn runs(cross_per_node: &[Ebb]) -> impl Iterator<Item = (Ebb, usize)> + '_ {
+    cross_per_node.chunk_by(|a, b| a == b).map(|run| (run[0], run.len()))
+}
+
+/// [`total_bound`] with the cross aggregates given as `(aggregate,
+/// count)` runs in node order, building the terms in `terms` (cleared
+/// first). The bits do not depend on how the nodes are split into runs;
+/// the two `exp` of the slot sums run once per run.
+fn total_bound_runs(
+    through: &Ebb,
+    cross_runs: impl IntoIterator<Item = (Ebb, usize)>,
+    gamma: f64,
+    terms: &mut Vec<(ExpBound, usize)>,
+) -> ExpBound {
     assert!(gamma > 0.0, "total_bound: gamma must be positive");
-    let hops = cross_per_node.len();
-    let mut terms: Vec<ExpBound> = Vec::with_capacity(hops + 1);
-    for (h, cross) in cross_per_node.iter().enumerate() {
+    terms.clear();
+    let mut cross_runs = cross_runs.into_iter().peekable();
+    while let Some((cross, k)) = cross_runs.next() {
         let per_node = cross.interval_bound().geometric_sum(gamma);
-        if h + 1 < hops {
-            // Σ_{j≥0} ε_h(σ_h + jγ): one more geometric factor.
-            terms.push(per_node.geometric_sum(gamma));
-        } else {
-            terms.push(per_node);
+        // Σ_{j≥0} ε_h(σ_h + jγ): one more geometric factor at every
+        // node but the last.
+        let last = cross_runs.peek().is_none();
+        let inner = if last { k - 1 } else { k };
+        if inner > 0 {
+            terms.push((per_node.geometric_sum(gamma), inner));
+        }
+        if last {
+            terms.push((per_node, 1));
         }
     }
+    assert!(!terms.is_empty(), "total_bound: need at least one hop");
     // ε_g of the through traffic's sample-path envelope.
-    terms.push(through.interval_bound().geometric_sum(gamma));
-    ExpBound::inf_convolution(&terms)
+    terms.push((through.interval_bound().geometric_sum(gamma), 1));
+    ExpBound::inf_convolution_runs(terms.iter().copied())
 }
 
 /// The slack `σ(ε)` at which the assembled bound reaches the target
@@ -49,9 +71,21 @@ pub fn total_bound(through: &Ebb, cross_per_node: &[Ebb], gamma: f64) -> ExpBoun
 ///
 /// As for [`total_bound`]; additionally if `epsilon` is not in `(0, 1)`.
 pub fn sigma_for(through: &Ebb, cross_per_node: &[Ebb], gamma: f64, epsilon: f64) -> f64 {
+    sigma_for_runs(through, runs(cross_per_node), gamma, epsilon, &mut Vec::new())
+}
+
+/// [`sigma_for`] with run-length-encoded cross aggregates, as in
+/// [`total_bound_runs`].
+pub(crate) fn sigma_for_runs(
+    through: &Ebb,
+    cross_runs: impl IntoIterator<Item = (Ebb, usize)>,
+    gamma: f64,
+    epsilon: f64,
+    terms: &mut Vec<(ExpBound, usize)>,
+) -> f64 {
     assert!(epsilon > 0.0 && epsilon < 1.0, "sigma_for: epsilon must be in (0,1)");
     SIGMA_CALLS.add(1);
-    total_bound(through, cross_per_node, gamma).sigma_for(epsilon).unwrap_or(0.0)
+    total_bound_runs(through, cross_runs, gamma, terms).sigma_for(epsilon).unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -70,6 +104,60 @@ mod tests {
         let want_pref = (h as f64 + 1.0) * q.powf(-2.0 * h as f64 / (h as f64 + 1.0));
         assert!((total.prefactor() - want_pref).abs() / want_pref < 1e-9);
         assert!((total.decay() - alpha / (h as f64 + 1.0)).abs() < 1e-12);
+    }
+
+    /// `total_bound` as it was before the run form: two `exp` per node
+    /// and one term per node.
+    fn per_node_reference(through: &Ebb, cross_per_node: &[Ebb], gamma: f64) -> ExpBound {
+        let hops = cross_per_node.len();
+        let mut terms = Vec::new();
+        for (h, cross) in cross_per_node.iter().enumerate() {
+            let per_node = cross.interval_bound().geometric_sum(gamma);
+            terms.push(if h + 1 < hops { per_node.geometric_sum(gamma) } else { per_node });
+        }
+        terms.push(through.interval_bound().geometric_sum(gamma));
+        ExpBound::inf_convolution(&terms)
+    }
+
+    fn assert_same_bits(through: &Ebb, cross: &[Ebb], gamma: f64) {
+        let got = total_bound(through, cross, gamma);
+        let want = per_node_reference(through, cross, gamma);
+        assert_eq!(
+            (got.prefactor().to_bits(), got.decay().to_bits()),
+            (want.prefactor().to_bits(), want.decay().to_bits()),
+            "H = {}, γ = {gamma}",
+            cross.len()
+        );
+        let eps = 1e-9;
+        assert_eq!(
+            sigma_for(through, cross, gamma, eps).to_bits(),
+            want.sigma_for(eps).unwrap_or(0.0).to_bits()
+        );
+    }
+
+    #[test]
+    fn run_length_sigma_keeps_the_per_node_bits() {
+        for alpha in [0.02, 0.4, 3.0] {
+            let through = Ebb::new(1.0, 10.0, 1.7 * alpha);
+            for gamma in [1e-4, 0.05, 0.9] {
+                for h in 1..=40usize {
+                    // The homogeneous path: one run of H equal aggregates.
+                    assert_same_bits(&through, &vec![Ebb::new(2.0, 40.0, alpha); h], gamma);
+                    // Two distinct aggregates in runs, as a heterogeneous
+                    // path passes them.
+                    let cross: Vec<Ebb> = (0..h)
+                        .map(|i| {
+                            if (i / 3) % 2 == 0 {
+                                Ebb::new(1.0, 40.0, alpha)
+                            } else {
+                                Ebb::new(1.5, 25.0, 2.0 * alpha)
+                            }
+                        })
+                        .collect();
+                    assert_same_bits(&through, &cross, gamma);
+                }
+            }
+        }
     }
 
     #[test]

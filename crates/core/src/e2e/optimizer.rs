@@ -12,7 +12,10 @@
 //!   constraint's left-hand side is strictly increasing in `θ_h`; the
 //!   objective `X + Σ θ_h(X)` is then continuous and piecewise linear in
 //!   `X`, so its minimum lies at `X = 0` or at one of the at most two
-//!   kinks per node, and the solver evaluates exactly those points.
+//!   kinks per node. The solver sorts the kinks, sweeps `d` across them
+//!   by its slope (O(H log H)), and evaluates `d` exactly only at the
+//!   few kinks whose swept value ties the minimum to within rounding;
+//!   the result is the same `X`, bit for bit, as evaluating every kink.
 //! * [`explicit`] — the paper's explicit procedure (Eqs. (40)–(42)),
 //!   which identifies the index `K` of nodes with `θ_h = 0` and sets `X`
 //!   in closed form. The paper notes the choice is near-optimal; tests
@@ -96,7 +99,7 @@ fn objective(x: f64, params: &[NodeParams], sigma: f64) -> f64 {
 
 /// The feasible point induced by `X`: each `θ_h` minimal for that `X`,
 /// and `delay` equal to [`objective`] at `X`.
-fn point(x: f64, params: &[NodeParams], sigma: f64) -> Solution {
+pub(crate) fn point(x: f64, params: &[NodeParams], sigma: f64) -> Solution {
     let thetas: Vec<f64> = params.iter().map(|p| theta_h(x, p, sigma)).collect();
     let delay = x + thetas.iter().sum::<f64>();
     Solution { x, thetas, delay }
@@ -125,7 +128,7 @@ pub fn objective_check(x: f64, params: &[NodeParams], sigma: f64) -> f64 {
 ///   `X = σ/(c−r) − Δ`; for finite `Δ ≤ 0` the clamp of `[X + Δ]₊` at
 ///   `X = −Δ`;
 /// * the point where `θ_h` reaches 0, i.e. `c·X − r·[X + min(Δ, 0)]₊ = σ`.
-fn kinks(p: &NodeParams, sigma: f64) -> [f64; 2] {
+fn node_kinks(p: &NodeParams, sigma: f64) -> [f64; 2] {
     let delta_kink = if !p.delta.is_finite() {
         f64::NAN
     } else if p.delta > 0.0 {
@@ -156,11 +159,13 @@ fn kinks(p: &NodeParams, sigma: f64) -> [f64; 2] {
 /// `θ_h` changes slope only where it reaches 0 and at its Δ kink (the
 /// branch switch `X = σ/(c−r) − Δ` for `Δ > 0`, the clamp `X = −Δ` for
 /// finite `Δ ≤ 0`). Past the last kink every `θ_h` is 0 and `d = X`
-/// rises, so the minimum is attained at `X = 0` or at a kink: the
-/// solver evaluates `d` there (at most `2H + 1` points) and keeps the
-/// smallest value. `d` need not be
-/// convex (for `Δ > 0` its slope can fall), which is why no descent or
-/// bracketing step is used.
+/// rises, so the minimum is attained at `X = 0` or at a kink. `d` need
+/// not be convex (for `Δ > 0` its slope can fall), so the solver looks
+/// at every kink: it sorts them and sweeps `d` across them from the
+/// exact `d(0)` by its slope, then evaluates `d` exactly only at the
+/// kinks whose swept value is within rounding of the swept minimum and
+/// keeps the smallest, X = 0 and earlier nodes first on ties. The cost
+/// is O(H log H) for the sort plus O(H) per exact evaluation.
 ///
 /// Returns `None` if the problem is infeasible (some node has
 /// `c_eff ≤ r` with interfering cross traffic, or non-positive
@@ -172,6 +177,18 @@ fn kinks(p: &NodeParams, sigma: f64) -> [f64; 2] {
 /// a node's `c_eff` or `r` is not finite, a node's `r` is negative, or
 /// a node's `delta` is NaN.
 pub fn solve(params: &[NodeParams], sigma: f64) -> Option<Solution> {
+    let (_, x) = minimize(params, sigma, &mut Vec::with_capacity(2 * params.len()))?;
+    Some(point(x, params, sigma))
+}
+
+/// [`solve`] without the `θ_h`: returns `(d, X)` at the optimum, with
+/// `d` bit-equal to [`point`]'s `delay` at that `X`. `kinks` is scratch
+/// space (cleared first), so a caller that keeps it allocates nothing.
+pub(crate) fn minimize(
+    params: &[NodeParams],
+    sigma: f64,
+    kinks: &mut Vec<Kink>,
+) -> Option<(f64, f64)> {
     assert!(!params.is_empty(), "solve: need at least one node");
     assert!(sigma >= 0.0 && sigma.is_finite(), "solve: sigma must be finite and non-negative");
     for p in params {
@@ -180,33 +197,105 @@ pub fn solve(params: &[NodeParams], sigma: f64) -> Option<Solution> {
         assert!(!p.delta.is_nan(), "solve: delta must not be NaN");
     }
     SOLVER_CALLS.add(1);
-    let out = solve_inner(params, sigma);
+    let out = sweep(params, sigma, kinks);
     if out.is_none() {
         SOLVER_INFEASIBLE.add(1);
     }
     out
 }
 
-fn solve_inner(params: &[NodeParams], sigma: f64) -> Option<Solution> {
+/// A kink of `d(X)` at a positive, finite `X`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kink {
+    x: f64,
+    /// Change of `d'(X)` as `X` passes `x`.
+    slope_change: f64,
+    /// Rank in the order the kinks are tried on ties: node by node, the
+    /// Δ kink before the zero kink.
+    rank: usize,
+    /// `d(x)` as swept, before the exact evaluation.
+    swept: f64,
+}
+
+/// The slopes `dθ_h/dX` before and after node `p`'s Δ kink.
+fn branch_slopes(p: &NodeParams) -> (f64, f64) {
+    if p.delta.is_infinite() {
+        (-1.0, -1.0)
+    } else if p.delta <= 0.0 {
+        (-1.0, p.r / p.c_eff - 1.0)
+    } else {
+        (p.r / p.c_eff - 1.0, -1.0)
+    }
+}
+
+fn sweep(params: &[NodeParams], sigma: f64, kinks: &mut Vec<Kink>) -> Option<(f64, f64)> {
     // Feasibility: every node must eventually satisfy its constraint.
     if params.iter().any(|p| p.c_eff <= 0.0 || (p.delta > f64::NEG_INFINITY && p.c_eff <= p.r)) {
         return None;
     }
-    let mut best_x = 0.0;
-    let mut best_d = objective(0.0, params, sigma);
-    let mut evals = 1u64;
-    for x in params.iter().flat_map(|p| kinks(p, sigma)) {
-        if x > 0.0 && x.is_finite() {
-            evals += 1;
-            let d = objective(x, params, sigma);
-            if d < best_d {
-                best_d = d;
-                best_x = x;
+    // d'(X) just right of X = 0, and the slope changes at positive kinks.
+    // θ_h is 0 past its zero kink; its Δ kink only matters before that.
+    let mut slope = 1.0;
+    kinks.clear();
+    for (h, p) in params.iter().enumerate() {
+        let [delta_kink, zero] = node_kinks(p, sigma);
+        let (before, after) = branch_slopes(p);
+        let delta_first = delta_kink < zero;
+        slope += if zero <= 0.0 {
+            0.0
+        } else if delta_kink <= 0.0 {
+            after
+        } else {
+            before
+        };
+        for (rank, x, slope_change) in [
+            (2 * h, delta_kink, if delta_first { after - before } else { 0.0 }),
+            (2 * h + 1, zero, if delta_first { -after } else { -before }),
+        ] {
+            if x > 0.0 && x.is_finite() {
+                kinks.push(Kink { x, slope_change, rank, swept: f64::NAN });
             }
         }
     }
-    SOLVER_EVALS.add(evals);
-    Some(point(best_x, params, sigma))
+    // Sweep d across the kinks in X order (positive finite floats order
+    // as their bits); kinks at one X merge into the first-ranked one, the
+    // only one that can win there.
+    kinks.sort_unstable_by_key(|k| (k.x.to_bits(), k.rank));
+    kinks.dedup_by(|later, kept| {
+        let same = later.x == kept.x;
+        if same {
+            kept.slope_change += later.slope_change;
+        }
+        same
+    });
+    let d0 = objective(0.0, params, sigma);
+    let (mut d, mut x_prev, mut d_min) = (d0, 0.0, d0);
+    for k in kinks.iter_mut() {
+        d += slope * (k.x - x_prev);
+        k.swept = d;
+        d_min = d_min.min(d);
+        slope += k.slope_change;
+        x_prev = k.x;
+    }
+    // Evaluate exactly every kink that may tie the exact minimum.
+    // X + θ_h(X) never falls, so d ≥ max_h θ_h(0) ≥ d(0)/H, and d ≥ X:
+    // at every kink the rounding of the sweep and of `objective` is
+    // O(H·(H + kinks)·ε) relative to d. The band is 1e-9 relative,
+    // widened by that much for very long paths.
+    let ops = (params.len() + kinks.len()) as f64;
+    let cut = d_min + d_min.abs() * (1e-9 + ops * ops * f64::EPSILON);
+    kinks.retain(|k| k.swept <= cut);
+    kinks.sort_unstable_by_key(|k| k.rank);
+    let (mut best_x, mut best_d) = (0.0, d0);
+    for k in kinks.iter() {
+        let d = objective(k.x, params, sigma);
+        if d < best_d {
+            best_d = d;
+            best_x = k.x;
+        }
+    }
+    SOLVER_EVALS.add(1 + kinks.len() as u64);
+    Some((best_d, best_x))
 }
 
 /// The paper's explicit near-optimal procedure for a *homogeneous* path
@@ -288,6 +377,7 @@ pub fn explicit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop_oneof, Just};
 
     fn homogeneous(
         capacity: f64,
@@ -582,7 +672,101 @@ mod tests {
             .prop_map(|(c_eff, frac, delta)| NodeParams { c_eff, r: frac * c_eff, delta })
     }
 
+    /// The O(H²) enumeration the sweep replaced: `d` at X = 0 and at
+    /// every positive finite kink, node by node, keeping the first
+    /// strict minimum. Returns `(d, X)`.
+    fn enumerate(params: &[NodeParams], sigma: f64) -> Option<(f64, f64)> {
+        if params.iter().any(|p| p.c_eff <= 0.0 || (p.delta > f64::NEG_INFINITY && p.c_eff <= p.r))
+        {
+            return None;
+        }
+        let mut best_x = 0.0;
+        let mut best_d = objective(0.0, params, sigma);
+        for x in params.iter().flat_map(|p| node_kinks(p, sigma)) {
+            if x > 0.0 && x.is_finite() {
+                let d = objective(x, params, sigma);
+                if d < best_d {
+                    best_d = d;
+                    best_x = x;
+                }
+            }
+        }
+        Some((best_d, best_x))
+    }
+
+    /// Asserts that [`solve`] returns the enumeration's `X` and `d`
+    /// bit for bit.
+    fn assert_matches_enumeration(
+        params: &[NodeParams],
+        sigma: f64,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let want = enumerate(params, sigma).expect("feasible by construction");
+        let got = solve(params, sigma).expect("feasible by construction");
+        proptest::prop_assert_eq!(
+            (got.delay.to_bits(), got.x.to_bits()),
+            (want.0.to_bits(), want.1.to_bits()),
+            "sweep (d {}, X {}) vs enumeration (d {}, X {}) for σ = {} at {:?}",
+            got.delay,
+            got.x,
+            want.0,
+            want.1,
+            sigma,
+            params
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn sweep_matches_enumeration_on_ties_and_shared_kinks() {
+        // BMUX: d is flat between the last two zero kinks.
+        assert_matches_enumeration(&homogeneous(100.0, 0.2, 40.0, f64::INFINITY, 8), 500.0)
+            .unwrap();
+        // Δ < 0 on a homogeneous path: every node's Δ kink is X = −Δ.
+        for delta in [-1.0, -5.0, -20.0] {
+            for h in [1, 2, 10, 30] {
+                let params = homogeneous(100.0, 0.1, 40.0, delta, h);
+                assert_matches_enumeration(&params, 300.0).unwrap();
+            }
+        }
+        // σ = 0: d(X) = X, so X = 0 wins.
+        assert_matches_enumeration(&homogeneous(100.0, 0.2, 40.0, -3.0, 5), 0.0).unwrap();
+        // The margin-underflow instance: d is flat on [0, 5].
+        let r = f64::from_bits(10.0f64.to_bits() - 1);
+        assert_matches_enumeration(&[NodeParams { c_eff: 10.0, r, delta: -5.0 }], 1e300).unwrap();
+    }
+
     proptest::proptest! {
+        #[test]
+        fn sweep_matches_enumeration_bitwise(
+            params in proptest::collection::vec(random_node(), 1..=40),
+            sigma in prop_oneof![Just(0.0), 1e-6f64..1e-2, 0.1f64..5000.0],
+        ) {
+            assert_matches_enumeration(&params, sigma)?;
+        }
+
+        #[test]
+        fn sweep_matches_enumeration_bitwise_on_homogeneous_paths(
+            hops in 1usize..=40,
+            capacity in 10.0f64..1000.0,
+            load in 0.05f64..0.95,
+            gamma_share in 0.0f64..1.0,
+            delta in prop_oneof![
+                Just(f64::NEG_INFINITY),
+                -100.0f64..-1e-3,
+                Just(0.0),
+                1e-3f64..100.0,
+                Just(f64::INFINITY),
+            ],
+            sigma in prop_oneof![Just(0.0), 0.1f64..5000.0],
+        ) {
+            // Cross rate ρ_c = load·C and γ inside the Eq. (32) range.
+            let rho_c = load * capacity;
+            let gamma = gamma_share * (capacity - rho_c) / (hops as f64 + 1.0);
+            let params = homogeneous(capacity, gamma, rho_c, delta, hops);
+            proptest::prop_assume!(params.iter().all(|p| p.c_eff > p.r));
+            assert_matches_enumeration(&params, sigma)?;
+        }
+
         #[test]
         fn solve_is_never_worse_than_a_dense_oracle(
             params in proptest::collection::vec(random_node(), 1..=12),

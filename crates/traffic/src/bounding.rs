@@ -1,5 +1,7 @@
 //! Exponential bounding functions and their algebra.
 
+use std::iter::repeat_n;
+
 /// An exponential bounding function `ε(σ) = M · e^{−α·σ}`.
 ///
 /// Bounding functions quantify the violation probability of statistical
@@ -137,14 +139,32 @@ impl ExpBound {
     /// Panics if `bounds` is empty.
     pub fn inf_convolution(bounds: &[ExpBound]) -> ExpBound {
         assert!(!bounds.is_empty(), "inf_convolution: need at least one bound");
-        let active: Vec<&ExpBound> = bounds.iter().filter(|b| !b.is_zero()).collect();
-        if active.is_empty() {
+        Self::inf_convolution_runs(bounds.iter().map(|&b| (b, 1)))
+    }
+
+    /// [`ExpBound::inf_convolution`] of run-length-encoded terms: each
+    /// `(bound, k)` stands for `k` consecutive copies of `bound`.
+    ///
+    /// The sums of Eq. (33) still add `1/α` and `ln(Mα)/(αw)` once per
+    /// copy, in order, so the result has the same bits as the expanded
+    /// slice; only the `ln` and the divisions run once per run. Runs
+    /// with `k = 0` contribute nothing, and if no term is left the
+    /// result is [`ExpBound::zero`].
+    pub fn inf_convolution_runs<I>(runs: I) -> ExpBound
+    where
+        I: IntoIterator<Item = (ExpBound, usize)>,
+        I::IntoIter: Clone,
+    {
+        let active = runs.into_iter().filter(|(b, k)| *k > 0 && !b.is_zero());
+        if active.clone().next().is_none() {
             return ExpBound::zero();
         }
-        let w: f64 = active.iter().map(|b| 1.0 / b.decay).sum();
+        let w: f64 = active.clone().flat_map(|(b, k)| repeat_n(1.0 / b.decay, k)).sum();
         // ln M' = ln w + Σ ln(M_j α_j) / (α_j w)
         let ln_m: f64 = w.ln()
-            + active.iter().map(|b| (b.prefactor * b.decay).ln() / (b.decay * w)).sum::<f64>();
+            + active
+                .flat_map(|(b, k)| repeat_n((b.prefactor * b.decay).ln() / (b.decay * w), k))
+                .sum::<f64>();
         ExpBound { prefactor: ln_m.exp(), decay: 1.0 / w }
     }
 
@@ -304,6 +324,52 @@ mod tests {
             total.prefactor()
         );
         assert!((total.decay() - alpha / (h as f64 + 1.0)).abs() < 1e-12);
+    }
+
+    /// `inf_convolution` as it was before the run form: one `ln` per
+    /// term, summed over a `Vec` of the non-zero terms.
+    fn per_term_reference(bounds: &[ExpBound]) -> ExpBound {
+        let active: Vec<&ExpBound> = bounds.iter().filter(|b| !b.is_zero()).collect();
+        if active.is_empty() {
+            return ExpBound::zero();
+        }
+        let w: f64 = active.iter().map(|b| 1.0 / b.decay).sum();
+        let ln_m: f64 = w.ln()
+            + active.iter().map(|b| (b.prefactor * b.decay).ln() / (b.decay * w)).sum::<f64>();
+        ExpBound { prefactor: ln_m.exp(), decay: 1.0 / w }
+    }
+
+    fn bits(e: ExpBound) -> (u64, u64) {
+        (e.prefactor().to_bits(), e.decay().to_bits())
+    }
+
+    #[test]
+    fn runs_match_the_per_term_form_bitwise() {
+        // Eq. (34)'s terms: H−1 slot-summed cross terms, the last node's
+        // term, a deterministic (zero) term, and the through term.
+        for alpha in [0.013, 0.4, 2.5] {
+            for gamma in [1e-4, 0.05, 0.7] {
+                let per_node = ExpBound::new(3.7, alpha).geometric_sum(gamma);
+                let with_slots = per_node.geometric_sum(gamma);
+                let through = ExpBound::new(1.0, 1.3 * alpha).geometric_sum(gamma);
+                for h in 1..=40usize {
+                    let runs =
+                        [(with_slots, h - 1), (per_node, 1), (ExpBound::zero(), 2), (through, 1)];
+                    let expanded: Vec<ExpBound> =
+                        runs.iter().flat_map(|&(b, k)| std::iter::repeat_n(b, k)).collect();
+                    let want = bits(per_term_reference(&expanded));
+                    assert_eq!(bits(ExpBound::inf_convolution_runs(runs)), want, "H = {h}");
+                    assert_eq!(bits(ExpBound::inf_convolution(&expanded)), want, "H = {h}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_without_active_terms_are_zero() {
+        let z = ExpBound::zero();
+        assert_eq!(ExpBound::inf_convolution_runs([(z, 3)]), z);
+        assert_eq!(ExpBound::inf_convolution_runs([(ExpBound::new(2.0, 1.0), 0), (z, 1)]), z);
     }
 
     #[test]

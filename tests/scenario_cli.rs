@@ -174,7 +174,7 @@ core_s_evals_total 459
 # TYPE core_solver_calls_total counter
 core_solver_calls_total 94848
 # TYPE core_solver_evals_total counter
-core_solver_evals_total 403104
+core_solver_evals_total 248860
 # TYPE sweep_cells_total counter
 sweep_cells_total 3
 ";
