@@ -24,8 +24,11 @@ use crate::montecarlo::StatsMode;
 use crate::stats::StatsState;
 use nc_telemetry::json::{self, Json};
 
-/// Current checkpoint file format version.
-const VERSION: u64 = 1;
+/// Current checkpoint file format version. Version 2 marks the
+/// ON-count MMOO sampler: replications saved by the per-flow sampler
+/// (version 1) follow other sample paths and must not be merged with
+/// new ones.
+const VERSION: u64 = 2;
 
 /// Where and how often a Monte Carlo run persists its progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -404,9 +407,14 @@ mod tests {
             let err = Checkpoint::parse(text, "cp.json").unwrap_err();
             assert!(matches!(err, Error::Checkpoint { .. }), "{text:?}: {err}");
         }
-        let future = sample_checkpoint().render().replace("\"version\":1", "\"version\":999");
+        let current = format!("\"version\":{VERSION}");
+        let future = sample_checkpoint().render().replace(&current, "\"version\":999");
         let err = Checkpoint::parse(&future, "cp.json").unwrap_err();
         assert!(err.to_string().contains("version 999"), "{err}");
+        // Version 1 checkpoints hold per-flow-sampler replications.
+        let old = sample_checkpoint().render().replace(&current, "\"version\":1");
+        let err = Checkpoint::parse(&old, "cp.json").unwrap_err();
+        assert!(err.to_string().contains("unsupported checkpoint version 1"), "{err}");
     }
 
     #[test]

@@ -45,6 +45,7 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+mod binomial;
 mod checkpoint;
 mod error;
 mod faults;

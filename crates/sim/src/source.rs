@@ -1,5 +1,6 @@
 //! Slotted traffic sources.
 
+use crate::binomial::Binomial;
 use nc_traffic::{CbrSource, Mmoo, Mmp, PoissonBatch};
 use rand::{Rng, RngExt};
 
@@ -62,63 +63,60 @@ impl Source for MmooState {
     }
 }
 
-/// `⌈p·2⁵³⌉`: the integer form of the stay test `u ≥ p` on a uniform
-/// `u = (w >> 11)·2⁻⁵³` drawn from a 64-bit word `w` (the `f64` draw of
-/// [`rand::RngExt::random`]). The scaling by 2⁵³ and the ceiling are both
-/// exact in `f64`, so `(w >> 11) ≥ ⌈p·2⁵³⌉` holds exactly when `u ≥ p`.
-fn stay_threshold(p: f64) -> u64 {
-    (p * (1u64 << 53) as f64).ceil() as u64
-}
-
-/// An aggregate of independent MMOO flows, stepped jointly.
+/// An aggregate of `n` i.i.d. MMOO flows, stepped as its ON-count
+/// chain.
 ///
-/// Stored as a struct of arrays: one shared model, one ON flag per
-/// flow, and the count of flows currently ON. Each step draws one
-/// 64-bit word per flow, in flow order, exactly as stepping a
-/// [`MmooState`] per flow would, and the emission is read from a
-/// per-aggregate table indexed by the ON count, so sample paths and
-/// emitted amounts are bit-identical to the per-flow loop.
+/// The flows are exchangeable, so the emission depends only on the
+/// number `k` of flows ON, and `k` is itself a Markov chain: each ON
+/// flow stays ON with probability `p22` and each OFF flow turns ON with
+/// probability `1 − p11`, independently, so
+/// `k' = Bin(k, p22) + Bin(n − k, 1 − p11)` (DESIGN.md, "Simulator
+/// arrivals"). A step draws those two binomials instead of one uniform
+/// per flow. The law of the emission process is that of `n` flows
+/// stepped one by one with [`MmooState`]; the sample paths differ.
 #[derive(Debug, Clone)]
 pub struct MmooAggregate {
     model: Mmoo,
-    on: Vec<bool>,
+    n: usize,
     on_count: usize,
-    /// [`stay_threshold`] of `p11` (stay OFF) and `p22` (stay ON).
-    stay_off: u64,
-    stay_on: u64,
-    /// `emitted[k]`: the left-to-right `f64` sum of the per-flow
-    /// emissions when `k` flows are ON (OFF flows add an exact `0.0`).
-    emitted: Vec<f64>,
+    /// `Bin(·, p22)`: the ON flows that stay ON.
+    stay_on: Binomial,
+    /// `Bin(·, 1 − p11)`: the OFF flows that turn ON.
+    turn_on: Binomial,
 }
 
 impl MmooAggregate {
-    /// `n` i.i.d. stationary flows of the given model (one draw per
-    /// flow, in flow order, as [`MmooState::stationary`]).
+    /// `n` i.i.d. stationary flows of the given model: the ON count is
+    /// drawn from `Bin(n, π_ON)`.
     pub fn stationary<R: Rng + ?Sized>(model: Mmoo, n: usize, rng: &mut R) -> Self {
-        let on: Vec<bool> = (0..n).map(|_| MmooState::stationary(model, rng).is_on()).collect();
-        let mut emitted = Vec::with_capacity(n + 1);
-        emitted.push(std::iter::repeat_n(0.0, n).sum::<f64>());
-        for k in 1..=n {
-            emitted.push(emitted[k - 1] + model.peak());
-        }
+        let on_count = Binomial::new(model.stationary_on(), n).sample(n, rng);
+        Self::with_on_count(model, n, on_count)
+    }
+
+    /// `n` flows of the given model, `on_count` of them ON.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `on_count > n`.
+    pub fn with_on_count(model: Mmoo, n: usize, on_count: usize) -> Self {
+        assert!(on_count <= n, "MmooAggregate: {on_count} flows ON out of {n}");
         MmooAggregate {
             model,
-            on_count: on.iter().filter(|&&on| on).count(),
-            on,
-            stay_off: stay_threshold(model.p11()),
-            stay_on: stay_threshold(model.p22()),
-            emitted,
+            n,
+            on_count,
+            stay_on: Binomial::new(model.p22(), n),
+            turn_on: Binomial::new(1.0 - model.p11(), n),
         }
     }
 
     /// Number of flows in the aggregate.
     pub fn len(&self) -> usize {
-        self.on.len()
+        self.n
     }
 
     /// Whether the aggregate is empty.
     pub fn is_empty(&self) -> bool {
-        self.on.is_empty()
+        self.n == 0
     }
 
     /// Number of flows currently ON.
@@ -131,21 +129,15 @@ impl MmooAggregate {
         &self.model
     }
 
-    /// Advances one slot: returns the aggregate emission of the flows
-    /// that are ON, then performs every flow's state transition.
+    /// Advances one slot: returns the emission of the flows that are
+    /// ON, then draws the next ON count.
     ///
     /// Generic so a concrete generator (the tandem simulator's
-    /// `StdRng`) inlines into the per-flow loop.
+    /// `StdRng`) inlines into the binomial draws.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let emitted = self.emitted[self.on_count];
-        let (stay_off, stay_on) = (self.stay_off, self.stay_on);
-        let mut on_count = 0;
-        for on in &mut self.on {
-            let stay = if *on { stay_on } else { stay_off };
-            *on ^= rng.next_u64() >> 11 >= stay;
-            on_count += usize::from(*on);
-        }
-        self.on_count = on_count;
+        let k = self.on_count;
+        let emitted = k as f64 * self.model.peak();
+        self.on_count = self.stay_on.sample(k, rng) + self.turn_on.sample(self.n - k, rng);
         emitted
     }
 }
@@ -279,34 +271,43 @@ impl Source for MmpAggregate {
     }
 }
 
+/// The largest share of `λ` one run of Knuth's sampler takes on:
+/// `e^{−500} ≈ 7·10⁻²¹⁸` is still a normal `f64`, while `e^{−λ}`
+/// underflows for `λ ≳ 745` and would end every run at ~745 batches.
+const POISSON_PART: f64 = 500.0;
+
 /// Simulation wrapper for a batch-Poisson source.
+///
+/// Draws `Poisson(λ)` batches per slot with Knuth's product-of-uniforms
+/// sampler. Larger `λ` are split into equal parts of at most
+/// [`POISSON_PART`] and the parts' draws summed, which is exact:
+/// independent Poisson draws sum to a Poisson of the summed means.
 #[derive(Debug, Clone)]
 pub struct PoissonBatchSim {
     model: PoissonBatch,
-    /// `e^{-λ}`, the stopping level of Knuth's sampler.
-    exp_neg_lambda: f64,
+    /// Number of equal parts `λ` is split into.
+    parts: u32,
+    /// `e^{−λ/parts}`, the stopping level of each part's sampler.
+    exp_neg_part: f64,
 }
 
 impl PoissonBatchSim {
     /// Wraps the analytical model for simulation.
     pub fn new(model: PoissonBatch) -> Self {
-        PoissonBatchSim { model, exp_neg_lambda: (-model.lambda()).exp() }
+        let parts = (model.lambda() / POISSON_PART).ceil().max(1.0) as u32;
+        let exp_neg_part = (-model.lambda() / f64::from(parts)).exp();
+        PoissonBatchSim { model, parts, exp_neg_part }
     }
 }
 
 impl Source for PoissonBatchSim {
     fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
-        // Knuth's Poisson sampler; λ is small (per-slot) in all uses.
-        let mut k = 0u32;
-        let mut p = 1.0;
-        loop {
-            p *= rng.random::<f64>();
-            if p <= self.exp_neg_lambda {
-                break;
-            }
-            k += 1;
-            if k > 1_000_000 {
-                break; // λ pathologically large; cap rather than spin
+        let mut k = 0u64;
+        for _ in 0..self.parts {
+            let mut p = rng.random::<f64>();
+            while p > self.exp_neg_part {
+                k += 1;
+                p *= rng.random::<f64>();
             }
         }
         k as f64 * self.model.batch()
@@ -346,34 +347,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// A generator that replays one fixed word.
-    struct Word(u64);
-
-    impl Rng for Word {
-        fn next_u64(&mut self) -> u64 {
-            self.0
-        }
-    }
-
-    #[test]
-    fn stay_threshold_is_the_float_stay_test() {
-        let half_eps = f64::EPSILON / 2.0;
-        for p in [0.0, 1.0, half_eps, 1.0 - half_eps, 0.1, 1.0 / 3.0, 0.5, 0.9, 0.989] {
-            let t = stay_threshold(p);
-            for m in [t.saturating_sub(1), t, t + 1] {
-                if m >= 1 << 53 {
-                    continue;
-                }
-                for low in [0, 0x7ff] {
-                    let w = m << 11 | low;
-                    let leaves = Word(w).random::<f64>() >= p;
-                    assert_eq!(w >> 11 >= t, leaves, "p = {p}, word {w:#x}");
-                }
-            }
-        }
-        assert_eq!((stay_threshold(0.0), stay_threshold(1.0)), (0, 1 << 53));
-    }
 
     #[test]
     fn mmoo_long_run_rate_matches_mean() {
@@ -419,13 +392,18 @@ mod tests {
 
     #[test]
     fn poisson_mean_rate() {
-        let model = PoissonBatch::new(0.3, 2.0);
-        let mut src = PoissonBatchSim::new(model);
-        let mut rng = StdRng::seed_from_u64(3);
-        let slots = 200_000usize;
-        let total: f64 = (0..slots).map(|_| src.pull(&mut rng)).sum();
-        let rate = total / slots as f64;
-        assert!((rate - model.mean_rate()).abs() / model.mean_rate() < 0.05);
+        // λ = 800 and 2000 are past the e^{−λ} underflow (λ ≳ 745), so
+        // they exercise the split into parts.
+        for (lambda, slots) in [(0.3, 200_000usize), (800.0, 4_000), (2000.0, 2_000)] {
+            let model = PoissonBatch::new(lambda, 2.0);
+            let mut src = PoissonBatchSim::new(model);
+            let mut rng = StdRng::seed_from_u64(3);
+            let total: f64 = (0..slots).map(|_| src.pull(&mut rng)).sum();
+            let batches = total / (slots as f64 * model.batch());
+            // Five standard errors of the mean of `slots` Poisson(λ) draws.
+            let tol = 5.0 * (lambda / slots as f64).sqrt();
+            assert!((batches - lambda).abs() < tol, "λ = {lambda}: mean {batches}");
+        }
     }
 
     #[test]

@@ -137,14 +137,6 @@ impl DelayStats {
         matches!(self.repr, Repr::Reservoir { .. })
     }
 
-    /// The reservoir capacity, or `None` in exact mode.
-    pub fn reservoir_capacity(&self) -> Option<usize> {
-        match &self.repr {
-            Repr::Exact { .. } => None,
-            Repr::Reservoir { cap, .. } => Some(*cap),
-        }
-    }
-
     /// Records one delay sample.
     ///
     /// # Panics

@@ -134,9 +134,6 @@ pub struct TandemSim {
     residuals: Vec<f64>,
     slot: u64,
     stats: DelayStats,
-    /// Per-slot through-class backlog samples at node 1 (post-warmup),
-    /// for validating single-node backlog bounds.
-    backlog_stats: DelayStats,
     /// Opt-in telemetry; `None` keeps the hot loop untouched.
     telemetry: Option<SimTelemetry>,
     /// Fault injection; `None` keeps the hot loop untouched.
@@ -202,7 +199,6 @@ impl TandemSim {
             residuals: vec![0.0; cfg.hops + 1],
             slot: 0,
             stats: DelayStats::new(),
-            backlog_stats: DelayStats::new(),
             telemetry: None,
             faults: None,
             lost_emissions: 0,
@@ -281,15 +277,9 @@ impl TandemSim {
     }
 
     /// Replaces the delay-statistics collector (e.g. with a streaming
-    /// one from [`DelayStats::streaming_with_thresholds`]); the backlog
-    /// collector switches to the matching mode, without thresholds.
-    /// Call before [`TandemSim::run`] — any already-recorded samples
-    /// are discarded.
+    /// one from [`DelayStats::streaming_with_thresholds`]). Call before
+    /// [`TandemSim::run`] — any already-recorded samples are discarded.
     pub fn set_stats_collector(&mut self, collector: DelayStats) {
-        self.backlog_stats = match collector.reservoir_capacity() {
-            Some(cap) => DelayStats::streaming(cap),
-            None => DelayStats::new(),
-        };
         self.stats = collector;
     }
 
@@ -390,9 +380,6 @@ impl TandemSim {
                 Some(cap) => self.nodes[h].serve_slot_capped(t, cap, &mut departures),
                 None => self.nodes[h].serve_slot(t, &mut departures),
             }
-            if h == 0 && t >= self.cfg.warmup {
-                self.backlog_stats.record(self.nodes[0].class_backlog(0));
-            }
             if let Some(tel) = &mut self.telemetry {
                 let departed_kb: f64 = departures.iter().map(|c| c.bits).sum();
                 tel.backlog_now[h] =
@@ -485,11 +472,14 @@ impl TandemSim {
         &self.stats
     }
 
-    /// Per-slot through-class backlog samples at the first node
-    /// (post-warmup, recorded after each slot's service) — comparable to
-    /// the single-node backlog bounds of the analysis.
-    pub fn backlog_stats(&self) -> &DelayStats {
-        &self.backlog_stats
+    /// Node `h` of the path (0-based), for reading its state between
+    /// steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not below the hop count.
+    pub fn node(&self, h: usize) -> &Node {
+        &self.nodes[h]
     }
 
     /// Fault event counters, when the simulation was built with a

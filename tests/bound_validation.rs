@@ -7,7 +7,7 @@
 //! empirical violation fraction with a one-sided confidence margin.
 
 use linksched::core::{MmooTandem, PathScheduler};
-use linksched::sim::{SchedulerKind, SimConfig, TandemSim};
+use linksched::sim::{DelayStats, SchedulerKind, SimConfig, TandemSim};
 use linksched::traffic::Mmoo;
 
 /// Scaled-down paper setup: C = 20 kb/ms so moderate flow counts load
@@ -162,8 +162,16 @@ fn backlog_bound_dominates_simulation() {
     let bound = best.expect("stable node");
     let (_, sim_cfg) = setup(1, n_through, n_cross);
     let mut sim = TandemSim::new(sim_cfg, 91);
-    let _ = sim.run(300_000);
-    let stats = sim.backlog_stats();
+    // The through-class backlog at the node after each post-warm-up
+    // slot's service.
+    let mut stats = DelayStats::new();
+    for _ in 0..300_000 {
+        let t = sim.slot();
+        sim.step();
+        if t >= sim_cfg.warmup {
+            stats.record(sim.node(0).class_backlog(0));
+        }
+    }
     assert!(stats.len() > 100_000);
     let emp = stats.violation_fraction(bound);
     assert!(
