@@ -138,6 +138,26 @@ impl TandemPath {
         self.gamma_max() > 0.0
     }
 
+    /// `σ(γ_max)/C`: no bound this path yields, at any `γ` and any
+    /// scheduler, lies below it (up to rounding). Node 1 has
+    /// `c_eff = C`, so every branch of Eq. (38) gives `X + θ_1 ≥ σ(γ)/C`,
+    /// and `σ(γ) ≥ σ(γ_max)` because every term of Eq. (34) carries
+    /// `1/(1 − e^{−αγ})` factors. Not counted as a σ call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path is unstable or `epsilon` is not in `(0, 1)`.
+    pub(crate) fn delay_floor(&self, epsilon: f64) -> f64 {
+        let sigma = netbound::sigma_for_runs_uncounted(
+            &self.through,
+            [(self.cross, self.hops)],
+            self.gamma_max(),
+            epsilon,
+            &mut Vec::with_capacity(3),
+        );
+        sigma / self.capacity
+    }
+
     /// The path as one segment of `hops` equal nodes.
     fn segment(&self) -> [gamma::Segment; 1] {
         [gamma::Segment {
@@ -379,7 +399,8 @@ impl MmooTandem {
     }
 
     /// The end-to-end delay bound, optimized over both `s` and `γ`
-    /// (log-grid over `s` with local refinement; `γ` handled inside
+    /// (see [`SourceTandem::delay_bound`]: a branch-and-bound over a
+    /// log grid of `s` with local refinement; `γ` handled inside
     /// [`TandemPath::delay_bound`]).
     ///
     /// Returns `None` if the path is unstable at every `s`.
@@ -413,9 +434,11 @@ impl MmooTandem {
     }
 
     /// EDF fixed-point bound (see
-    /// [`TandemPath::edf_delay_bound_fixed_point`]), optimized over `s`.
-    /// Returns the bound, the achieving `s`, and the converged per-node
-    /// through deadline `d*_0`.
+    /// [`TandemPath::edf_delay_bound_fixed_point`]), optimized over `s`
+    /// by the branch-and-bound of
+    /// [`SourceTandem::edf_delay_bound_fixed_point`]. Returns the bound,
+    /// the achieving `s`, and the converged per-node through deadline
+    /// `d*_0`.
     pub fn edf_delay_bound_fixed_point(
         &self,
         epsilon: f64,

@@ -75,7 +75,7 @@ pub fn sigma_for(through: &Ebb, cross_per_node: &[Ebb], gamma: f64, epsilon: f64
 }
 
 /// [`sigma_for`] with run-length-encoded cross aggregates, as in
-/// [`total_bound_runs`].
+/// [`total_bound_runs`]. Counted in `core_netbound_sigma_calls_total`.
 pub(crate) fn sigma_for_runs(
     through: &Ebb,
     cross_runs: impl IntoIterator<Item = (Ebb, usize)>,
@@ -83,8 +83,21 @@ pub(crate) fn sigma_for_runs(
     epsilon: f64,
     terms: &mut Vec<(ExpBound, usize)>,
 ) -> f64 {
-    assert!(epsilon > 0.0 && epsilon < 1.0, "sigma_for: epsilon must be in (0,1)");
     SIGMA_CALLS.add(1);
+    sigma_for_runs_uncounted(through, cross_runs, gamma, epsilon, terms)
+}
+
+/// [`sigma_for_runs`] without the counter: the `s` search's lower
+/// bound assembles one σ per moment parameter, which is not a
+/// γ-evaluation.
+pub(crate) fn sigma_for_runs_uncounted(
+    through: &Ebb,
+    cross_runs: impl IntoIterator<Item = (Ebb, usize)>,
+    gamma: f64,
+    epsilon: f64,
+    terms: &mut Vec<(ExpBound, usize)>,
+) -> f64 {
+    assert!(epsilon > 0.0 && epsilon < 1.0, "sigma_for: epsilon must be in (0,1)");
     total_bound_runs(through, cross_runs, gamma, terms).sigma_for(epsilon).unwrap_or(0.0)
 }
 

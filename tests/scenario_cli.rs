@@ -162,19 +162,21 @@ fn sweep_scenario_artifacts_parse_and_cache_hits() {
 #[cfg(feature = "telemetry")]
 const SWEEP_SMALL_COUNTERS: &str = "\
 # TYPE core_delay_bound_calls_total counter
-core_delay_bound_calls_total 1216
+core_delay_bound_calls_total 393
 # TYPE core_edf_fixed_point_iterations_total counter
-core_edf_fixed_point_iterations_total 760
+core_edf_fixed_point_iterations_total 200
 # TYPE core_gamma_evals_total counter
-core_gamma_evals_total 94848
+core_gamma_evals_total 30654
 # TYPE core_netbound_sigma_calls_total counter
-core_netbound_sigma_calls_total 94848
+core_netbound_sigma_calls_total 30654
 # TYPE core_s_evals_total counter
-core_s_evals_total 459
+core_s_evals_total 196
+# TYPE core_s_pruned_total counter
+core_s_pruned_total 263
 # TYPE core_solver_calls_total counter
-core_solver_calls_total 94848
+core_solver_calls_total 30654
 # TYPE core_solver_evals_total counter
-core_solver_evals_total 248860
+core_solver_evals_total 77127
 # TYPE sweep_cells_total counter
 sweep_cells_total 3
 ";
