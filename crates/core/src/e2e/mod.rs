@@ -217,30 +217,6 @@ impl TandemPath {
         gamma::search(&self.through, &self.segment(), self.gamma_max(), epsilon)
     }
 
-    /// Guard-railed variant of [`TandemPath::delay_bound`]: reports a
-    /// bad `epsilon` as [`Error::InvalidInput`] instead of panicking,
-    /// an unstable or unsolvable path as [`Error::Infeasible`], and a
-    /// NaN/∞ bound as [`Error::NonFinite`] — so callers (the scenario
-    /// engine, the CLI) can map each cause onto a distinct exit code.
-    pub fn try_delay_bound(&self, epsilon: f64) -> Result<E2eDelayBound, Error> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(Error::InvalidInput(format!(
-                "delay_bound: epsilon must be in (0, 1), got {epsilon}"
-            )));
-        }
-        if !self.is_stable() {
-            return Err(Error::Infeasible);
-        }
-        match self.delay_bound(epsilon) {
-            Some(b) if b.delay.is_finite() => Ok(b),
-            Some(b) => Err(Error::NonFinite(format!(
-                "delay bound evaluated to {} (C = {}, H = {})",
-                b.delay, self.capacity, self.hops
-            ))),
-            None => Err(Error::Infeasible),
-        }
-    }
-
     /// Delay bound under the paper's EDF deadline convention, which is
     /// *self-referential*: per-node deadlines are set from the computed
     /// end-to-end bound itself, `d*_0 = d^{e2e}/H` and
@@ -414,8 +390,11 @@ impl MmooTandem {
             .map(|b| MmooDelayBound { bound: b.bound, s: b.s })
     }
 
-    /// Guard-railed variant of [`MmooTandem::delay_bound`] — same error
-    /// contract as [`TandemPath::try_delay_bound`].
+    /// Guard-railed variant of [`MmooTandem::delay_bound`]: reports a
+    /// bad `epsilon` as [`Error::InvalidInput`] instead of panicking,
+    /// a tandem unstable at every `s` as [`Error::Infeasible`], and a
+    /// NaN/∞ bound as [`Error::NonFinite`] — so callers (the scenario
+    /// engine, the CLI) can map each cause onto a distinct exit code.
     pub fn try_delay_bound(&self, epsilon: f64) -> Result<MmooDelayBound, Error> {
         if !(epsilon > 0.0 && epsilon < 1.0) {
             return Err(Error::InvalidInput(format!(
@@ -491,15 +470,6 @@ mod try_bound_tests {
         // 4000 + 4000 flows at mean ≈ 0.174 kb/ms each on C = 100
         // overloads the link: no finite bound at any moment parameter.
         assert_eq!(tandem(4000).try_delay_bound(1e-6), Err(Error::Infeasible));
-    }
-
-    #[test]
-    fn tandem_path_try_delay_bound_flags_instability() {
-        let src = Mmoo::paper_source();
-        let path =
-            TandemPath::new(10.0, 3, src.ebb(0.05, 100), src.ebb(0.05, 100), PathScheduler::Fifo);
-        assert!(!path.is_stable());
-        assert_eq!(path.try_delay_bound(1e-6), Err(Error::Infeasible));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! The Eq. (38) solvers ([`solve`](crate::e2e::optimizer::solve),
 //! [`explicit`](crate::e2e::optimizer::explicit)) panic on invalid
-//! input and return `None` when infeasible; the `try_delay_bound`
-//! methods of [`TandemPath`](crate::TandemPath) and
-//! [`MmooTandem`](crate::MmooTandem) surface these conditions as values
-//! so callers — the scenario engine, the CLI — can map them onto
-//! distinct exit codes instead of aborting.
+//! input and return `None` when infeasible;
+//! [`MmooTandem::try_delay_bound`](crate::MmooTandem::try_delay_bound)
+//! surfaces these conditions as values so callers — the scenario
+//! engine, the CLI — can map them onto distinct exit codes instead of
+//! aborting.
 
 use std::fmt;
 

@@ -1,5 +1,5 @@
 //! Run-artifact collection (metrics, traces, events, manifest) and the
-//! figure binaries' Monte Carlo overlay column.
+//! figure scenarios' Monte Carlo overlay column.
 
 use crate::error::Error;
 use crate::experiments::all_replications_ran;
@@ -10,7 +10,7 @@ use nc_telemetry as tel;
 use nc_traffic::Mmoo;
 
 /// Writes the telemetry artifacts (`--metrics-out`, `--trace-out`,
-/// `--events-out`, and the run manifest) at the end of a binary's run.
+/// `--events-out`, and the run manifest) at the end of a scenario run.
 ///
 /// Construct with [`RunArtifacts::begin`] before the workload, merge
 /// per-run metric shards with [`RunArtifacts::absorb`] (or let
@@ -46,19 +46,9 @@ impl RunArtifacts {
         tel::merge_global(metrics);
     }
 
-    /// Writes all requested artifacts, exiting with an error message if
-    /// a file cannot be written. Prefer [`RunArtifacts::try_finish`],
-    /// which reports the failure as a value.
-    pub fn finish(self) {
-        if let Err(e) = self.try_finish() {
-            eprintln!("error: cannot write telemetry artifacts: {e}");
-            std::process::exit(1);
-        }
-    }
-
     /// Writes all requested artifacts (atomically, via temp + rename in
     /// the telemetry exporter), surfacing write failures as values.
-    pub fn try_finish(&self) -> std::io::Result<()> {
+    pub fn finish(&self) -> std::io::Result<()> {
         if !self.opts.wants_artifacts() {
             return Ok(());
         }
@@ -95,7 +85,7 @@ impl RunArtifacts {
     }
 }
 
-/// Violation level of the figure binaries' simulation overlay: the
+/// Violation level of the figure scenarios' simulation overlay: the
 /// analytical figures use ε = 10⁻⁹, which no direct simulation reaches,
 /// so the overlay reports the simulated `q(1 − 10⁻³)` — a lower
 /// reference point every valid ε = 10⁻⁹ bound must exceed.
@@ -132,7 +122,7 @@ pub fn overlay_report(
 }
 
 /// Formats the merged simulated `q(1 − OVERLAY_EPS)` plus its
-/// across-replication spread for the figure binaries' `--sim` overlay
+/// across-replication spread for the figure scenarios' `--sim` overlay
 /// column (see [`overlay_report`]).
 pub fn sim_overlay(
     opts: &RunOpts,

@@ -48,18 +48,6 @@ impl Engine {
         opts
     }
 
-    /// [`Engine::default_opts`] with `std::env::args()` applied on top,
-    /// exiting with usage on a flag error (binary entry point).
-    pub fn opts_from_env(scenario: &Scenario) -> RunOpts {
-        match Self::default_opts(scenario).parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Runs the scenario to completion.
     ///
     /// Analysis results are bitwise-independent of the thread count
@@ -115,7 +103,7 @@ impl Engine {
             }
         };
         artifacts
-            .try_finish()
+            .finish()
             .map_err(|e| Error::Runtime(format!("cannot write telemetry artifacts: {e}")))?;
         Ok(RunSummary { delay_stats })
     }

@@ -11,8 +11,7 @@ use std::fmt;
 /// Everything that can go wrong loading or running a scenario.
 #[derive(Debug)]
 pub enum Error {
-    /// Bad command-line usage (flag errors; exit code 2, matching the
-    /// binaries' historical convention).
+    /// Bad command-line usage (flag errors; exit code 2).
     Usage(String),
     /// The scenario file could not be read (exit code 3).
     Io {

@@ -1,6 +1,6 @@
 //! Experiment runners, one per [`crate::Experiment`] variant. Each
 //! prints the same table its pre-scenario binary printed, byte for
-//! byte (pinned by the golden tests in `nc-bench`).
+//! byte (pinned by the golden tests in `tests/scenario_cli.rs`).
 
 pub(crate) mod ablation;
 pub(crate) mod cli;

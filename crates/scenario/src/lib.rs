@@ -7,10 +7,10 @@
 //! code path: analysis, the optional simulation overlay, and the
 //! telemetry artifacts of [`RunArtifacts`].
 //!
-//! The figure binaries in `nc-bench` and the `linksched` CLI are thin
-//! wrappers over shipped scenario files (`examples/scenarios/*.json`);
-//! this crate is also their single home for the previously duplicated
-//! helpers ([`tandem`], [`flows_for_utilization`], [`parse_sched`],
+//! `linksched run` executes shipped scenario files
+//! (`examples/scenarios/*.json`, one per figure) through the engine;
+//! this crate is also the single home for the shared helpers
+//! ([`tandem`], [`flows_for_utilization`], [`parse_sched`],
 //! [`RunOpts`]).
 //!
 //! # Quickstart

@@ -35,7 +35,7 @@ pub struct SimDefaults {
     pub reps: usize,
     /// Default slots per replication.
     pub slots: u64,
-    /// Default master seed; `None` keeps the binaries' fixed default.
+    /// Default master seed; `None` keeps [`RunOpts::new`](crate::RunOpts::new)'s fixed default.
     pub seed: Option<u64>,
 }
 

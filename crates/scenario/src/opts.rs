@@ -1,15 +1,15 @@
-//! Command-line options shared by every scenario-driven binary.
+//! Command-line options of `linksched run`, shared by every scenario.
 
 use nc_sim::{CheckpointCfg, FaultPlan, MonteCarlo};
 use std::str::FromStr;
 
-/// Usage text for the options shared by the binaries.
+/// Usage text for the options shared by every scenario run.
 pub const USAGE: &str = "options:
   --reps N          independent Monte Carlo replications (seed-derived)
   --threads N       worker threads (0 = auto-detect; default)
   --seed N          master seed; per-replication seeds derive from it
   --slots N         simulated slots per replication
-  --sim             add simulated-quantile overlay columns (figure binaries)
+  --sim             add simulated-quantile overlay columns (figure scenarios)
   --progress        live replication progress + ETA on stderr
   --checkpoint P    write crash-safe Monte Carlo checkpoints to P
                     (multi-cell experiments derive per-cell siblings)
@@ -27,11 +27,11 @@ pub const USAGE: &str = "options:
   --json P          write machine-readable results to P (validate only)
   -h, --help        show this help";
 
-/// Command-line options shared by the figure/validation binaries:
+/// Command-line options shared by every scenario run:
 /// `--reps`, `--threads`, `--seed`, `--slots`, `--sim`, `--progress`,
 /// and the artifact outputs `--metrics-out`, `--trace-out`,
-/// `--events-out`, `--manifest-out` (plus `--json` where the binary
-/// opts in via [`RunOpts::from_env_with_json`]).
+/// `--events-out`, `--manifest-out` (plus `--json` where the scenario
+/// opts in via [`RunOpts::with_json`]).
 ///
 /// The same master seed always produces the same output, regardless of
 /// `--threads` (see [`MonteCarlo`]) and of whether telemetry is
@@ -59,9 +59,9 @@ pub struct RunOpts {
     /// Run-manifest JSON output path (`--manifest-out`).
     pub manifest_out: Option<String>,
     /// Machine-readable results path (`--json`; only parsed for
-    /// binaries that accept it).
+    /// scenarios that accept it).
     pub json: Option<String>,
-    /// Whether this binary accepts `--json` (validate only).
+    /// Whether this run accepts `--json` (validate only).
     pub accepts_json: bool,
     /// Fault plan applied to every simulation (from the scenario's
     /// `faults` block; never set from the command line).
@@ -147,28 +147,6 @@ impl RunOpts {
             return Err("--checkpoint-every/--resume need --checkpoint <path>".to_string());
         }
         Ok(self)
-    }
-
-    /// Parses `std::env::args()` on top of the defaults, exiting with
-    /// usage on error.
-    pub fn from_env(reps: usize, slots: u64) -> Self {
-        Self::new(reps, slots).parse_env_or_exit()
-    }
-
-    /// Like [`RunOpts::from_env`], additionally accepting `--json`
-    /// (used by `validate`; the other binaries reject the flag).
-    pub fn from_env_with_json(reps: usize, slots: u64) -> Self {
-        Self::new(reps, slots).with_json().parse_env_or_exit()
-    }
-
-    fn parse_env_or_exit(self) -> Self {
-        match self.parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// Whether any telemetry artifact output was requested.
@@ -341,7 +319,7 @@ mod tests {
 
     #[test]
     fn runopts_json_only_where_accepted() {
-        // validate opts in; the figure binaries reject the flag.
+        // validate opts in; the figure scenarios reject the flag.
         let o = RunOpts::new(2, 100).with_json().parse(args(&["--json", "v.json"])).unwrap();
         assert_eq!(o.json.as_deref(), Some("v.json"));
         assert!(RunOpts::new(2, 100).parse(args(&["--json", "v.json"])).is_err());

@@ -3,8 +3,9 @@
 //! produce bitwise-identical merged `DelayStats`.
 //!
 //! The compile-time half of the guarantee (the `telemetry` feature
-//! erased entirely) is covered by the artifact tests in `nc-bench`,
-//! which diff the `validate` stdout across feature modes.
+//! erased entirely) is covered in CI, which diffs the stdout of
+//! `linksched run examples/scenarios/validate.json` between default and
+//! `--no-default-features` builds.
 
 use nc_sim::{MonteCarlo, SchedulerKind, SimConfig};
 use nc_traffic::Mmoo;

@@ -11,11 +11,11 @@
 //! ```
 //!
 //! Every command builds a [`nc_scenario::Scenario`] and runs it through
-//! [`nc_scenario::Engine`] — the same code path as the figure binaries
-//! — so the analysis, the Monte Carlo overlay, and the telemetry
-//! artifacts behave identically everywhere.
+//! [`nc_scenario::Engine`], so the analysis, the Monte Carlo overlay,
+//! and the telemetry artifacts behave identically everywhere.
 //! `run` executes a declarative scenario file (see
-//! `examples/scenarios/`).
+//! `examples/scenarios/`); the paper's figures are the shipped
+//! `fig2`/`fig3`/`fig4.json` scenarios.
 //!
 //! Units follow the paper: capacity in kb per 1 ms slot (= Mbps),
 //! delays in ms.
@@ -158,9 +158,9 @@ OPTIONS:
     --packet L         packet size in kb: non-preemptive packet mode (simulate)
     --cross-max NC     largest cross-flow count (sweep)         [default: 500]
 
-`run` executes a declarative scenario file (see examples/scenarios/)
-through the same engine as the figure binaries, including the
-telemetry artifact outputs.
+`run` executes a declarative scenario file (see examples/scenarios/,
+which holds one per figure), including the telemetry artifact
+outputs.
 
 `bench` times a pinned suite of analysis-sweep, min-plus-kernel, and
 simulator workloads and writes median + IQR wall times plus telemetry

@@ -1,11 +1,14 @@
-//! End-to-end checks of `linksched run`: the shipped small scenarios
+//! End-to-end checks of `linksched run`: the shipped scenarios
 //! reproduce their golden stdout, the telemetry artifacts parse, and
 //! the Eq. (38) solver counters are exported from a sweep.
 //!
-//! The full-size figure scenarios have their own `#[ignore]`d golden
-//! tests in `crates/bench/tests/golden.rs` (release CI step); the CI
+//! The full-size figure goldens take about a second each in release but
+//! far longer in a debug build, so they are `#[ignore]`d here and run
+//! by the release CI step
+//! (`cargo test --release -q --test scenario_cli -- --ignored`); the CI
 //! scenarios job additionally runs every shipped scenario file.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -94,6 +97,157 @@ fn small_faulted_tandem_matches_golden() {
         &SMALL_TANDEM,
         "tests/golden/small/faulted_tandem_small.txt",
     );
+}
+
+/// The full-size figure runs reproduce `tests/golden/` (see its README
+/// for the invocations).
+const FIGURE_SIM: [&str; 5] = ["--sim", "--reps", "2", "--slots", "6000"];
+
+#[test]
+#[ignore = "full-size run; exercised in the release CI step"]
+fn validate_matches_golden() {
+    assert_matches_golden(
+        "validate.json",
+        &["--reps", "2", "--slots", "11000"],
+        "tests/golden/validate.txt",
+    );
+}
+
+#[test]
+#[ignore = "full-size run; exercised in the release CI step"]
+fn fig2_matches_golden() {
+    assert_matches_golden("fig2.json", &FIGURE_SIM, "tests/golden/fig2.txt");
+}
+
+#[test]
+#[ignore = "full-size run; exercised in the release CI step"]
+fn fig3_matches_golden() {
+    assert_matches_golden("fig3.json", &FIGURE_SIM, "tests/golden/fig3.txt");
+}
+
+#[test]
+#[ignore = "full-size run; exercised in the release CI step"]
+fn fig4_matches_golden() {
+    assert_matches_golden("fig4.json", &FIGURE_SIM, "tests/golden/fig4.txt");
+}
+
+#[test]
+#[ignore = "full-size run; exercised in the release CI step"]
+fn ablation_matches_golden_modulo_timings() {
+    let expected = std::fs::read_to_string(repo_path("tests/golden/ablation.txt")).expect("golden");
+    let actual = run_scenario("ablation.json", &["--reps", "2", "--slots", "6000"]);
+    assert_eq!(mask_timings(&expected), mask_timings(&actual), "ablation diverged from its golden");
+}
+
+/// Strips the nondeterministic wall-clock fields from the ablation
+/// output: the two trailing `t(...)[µs]` columns of the ablation-1
+/// rows and every digit of the ablation-4 timing/speedup line. All
+/// other numbers (bounds, σ values, grid losses, the streaming-vs-
+/// exact comparison) are deterministic and compared exactly.
+fn mask_timings(text: &str) -> String {
+    let mut out = Vec::new();
+    let mut in_optimizer_table = false;
+    for line in text.lines() {
+        if line.starts_with("# Ablation") {
+            in_optimizer_table = line.starts_with("# Ablation 1");
+        }
+        let first = line.trim_start().chars().next();
+        let masked = if in_optimizer_table && first.is_some_and(|c| c.is_ascii_digit() || c == '-')
+        {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            fields[..fields.len().saturating_sub(2)].join(" ")
+        } else if line.starts_with("threads=") {
+            line.chars().map(|c| if c.is_ascii_digit() { '#' } else { c }).collect()
+        } else {
+            line.to_string()
+        };
+        out.push(masked);
+    }
+    out.join("\n")
+}
+
+/// `validate` writes every artifact: the Prometheus export, the Chrome
+/// trace, the JSONL event stream, the run manifest and the `--json`
+/// results document all exist and parse, and the run stays
+/// deterministic (same seed ⇒ byte-identical stdout and results JSON).
+/// The JSON checks use the in-repo validator.
+#[test]
+fn validate_emits_parsable_artifacts_and_stays_deterministic() {
+    // 11k slots = 10k warm-up + 1k measured: enough for every artifact
+    // while keeping the suite fast.
+    let base = ["--reps", "2", "--slots", "11000", "--threads", "2"];
+    let scratch = Scratch::new("validate-artifacts");
+    let paths = ["m.prom", "t.json", "e.jsonl", "v.json"].map(|name| scratch.path(name));
+    let mut args = base.to_vec();
+    for (flag, path) in
+        ["--metrics-out", "--trace-out", "--events-out", "--json"].iter().zip(&paths)
+    {
+        args.extend([*flag, path.as_str()]);
+    }
+    let first = run_scenario("validate.json", &args);
+
+    // Prometheus exposition: when instrumented, at least 10 distinct
+    // series spanning the simulator, solver, and min-plus namespaces.
+    let prom = scratch.read("m.prom");
+    let series: BTreeSet<&str> = prom
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.split(['{', ' ']).next().unwrap())
+        .collect();
+    if cfg!(feature = "telemetry") {
+        assert!(series.len() >= 10, "only {} distinct series: {series:?}", series.len());
+        for prefix in ["sim_", "core_", "minplus_", "mc_"] {
+            assert!(
+                series.iter().any(|s| s.starts_with(prefix)),
+                "no `{prefix}*` series in {series:?}"
+            );
+        }
+    }
+
+    // Chrome trace: valid JSON; instrumented builds must show the
+    // solver span hierarchy (path-level spans nested under the
+    // source-tandem root).
+    let trace = scratch.read("t.json");
+    nc_telemetry::json::validate(&trace).expect("trace JSON parses");
+    if cfg!(feature = "telemetry") {
+        for name in
+            ["core.source_tandem.delay_bound", "core.path.delay_bound", "core.path.gamma_grid"]
+        {
+            assert!(trace.contains(name), "trace lacks span `{name}`");
+        }
+    }
+
+    // JSONL event stream: every line is one JSON object.
+    let events = scratch.read("e.jsonl");
+    for (i, line) in events.lines().enumerate() {
+        nc_telemetry::json::validate(line).unwrap_or_else(|e| panic!("events line {}: {e}", i + 1));
+    }
+
+    // Run manifest: derived path, parses, lists every artifact.
+    let manifest = scratch.read("m.prom.manifest.json");
+    nc_telemetry::json::validate(&manifest).expect("manifest parses");
+    assert!(manifest.contains("\"binary\": \"validate\""));
+    for kind in ["\"metrics\"", "\"trace\"", "\"events\"", "\"results\""] {
+        assert!(manifest.contains(kind), "manifest lacks {kind} artifact");
+    }
+
+    // --json results: parses and carries the table plus the min-plus
+    // cross-check of two independent bound implementations.
+    let results = scratch.read("v.json");
+    nc_telemetry::json::validate(&results).expect("results JSON parses");
+    for key in ["\"sections\"", "\"scheduler\"", "\"minplus_check\"", "\"abs_diff\""] {
+        assert!(results.contains(key), "results lack {key}");
+    }
+
+    // Determinism: a second identical run (fresh paths) reproduces
+    // stdout and the results document byte for byte.
+    let repeat = Scratch::new("validate-repeat");
+    let results_again = repeat.path("v.json");
+    let mut args = base.to_vec();
+    args.extend(["--json", results_again.as_str()]);
+    let second = run_scenario("validate.json", &args);
+    assert_eq!(first, second, "stdout differs between identical runs");
+    assert_eq!(results, repeat.read("v.json"), "results JSON differs between runs");
 }
 
 /// A `validate`/`faulted` run that ends inside the warm-up would
@@ -213,7 +367,7 @@ fn prom_counter(text: &str, name: &str) -> Option<f64> {
 }
 
 /// `linksched simulate` fans replications across threads through the
-/// same Monte Carlo engine as the bench binaries; stdout (and thus the
+/// same Monte Carlo engine as `linksched run`; stdout (and thus the
 /// merged statistics) must be bitwise identical for any thread count.
 #[test]
 fn simulate_is_deterministic_across_thread_counts() {
@@ -393,8 +547,8 @@ fn resume_rejects_a_foreign_checkpoint() {
 }
 
 /// The typed error taxonomy maps failure classes to distinct exit
-/// codes: unreadable file (3), invalid scenario (4), infeasible
-/// analysis (7).
+/// codes: usage error (2), unreadable file (3), invalid scenario (4),
+/// infeasible analysis (7).
 #[test]
 fn exit_codes_distinguish_failure_classes() {
     let probe = |args: &[&str]| {
@@ -418,6 +572,13 @@ fn exit_codes_distinguish_failure_classes() {
     let out = probe(&["bench", "--smoke", "--filter", "no-such-workload"]);
     assert_eq!(out.status.code(), Some(2), "bench without --out is exit code 2");
     assert!(String::from_utf8_lossy(&out.stderr).contains("--out"));
+
+    // Only validation scenarios accept `--json`; a figure rejects it
+    // as a usage error (2).
+    let fig2 = repo_path("examples/scenarios/fig2.json");
+    let out = probe(&["run", &fig2, "--json", "x.json"]);
+    assert_eq!(out.status.code(), Some(2), "fig2 --json is exit code 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
 }
 
 /// Scenario files shipped in the repository must all parse (full runs
