@@ -98,6 +98,7 @@ pub const OVERLAY_EPS: f64 = 1e-3;
 ///
 /// # Errors
 ///
+/// [`Error::Sim`] if the options' fault plan does not match `hops`;
 /// [`Error::Runtime`] if a replication panicked.
 pub fn overlay_report(
     opts: &RunOpts,
@@ -116,7 +117,7 @@ pub fn overlay_report(
         packet_size: None,
     };
     let cell = format!("overlay-h{hops}-n{n_through}-c{n_cross}");
-    let report = opts.monte_carlo_cell(&[], &cell).run(cfg);
+    let report = opts.monte_carlo(&[]).run(cfg)?;
     tel::merge_global(&report.metrics);
     all_replications_ran(report, &cell)
 }

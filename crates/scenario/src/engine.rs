@@ -32,9 +32,8 @@ impl Engine {
     }
 
     /// The scenario's default options: `sim.reps`/`sim.slots`/`sim.seed`
-    /// from the file, the scenario's fault plan and name (the checkpoint
-    /// workload fingerprint), `--json` accepted only by validation
-    /// scenarios.
+    /// from the file, the scenario's fault plan, `--json` accepted only
+    /// by validation scenarios.
     pub fn default_opts(scenario: &Scenario) -> RunOpts {
         let mut opts = RunOpts::new(scenario.sim.reps, scenario.sim.slots);
         if let Some(seed) = scenario.sim.seed {
@@ -44,7 +43,6 @@ impl Engine {
             opts = opts.with_json();
         }
         opts.faults = scenario.faults.clone();
-        opts.workload = scenario.name.clone();
         opts
     }
 
@@ -52,13 +50,12 @@ impl Engine {
     ///
     /// Analysis results are bitwise-independent of the thread count
     /// and the telemetry feature; stdout is therefore reproducible byte
-    /// for byte for a fixed scenario + options — including runs resumed
-    /// from a checkpoint.
+    /// for byte for a fixed scenario + options.
     ///
     /// Failures surface as the typed [`Error`] taxonomy, so callers can
     /// map a `validate`/`faulted` run too short to pass its warm-up (a
-    /// usage error), a bad fault plan, a checkpoint mismatch, a runtime
-    /// failure, and an infeasible analysis onto distinct exit codes.
+    /// usage error), a bad fault plan, a runtime failure, and an
+    /// infeasible analysis onto distinct exit codes.
     pub fn run(self) -> Result<RunSummary, Error> {
         if let Experiment::Validate(_) | Experiment::Faulted(_) = &self.scenario.experiment {
             experiments::check_past_warmup(self.opts.slots)?;

@@ -2,9 +2,9 @@
 //!
 //! Every failure mode a scenario run can hit is a value here, and each
 //! class maps onto a distinct process exit code via
-//! [`Error::exit_code`] — so scripts (and the CI resilience job) can
-//! tell a bad scenario file from a checkpoint mismatch from a genuine
-//! runtime failure without parsing stderr.
+//! [`Error::exit_code`] — so scripts can tell a bad scenario file from
+//! an infeasible analysis from a genuine runtime failure without
+//! parsing stderr.
 
 use std::fmt;
 
@@ -28,9 +28,8 @@ pub enum Error {
         /// What is wrong with it.
         detail: String,
     },
-    /// A simulator-layer error: invalid fault configuration (exit
-    /// code 4 — it is a configuration problem) or a checkpoint that is
-    /// corrupt, mismatched, or unreadable (exit code 5).
+    /// A simulator-layer error: an invalid fault configuration (exit
+    /// code 4 — it is a configuration problem).
     Sim(nc_sim::Error),
     /// The run itself failed: artifact write errors, empty statistics,
     /// and other execution problems (exit code 6).
@@ -49,16 +48,17 @@ impl Error {
     /// | 2 | command-line usage |
     /// | 3 | scenario file I/O |
     /// | 4 | scenario parse/validation (incl. fault config, bad analysis inputs) |
-    /// | 5 | checkpoint corrupt/mismatch/I/O |
     /// | 6 | runtime failure |
     /// | 7 | analysis infeasible / non-finite |
+    ///
+    /// Code 5 is retired and no longer produced; 6 and 7 keep their
+    /// numbers so scripts written against them still work.
     pub fn exit_code(&self) -> u8 {
         match self {
             Error::Usage(_) => 2,
             Error::Io { .. } => 3,
             Error::Scenario { .. } => 4,
-            Error::Sim(nc_sim::Error::FaultConfig(_)) => 4,
-            Error::Sim(_) => 5,
+            Error::Sim(_) => 4,
             Error::Runtime(_) => 6,
             Error::Analysis(nc_core::Error::InvalidInput(_)) => 4,
             Error::Analysis(_) => 7,
@@ -117,8 +117,6 @@ mod tests {
             }
             .exit_code(),
             Error::Scenario { path: None, detail: "d".into() }.exit_code(),
-            Error::Sim(nc_sim::Error::Checkpoint { path: "c".into(), detail: "bad".into() })
-                .exit_code(),
             Error::Runtime("r".into()).exit_code(),
             Error::Analysis(nc_core::Error::Infeasible).exit_code(),
         ];
@@ -126,7 +124,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), codes.len(), "exit codes collide: {codes:?}");
-        assert_eq!(codes, [2, 3, 4, 5, 6, 7]);
+        assert_eq!(codes, [2, 3, 4, 6, 7]);
     }
 
     #[test]

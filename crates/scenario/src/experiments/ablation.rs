@@ -160,14 +160,14 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     };
     // (a) Wall-clock vs thread count; merged statistics must be
     // bitwise-identical across runs.
-    let seq = opts.monte_carlo_cell(&[], "engine-seq").threads(1);
+    let seq = opts.monte_carlo(&[]).threads(1);
     let t0 = Instant::now();
-    let mut merged_seq = all_replications_ran(seq.run(cfg), "engine-seq")?;
+    let mut merged_seq = all_replications_ran(seq.run(cfg)?, "engine-seq")?;
     let t_seq = t0.elapsed();
-    let par = opts.monte_carlo_cell(&[], "engine-par");
+    let par = opts.monte_carlo(&[]);
     let workers = par.effective_threads();
     let t1 = Instant::now();
-    let mut merged_par = all_replications_ran(par.run(cfg), "engine-par")?;
+    let mut merged_par = all_replications_ran(par.run(cfg)?, "engine-par")?;
     let t_par = t1.elapsed();
     nc_telemetry::merge_global(&merged_seq.metrics);
     nc_telemetry::merge_global(&merged_par.metrics);
@@ -186,7 +186,7 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     );
     // (b) Streaming reservoir vs exact collection: moments must agree
     // exactly, quantiles up to reservoir resolution.
-    let exact = MonteCarlo::new(opts.reps, opts.slots, opts.seed).threads(opts.threads).run(cfg);
+    let exact = MonteCarlo::new(opts.reps, opts.slots, opts.seed).threads(opts.threads).run(cfg)?;
     let mut exact = all_replications_ran(exact, "engine-exact")?;
     let mean_gap =
         (merged_par.merged.mean().unwrap_or(0.0) - exact.merged.mean().unwrap_or(0.0)).abs();

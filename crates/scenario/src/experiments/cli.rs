@@ -113,15 +113,15 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
     let mut stats = if opts.reps > 1 {
         // Replicated run through the Monte Carlo engine: per-rep seeds
         // derive from the master seed, the merge is bitwise-identical
-        // for every thread count, and fault injection / checkpointing /
-        // resume follow the options.
+        // for every thread count, and fault injection follows the
+        // options.
         let mc = opts.monte_carlo_exact();
         let report = match &p.capacities {
-            None => mc.try_run(cfg)?,
+            None => mc.run(cfg)?,
             Some(caps) => {
                 let faults = opts.faults.as_ref();
                 let collect = opts.wants_metrics();
-                mc.try_run_instrumented(|_, seed| {
+                mc.run_instrumented(|_, seed| {
                     let mut sim = TandemSim::with_capacities_and_faults(cfg, caps, faults, seed)
                         .expect("fault plan validated against cfg.hops above");
                     if collect {
@@ -131,19 +131,14 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
                     let metrics =
                         if collect { sim.metrics() } else { nc_telemetry::MetricSet::new() };
                     (stats, metrics)
-                })?
+                })
             }
         };
-        if report.resumed > 0 {
-            eprintln!("resumed {} finished replication(s) from checkpoint", report.resumed);
-        }
         nc_telemetry::merge_global(&report.metrics);
         all_replications_ran(report, "simulate")?.merged
     } else {
         // Single replication: the seed is used directly, matching the
-        // historical `linksched simulate` behaviour. (Checkpointing is
-        // per finished replication, so a 1-rep run has nothing to
-        // checkpoint.)
+        // historical `linksched simulate` behaviour.
         let uniform = vec![p.capacity; p.hops];
         let caps = p.capacities.as_deref().unwrap_or(&uniform);
         let mut sim =

@@ -47,7 +47,7 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
         "scheduler", "bound", "clean P(W>d)", "fault P(W>d)", "fault q(1-eps)", "note"
     );
     // The same options minus the fault plan drive the clean baseline,
-    // so seeds, thread count, and checkpoint flags stay aligned.
+    // so seeds and thread count stay aligned.
     let mut clean_opts = opts.clone();
     clean_opts.faults = None;
     for case in &p.schedulers {
@@ -113,7 +113,7 @@ fn run_cell(
     cell: &str,
 ) -> Result<MonteCarloReport, Error> {
     let thresholds: Vec<f64> = bound.into_iter().collect();
-    let report = opts.monte_carlo_cell(&thresholds, cell).try_run(cfg)?;
+    let report = opts.monte_carlo(&thresholds).run(cfg)?;
     nc_telemetry::merge_global(&report.metrics);
     all_replications_ran(report, cell)
 }

@@ -195,7 +195,7 @@ fn run_cell(
     cell: &str,
 ) -> Result<MonteCarloReport, Error> {
     let thresholds: Vec<f64> = bound.into_iter().collect();
-    let report = opts.monte_carlo_cell(&thresholds, cell).run(cfg);
+    let report = opts.monte_carlo(&thresholds).run(cfg)?;
     nc_telemetry::merge_global(&report.metrics);
     all_replications_ran(report, cell)
 }

@@ -1,6 +1,6 @@
 //! Command-line options of `linksched run`, shared by every scenario.
 
-use nc_sim::{CheckpointCfg, FaultPlan, MonteCarlo};
+use nc_sim::{FaultPlan, MonteCarlo};
 use std::str::FromStr;
 
 /// Usage text for the options shared by every scenario run.
@@ -11,13 +11,6 @@ pub const USAGE: &str = "options:
   --slots N         simulated slots per replication
   --sim             add simulated-quantile overlay columns (figure scenarios)
   --progress        live replication progress + ETA on stderr
-  --checkpoint P    write crash-safe Monte Carlo checkpoints to P
-                    (multi-cell experiments derive per-cell siblings)
-  --checkpoint-every N
-                    checkpoint after every N finished replications
-                    (default 1 when --checkpoint is given)
-  --resume          resume from the checkpoint file instead of
-                    recomputing finished replications
   --metrics-out P   write Prometheus text-format metrics to P
   --trace-out P     write a Chrome trace_event JSON profile to P
   --events-out P    write a JSONL telemetry event stream to P
@@ -66,17 +59,6 @@ pub struct RunOpts {
     /// Fault plan applied to every simulation (from the scenario's
     /// `faults` block; never set from the command line).
     pub faults: Option<FaultPlan>,
-    /// Base checkpoint path (`--checkpoint`); `None` disables
-    /// checkpointing.
-    pub checkpoint: Option<String>,
-    /// Checkpoint cadence in finished replications
-    /// (`--checkpoint-every`; `0` = default of 1 when a path is set).
-    pub checkpoint_every: usize,
-    /// Whether to resume from existing checkpoints (`--resume`).
-    pub resume: bool,
-    /// Workload fingerprint tag baked into checkpoints (the scenario
-    /// name; a checkpoint from a different scenario is rejected).
-    pub workload: String,
 }
 
 impl RunOpts {
@@ -98,10 +80,6 @@ impl RunOpts {
             json: None,
             accepts_json: false,
             faults: None,
-            checkpoint: None,
-            checkpoint_every: 0,
-            resume: false,
-            workload: String::new(),
         }
     }
 
@@ -123,11 +101,6 @@ impl RunOpts {
                 "--slots" => self.slots = value(&mut it, "--slots")?,
                 "--sim" => self.sim = true,
                 "--progress" => self.progress = true,
-                "--checkpoint" => self.checkpoint = Some(value(&mut it, "--checkpoint")?),
-                "--checkpoint-every" => {
-                    self.checkpoint_every = value(&mut it, "--checkpoint-every")?
-                }
-                "--resume" => self.resume = true,
                 "--metrics-out" => self.metrics_out = Some(value(&mut it, "--metrics-out")?),
                 "--trace-out" => self.trace_out = Some(value(&mut it, "--trace-out")?),
                 "--events-out" => self.events_out = Some(value(&mut it, "--events-out")?),
@@ -142,9 +115,6 @@ impl RunOpts {
         }
         if self.slots == 0 {
             return Err("--slots must be positive".to_string());
-        }
-        if self.checkpoint.is_none() && (self.checkpoint_every > 0 || self.resume) {
-            return Err("--checkpoint-every/--resume need --checkpoint <path>".to_string());
         }
         Ok(self)
     }
@@ -179,79 +149,22 @@ impl RunOpts {
     /// A streaming Monte Carlo plan per these options, tracking the
     /// given thresholds exactly (pass the analytical bounds here so the
     /// reported violation fractions are exact, not reservoir-estimated).
-    /// Progress reporting, metric collection, fault injection, and
-    /// checkpointing follow the flags.
+    /// Progress reporting, metric collection and fault injection follow
+    /// the flags.
     pub fn monte_carlo(&self, thresholds: &[f64]) -> MonteCarlo {
-        self.robustness(
-            MonteCarlo::new(self.reps, self.slots, self.seed)
-                .threads(self.threads)
-                .streaming(thresholds)
-                .progress(self.progress)
-                .collect_metrics(self.wants_metrics()),
-            None,
-        )
-    }
-
-    /// [`RunOpts::monte_carlo`] for one cell of a multi-cell experiment:
-    /// the checkpoint path and workload fingerprint get a per-cell
-    /// suffix, so cells neither clobber each other's files nor resume
-    /// from one another's statistics.
-    pub fn monte_carlo_cell(&self, thresholds: &[f64], cell: &str) -> MonteCarlo {
-        self.robustness(
-            MonteCarlo::new(self.reps, self.slots, self.seed)
-                .threads(self.threads)
-                .streaming(thresholds)
-                .progress(self.progress)
-                .collect_metrics(self.wants_metrics()),
-            Some(cell),
-        )
+        self.monte_carlo_exact().streaming(thresholds)
     }
 
     /// A Monte Carlo plan in exact-collection mode (every sample kept;
-    /// the `simulate` experiment's historical behaviour), with fault
-    /// injection and checkpointing per the flags.
+    /// the `simulate` experiment's historical behaviour), with progress,
+    /// metric collection and fault injection per the flags.
     pub fn monte_carlo_exact(&self) -> MonteCarlo {
-        self.robustness(
-            MonteCarlo::new(self.reps, self.slots, self.seed)
-                .threads(self.threads)
-                .progress(self.progress)
-                .collect_metrics(self.wants_metrics()),
-            None,
-        )
+        MonteCarlo::new(self.reps, self.slots, self.seed)
+            .threads(self.threads)
+            .progress(self.progress)
+            .collect_metrics(self.wants_metrics())
+            .faults(self.faults.clone())
     }
-
-    /// The per-cell checkpoint configuration, or `None` when
-    /// checkpointing is off. Exposed so call sites can report the
-    /// effective path.
-    pub fn checkpoint_cfg(&self, cell: Option<&str>) -> Option<CheckpointCfg> {
-        let base = self.checkpoint.as_ref()?;
-        let path = match cell {
-            None => base.clone(),
-            Some(tag) => format!("{base}.{}", slug(tag)),
-        };
-        let workload = match cell {
-            None => self.workload.clone(),
-            Some(tag) => format!("{}/{tag}", self.workload),
-        };
-        let every = if self.checkpoint_every == 0 { 1 } else { self.checkpoint_every };
-        Some(CheckpointCfg::new(path, every).workload(workload))
-    }
-
-    fn robustness(&self, mut mc: MonteCarlo, cell: Option<&str>) -> MonteCarlo {
-        mc = mc.faults(self.faults.clone());
-        if let Some(cfg) = self.checkpoint_cfg(cell) {
-            mc = mc.checkpoint(cfg).resume(self.resume);
-        }
-        mc
-    }
-}
-
-/// Filesystem-safe cell tag: lowercase alphanumerics, everything else
-/// collapsed to `-`.
-fn slug(tag: &str) -> String {
-    tag.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '-' })
-        .collect()
 }
 
 fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String> {
@@ -342,44 +255,5 @@ mod tests {
         let mc = o.monte_carlo(&[5.0]);
         assert_eq!((mc.reps, mc.threads, mc.slots), (3, 2, 1_000));
         assert_eq!(mc.seeds().len(), 3);
-    }
-
-    #[test]
-    fn runopts_checkpoint_flags() {
-        let o = RunOpts::new(4, 100)
-            .parse(args(&["--checkpoint", "run.ckpt", "--checkpoint-every", "3", "--resume"]))
-            .unwrap();
-        assert_eq!(o.checkpoint.as_deref(), Some("run.ckpt"));
-        assert_eq!(o.checkpoint_every, 3);
-        assert!(o.resume);
-        // --checkpoint alone defaults to a checkpoint after every rep.
-        let o = RunOpts::new(4, 100).parse(args(&["--checkpoint", "run.ckpt"])).unwrap();
-        let cfg = o.checkpoint_cfg(None).expect("checkpointing is on");
-        assert_eq!((cfg.path.as_str(), cfg.every), ("run.ckpt", 1));
-        assert!(RunOpts::new(4, 100).parse(args(&[])).unwrap().checkpoint_cfg(None).is_none());
-    }
-
-    #[test]
-    fn runopts_checkpoint_dependent_flags_need_a_path() {
-        assert!(RunOpts::new(4, 100).parse(args(&["--resume"])).is_err());
-        assert!(RunOpts::new(4, 100).parse(args(&["--checkpoint-every", "2"])).is_err());
-    }
-
-    #[test]
-    fn checkpoint_cells_get_distinct_paths_and_workloads() {
-        let mut o = RunOpts::new(4, 100)
-            .parse(args(&["--checkpoint", "/tmp/v.ckpt", "--checkpoint-every", "2"]))
-            .unwrap();
-        o.workload = "validate".into();
-        let a = o.checkpoint_cfg(Some("h2-n40-c60-FIFO")).unwrap();
-        let b = o.checkpoint_cfg(Some("h2-n40-c60-EDF(10,40)")).unwrap();
-        // Sweep cells must never clobber or resume each other's stats.
-        assert_ne!(a.path, b.path);
-        assert_ne!(a.workload, b.workload);
-        assert_eq!(a.path, "/tmp/v.ckpt.h2-n40-c60-fifo");
-        assert_eq!(a.workload, "validate/h2-n40-c60-FIFO");
-        assert_eq!(a.every, 2);
-        // The single-run form keeps the base path.
-        assert_eq!(o.checkpoint_cfg(None).unwrap().path, "/tmp/v.ckpt");
     }
 }

@@ -1,64 +1,25 @@
 //! Typed errors for the simulator crate.
 //!
-//! Invalid fault configurations and checkpoint problems surface as
-//! values instead of panics so callers (the scenario engine, the CLI)
-//! can map them onto distinct process exit codes.
+//! Invalid fault configurations surface as values instead of panics so
+//! callers (the scenario engine, the CLI) can map them onto distinct
+//! process exit codes.
 
 use std::fmt;
 
-/// Everything that can go wrong constructing or resuming a simulation.
+/// Everything that can go wrong constructing a simulation.
 #[derive(Debug)]
 pub enum Error {
     /// A fault model or plan failed validation (probability outside
     /// `[0, 1]`, non-finite factor, plan/topology mismatch, …).
     FaultConfig(String),
-    /// A checkpoint file exists but cannot be parsed or is internally
-    /// inconsistent.
-    Checkpoint {
-        /// Checkpoint file path.
-        path: String,
-        /// What went wrong.
-        detail: String,
-    },
-    /// A checkpoint was written by a different run configuration
-    /// (seed, replication count, slots, stats mode, or workload).
-    CheckpointMismatch {
-        /// Checkpoint file path.
-        path: String,
-        /// Which fingerprint field disagreed.
-        detail: String,
-    },
-    /// Reading or writing a checkpoint file failed at the I/O layer.
-    CheckpointIo {
-        /// Checkpoint file path.
-        path: String,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::FaultConfig(msg) => write!(f, "invalid fault configuration: {msg}"),
-            Error::Checkpoint { path, detail } => {
-                write!(f, "corrupt checkpoint {path}: {detail}")
-            }
-            Error::CheckpointMismatch { path, detail } => {
-                write!(f, "checkpoint {path} belongs to a different run: {detail}")
-            }
-            Error::CheckpointIo { path, source } => {
-                write!(f, "checkpoint I/O error on {path}: {source}")
-            }
         }
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::CheckpointIo { source, .. } => Some(source),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for Error {}

@@ -46,7 +46,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod binomial;
-mod checkpoint;
 mod error;
 mod faults;
 mod montecarlo;
@@ -57,7 +56,6 @@ mod source;
 mod stats;
 mod tandem;
 
-pub use checkpoint::{Checkpoint, CheckpointCfg};
 pub use error::Error;
 pub use faults::{FaultCounters, FaultInjector, FaultModel, FaultPlan};
 pub use montecarlo::{MonteCarlo, MonteCarloReport, StatsMode, DEFAULT_RESERVOIR};

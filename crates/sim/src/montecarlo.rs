@@ -32,17 +32,16 @@
 //!     ..SimConfig::default()
 //! };
 //! let mc = MonteCarlo::new(4, 5_000, 42);
-//! let mut report = mc.run(cfg);
+//! let mut report = mc.run(cfg).expect("no fault plan to mismatch");
 //! assert_eq!(report.per_rep.len(), 4);
 //! assert!(report.merged.len() > 10_000);
 //! let (lo, hi) = report.quantile_spread(0.99).unwrap();
 //! assert!(lo <= hi);
 //! ```
 
-use crate::checkpoint::{Checkpoint, CheckpointCfg};
 use crate::error::Error;
 use crate::faults::FaultPlan;
-use crate::stats::{DelayStats, StatsState};
+use crate::stats::DelayStats;
 use crate::tandem::{SimConfig, TandemSim};
 use nc_telemetry::{Histogram, MetricSet};
 use rand::splitmix64;
@@ -51,17 +50,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Per-replication outcome: statistics, telemetry shard, wall seconds,
-/// and whether the replication completed without panicking.
-type RepResult = (DelayStats, MetricSet, f64, bool);
-
-/// Shared checkpoint-writer state: how many completed replications the
-/// last written checkpoint covered, and the first write error (writes
-/// stop after the first failure; the error surfaces when the run ends).
-struct WriterState {
-    last_written: usize,
-    error: Option<Error>,
-}
+/// Per-replication outcome: statistics, telemetry shard, wall seconds.
+type RepResult = (DelayStats, MetricSet, f64);
 
 /// Default reservoir capacity per replication for streaming runs:
 /// large enough that the merged reservoir still resolves the 10⁻³
@@ -107,14 +97,9 @@ pub struct MonteCarlo {
     /// `telemetry` feature compiled in).
     pub collect_metrics: bool,
     /// Optional fault plan injected into every replication's tandem
-    /// (applies to [`MonteCarlo::run`]/[`MonteCarlo::try_run`], which
-    /// construct the simulators; custom jobs inject their own faults).
+    /// (applies to [`MonteCarlo::run`], which constructs the
+    /// simulators; custom jobs inject their own faults).
     pub faults: Option<FaultPlan>,
-    /// Optional crash-safe checkpointing of completed replications.
-    pub checkpoint: Option<CheckpointCfg>,
-    /// Load the checkpoint file before running and skip the
-    /// replications it records as completed.
-    pub resume: bool,
 }
 
 impl MonteCarlo {
@@ -134,29 +119,12 @@ impl MonteCarlo {
             progress: false,
             collect_metrics: false,
             faults: None,
-            checkpoint: None,
-            resume: false,
         }
     }
 
     /// Attaches (or clears) a fault plan for the built-in tandem runs.
     pub fn faults(mut self, plan: Option<FaultPlan>) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Enables periodic crash-safe checkpoints of completed
-    /// replications.
-    pub fn checkpoint(mut self, cfg: CheckpointCfg) -> Self {
-        self.checkpoint = Some(cfg);
-        self
-    }
-
-    /// Enables or disables resuming from the checkpoint file. Requires
-    /// a [`MonteCarlo::checkpoint`] config (for the path), and the file
-    /// must exist and fingerprint-match the run.
-    pub fn resume(mut self, on: bool) -> Self {
-        self.resume = on;
         self
     }
 
@@ -230,23 +198,14 @@ impl MonteCarlo {
     /// [`MonteCarlo::collect_metrics`], the per-replication simulator
     /// telemetry).
     ///
-    /// # Panics
-    ///
-    /// Panics on fault-plan/topology mismatch and on checkpoint
-    /// errors; [`MonteCarlo::try_run`] is the fallible variant.
-    pub fn run(&self, cfg: SimConfig) -> MonteCarloReport {
-        self.try_run(cfg).unwrap_or_else(|e| panic!("Monte Carlo run failed: {e}"))
-    }
-
-    /// [`MonteCarlo::run`], with fault injection, checkpointing, and
-    /// resume surfacing their failures as typed [`Error`]s instead of
-    /// panics.
-    pub fn try_run(&self, cfg: SimConfig) -> Result<MonteCarloReport, Error> {
+    /// Fails with [`Error::FaultConfig`] if the fault plan does not
+    /// match `cfg.hops`; nothing else about the run can fail.
+    pub fn run(&self, cfg: SimConfig) -> Result<MonteCarloReport, Error> {
         if let Some(plan) = &self.faults {
             plan.check_hops(cfg.hops)?;
         }
         let collect = self.collect_metrics;
-        self.try_run_instrumented(|_, seed| {
+        Ok(self.run_instrumented(|_, seed| {
             let mut sim = match &self.faults {
                 Some(plan) => TandemSim::with_faults(cfg, plan, seed)
                     .expect("fault plan validated against cfg.hops above"),
@@ -259,7 +218,7 @@ impl MonteCarlo {
             let stats = sim.run(self.slots);
             let metrics = if collect { sim.metrics() } else { MetricSet::new() };
             (stats, metrics)
-        })
+        }))
     }
 
     /// Runs an arbitrary per-replication job `(rep index, seed) →
@@ -278,8 +237,8 @@ impl MonteCarlo {
     ///
     /// # Panics
     ///
-    /// Panics on checkpoint errors, or (in streaming mode) if the job
-    /// returns collectors with mismatched thresholds.
+    /// Panics (in streaming mode) if the job returns collectors with
+    /// mismatched thresholds.
     pub fn run_with<F>(&self, job: F) -> MonteCarloReport
     where
         F: Fn(usize, u64) -> DelayStats + Sync,
@@ -296,37 +255,20 @@ impl MonteCarlo {
     where
         F: Fn(usize, u64) -> (DelayStats, MetricSet) + Sync,
     {
-        self.try_run_instrumented(job).unwrap_or_else(|e| panic!("Monte Carlo run failed: {e}"))
-    }
-
-    /// [`MonteCarlo::run_instrumented`] with checkpoint/resume errors
-    /// surfaced as typed [`Error`]s instead of panics.
-    pub fn try_run_instrumented<F>(&self, job: F) -> Result<MonteCarloReport, Error>
-    where
-        F: Fn(usize, u64) -> (DelayStats, MetricSet) + Sync,
-    {
         let t0 = Instant::now();
         let seeds = self.seeds();
-        let preloaded = self.load_resume_state(&seeds)?;
-        let skip: Vec<bool> = preloaded.iter().map(Option::is_some).collect();
-        let resumed = skip.iter().filter(|s| **s).count();
         let workers = self.effective_threads();
         let next = AtomicUsize::new(0);
-        let done = AtomicUsize::new(resumed);
+        let done = AtomicUsize::new(0);
         let panicked = AtomicUsize::new(0);
         let finished_workers = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<RepResult>>> = Mutex::new(
-            preloaded
-                .into_iter()
-                .map(|p| p.map(|stats| (stats, MetricSet::new(), 0.0, true)))
-                .collect(),
-        );
-        let writer = Mutex::new(WriterState { last_written: resumed, error: None });
+        let results: Mutex<Vec<Option<RepResult>>> =
+            Mutex::new(std::iter::repeat_with(|| None).take(self.reps).collect());
         let busy: Mutex<Vec<f64>> = Mutex::new(vec![0.0; workers]);
         std::thread::scope(|scope| {
-            let (job, seeds, skip) = (&job, &seeds, &skip);
+            let (job, seeds) = (&job, &seeds);
             let (next, done, finished) = (&next, &done, &finished_workers);
-            let (results, busy, writer, panicked) = (&results, &busy, &writer, &panicked);
+            let (results, busy, panicked) = (&results, &busy, &panicked);
             for w in 0..workers {
                 scope.spawn(move || {
                     let mut my_busy = 0.0;
@@ -334,10 +276,6 @@ impl MonteCarlo {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= seeds.len() {
                             break;
-                        }
-                        if skip[i] {
-                            // Preloaded from the resume checkpoint.
-                            continue;
                         }
                         let rep_start = Instant::now();
                         // Panic isolation: one poisoned replication
@@ -347,17 +285,13 @@ impl MonteCarlo {
                             std::panic::catch_unwind(AssertUnwindSafe(|| job(i, seeds[i])));
                         let secs = rep_start.elapsed().as_secs_f64();
                         my_busy += secs;
-                        let (stats, metrics, ok) = match outcome {
-                            Ok((stats, metrics)) => (stats, metrics, true),
-                            Err(_) => {
-                                panicked.fetch_add(1, Ordering::Relaxed);
-                                (self.collector(), MetricSet::new(), false)
-                            }
-                        };
+                        let (stats, metrics) = outcome.unwrap_or_else(|_| {
+                            panicked.fetch_add(1, Ordering::Relaxed);
+                            (self.collector(), MetricSet::new())
+                        });
                         results.lock().expect("result mutex poisoned")[i] =
-                            Some((stats, metrics, secs, ok));
-                        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        self.maybe_checkpoint(d, seeds, results, writer);
+                            Some((stats, metrics, secs));
+                        done.fetch_add(1, Ordering::Relaxed);
                     }
                     busy.lock().expect("busy mutex poisoned")[w] = my_busy;
                     finished.fetch_add(1, Ordering::Release);
@@ -368,22 +302,16 @@ impl MonteCarlo {
             }
         });
         let wall = t0.elapsed().as_secs_f64();
-        let ws = writer.into_inner().expect("writer mutex poisoned");
-        if let Some(e) = ws.error {
-            return Err(e);
-        }
         let mut per_rep = Vec::with_capacity(self.reps);
         let mut metrics = MetricSet::new();
         let mut rep_seconds = Histogram::new();
         let slots = results.into_inner().expect("result mutex poisoned");
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (stats, shard, secs, _) = slot.expect("worker completed every claimed replication");
+        for slot in slots {
+            let (stats, shard, secs) = slot.expect("worker completed every claimed replication");
             // Replication order: merged metrics are deterministic in
             // structure regardless of which thread ran which rep.
             metrics.merge(&shard);
-            if !skip[i] {
-                rep_seconds.record(secs);
-            }
+            rep_seconds.record(secs);
             per_rep.push(stats);
         }
         // Merge in replication order: determinism does not depend on
@@ -394,9 +322,6 @@ impl MonteCarlo {
         }
         let panicked = panicked.into_inner();
         metrics.counter_add("mc_replications_total", &[], self.reps as u64);
-        if resumed > 0 {
-            metrics.counter_add("mc_replications_resumed_total", &[], resumed as u64);
-        }
         if panicked > 0 {
             metrics.counter_add("mc_replications_panicked_total", &[], panicked as u64);
         }
@@ -414,126 +339,7 @@ impl MonteCarlo {
                 metrics.gauge_set("mc_worker_utilization_ratio", &labels, *b / wall);
             }
         }
-        Ok(MonteCarloReport { per_rep, merged, metrics, resumed, panicked })
-    }
-
-    /// Loads the resume checkpoint (when [`MonteCarlo::resume`] is
-    /// set), validates its fingerprint and per-replication seeds, and
-    /// rebuilds the completed collectors by replication index.
-    ///
-    /// A *missing* checkpoint file is not an error: it means no
-    /// replication finished before the previous run died (or this cell
-    /// of a multi-cell sweep was never reached), so the run starts
-    /// fresh. Any other load failure — unreadable, corrupt, or
-    /// mismatched — is surfaced, never silently discarded.
-    fn load_resume_state(&self, seeds: &[u64]) -> Result<Vec<Option<DelayStats>>, Error> {
-        let mut preloaded: Vec<Option<DelayStats>> = vec![None; self.reps];
-        if !self.resume {
-            return Ok(preloaded);
-        }
-        let cfg = self.checkpoint.as_ref().ok_or_else(|| Error::Checkpoint {
-            path: String::new(),
-            detail: "resume requested without a checkpoint config".into(),
-        })?;
-        let cp = match Checkpoint::load(&cfg.path) {
-            Ok(cp) => cp,
-            Err(Error::CheckpointIo { ref source, .. })
-                if source.kind() == std::io::ErrorKind::NotFound =>
-            {
-                return Ok(preloaded);
-            }
-            Err(e) => return Err(e),
-        };
-        if let Some(detail) =
-            cp.mismatch(self.master_seed, self.reps, self.slots, &self.mode, &cfg.workload)
-        {
-            return Err(Error::CheckpointMismatch { path: cfg.path.clone(), detail });
-        }
-        for (rep, seed, state) in cp.completed {
-            if seeds[rep] != seed {
-                return Err(Error::CheckpointMismatch {
-                    path: cfg.path.clone(),
-                    detail: format!("replication {rep} seed does not match the master sequence"),
-                });
-            }
-            self.check_state_mode(&state)
-                .and_then(|()| DelayStats::from_state(state))
-                .map(|stats| preloaded[rep] = Some(stats))
-                .map_err(|detail| Error::Checkpoint { path: cfg.path.clone(), detail })?;
-        }
-        Ok(preloaded)
-    }
-
-    /// A completed entry's collector must agree with the run's stats
-    /// mode, or the index-order merge would panic or lose determinism.
-    fn check_state_mode(&self, state: &StatsState) -> Result<(), String> {
-        match &self.mode {
-            StatsMode::Exact => {
-                if state.reservoir.is_some() {
-                    return Err("streaming statistics in an exact-mode checkpoint".into());
-                }
-            }
-            StatsMode::Streaming { reservoir, thresholds } => {
-                let cap_ok = state.reservoir.is_some_and(|(cap, _)| cap == *reservoir);
-                let thr_ok = state.thresholds.len() == thresholds.len()
-                    && state.thresholds.iter().zip(thresholds).all(|(&(d, _), t)| d == t.to_bits());
-                if !cap_ok || !thr_ok {
-                    return Err(
-                        "completed statistics disagree with the fingerprint's streaming mode"
-                            .into(),
-                    );
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes a checkpoint covering every completed replication when
-    /// `completions` has advanced by at least
-    /// [`CheckpointCfg::every`] since the last write. Uses `try_lock`
-    /// so checkpointing never serializes the workers — when another
-    /// thread is mid-write, this completion simply rides along with
-    /// the next write.
-    fn maybe_checkpoint(
-        &self,
-        completions: usize,
-        seeds: &[u64],
-        results: &Mutex<Vec<Option<RepResult>>>,
-        writer: &Mutex<WriterState>,
-    ) {
-        let Some(cfg) = &self.checkpoint else { return };
-        if cfg.every == 0 {
-            return;
-        }
-        let Ok(mut ws) = writer.try_lock() else { return };
-        if ws.error.is_some() || completions < ws.last_written + cfg.every {
-            return;
-        }
-        let completed: Vec<(usize, u64, StatsState)> = {
-            let r = results.lock().expect("result mutex poisoned");
-            r.iter()
-                .enumerate()
-                .filter_map(|(i, slot)| match slot {
-                    // Panicked replications are *not* checkpointed:
-                    // a resumed run retries them.
-                    Some((stats, _, _, true)) => Some((i, seeds[i], stats.state())),
-                    _ => None,
-                })
-                .collect()
-        };
-        let covered = completed.len();
-        let mut cp = Checkpoint::empty(
-            self.master_seed,
-            self.reps,
-            self.slots,
-            self.mode.clone(),
-            &cfg.workload,
-        );
-        cp.completed = completed;
-        match cp.save(&cfg.path) {
-            Ok(()) => ws.last_written = covered,
-            Err(e) => ws.error = Some(e),
-        }
+        MonteCarloReport { per_rep, merged, metrics, panicked }
     }
 
     /// Progress loop (runs on its own thread inside the worker scope):
@@ -583,9 +389,6 @@ pub struct MonteCarloReport {
     /// every simulator telemetry shard (`sim_*`). Empty without the
     /// `telemetry` feature.
     pub metrics: MetricSet,
-    /// Replications preloaded from a resume checkpoint instead of
-    /// being re-run.
-    pub resumed: usize,
     /// Replications that panicked and contributed empty statistics:
     /// the run is degraded (also exported as the
     /// `mc_replications_panicked_total` counter).
@@ -659,7 +462,7 @@ mod tests {
     #[test]
     fn merged_equals_manual_merge_of_reps() {
         let mc = MonteCarlo::new(3, 2_000, 7).threads(2);
-        let mut report = mc.run(cfg());
+        let mut report = mc.run(cfg()).unwrap();
         let mut manual = DelayStats::new();
         for rep in &report.per_rep {
             manual.merge(rep);
@@ -673,7 +476,7 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let run = |threads: usize| {
             let mc = MonteCarlo::new(6, 2_000, 99).threads(threads).streaming(&[5.0]);
-            let mut r = mc.run(cfg());
+            let mut r = mc.run(cfg()).unwrap();
             (
                 r.merged.len(),
                 r.merged.mean().unwrap().to_bits(),
@@ -691,15 +494,15 @@ mod tests {
 
     #[test]
     fn different_master_seeds_differ() {
-        let a = MonteCarlo::new(2, 2_000, 1).run(cfg());
-        let b = MonteCarlo::new(2, 2_000, 2).run(cfg());
+        let a = MonteCarlo::new(2, 2_000, 1).run(cfg()).unwrap();
+        let b = MonteCarlo::new(2, 2_000, 2).run(cfg()).unwrap();
         assert_ne!(a.merged.mean(), b.merged.mean());
     }
 
     #[test]
     fn spreads_bracket_merged_point_estimates() {
         let mc = MonteCarlo::new(5, 4_000, 11);
-        let mut report = mc.run(cfg());
+        let mut report = mc.run(cfg()).unwrap();
         let q = 0.99;
         let (lo, hi) = report.quantile_spread(q).unwrap();
         let merged_q = report.merged.quantile(q).unwrap();
@@ -727,7 +530,7 @@ mod tests {
     #[test]
     fn collect_metrics_merges_sim_shards_deterministically() {
         let run = |threads| {
-            MonteCarlo::new(5, 2_000, 3).threads(threads).collect_metrics(true).run(cfg())
+            MonteCarlo::new(5, 2_000, 3).threads(threads).collect_metrics(true).run(cfg()).unwrap()
         };
         let a = run(1);
         let b = run(4);
@@ -744,8 +547,8 @@ mod tests {
 
     #[test]
     fn progress_reporting_does_not_disturb_results() {
-        let quiet = MonteCarlo::new(3, 1_000, 21).run(cfg());
-        let chatty = MonteCarlo::new(3, 1_000, 21).progress(true).run(cfg());
+        let quiet = MonteCarlo::new(3, 1_000, 21).run(cfg()).unwrap();
+        let chatty = MonteCarlo::new(3, 1_000, 21).progress(true).run(cfg()).unwrap();
         assert_eq!(quiet.merged.len(), chatty.merged.len());
         assert_eq!(quiet.merged.mean(), chatty.merged.mean());
     }
@@ -754,14 +557,6 @@ mod tests {
     fn effective_threads_is_clamped() {
         assert_eq!(MonteCarlo::new(2, 1, 0).threads(16).effective_threads(), 2);
         assert!(MonteCarlo::new(64, 1, 0).effective_threads() >= 1);
-    }
-
-    fn tmp_path(name: &str) -> String {
-        std::env::temp_dir()
-            .join(format!("nc_mc_{name}_{}.checkpoint.json", std::process::id()))
-            .to_str()
-            .unwrap()
-            .to_string()
     }
 
     fn fault_plan() -> FaultPlan {
@@ -797,7 +592,7 @@ mod tests {
                 .threads(threads)
                 .streaming(&[5.0])
                 .faults(Some(fault_plan()));
-            let mut r = mc.run(cfg());
+            let mut r = mc.run(cfg()).unwrap();
             (
                 r.merged.len(),
                 r.merged.mean().unwrap().to_bits(),
@@ -810,84 +605,10 @@ mod tests {
         assert_eq!(one, run(8));
     }
 
-    fn merged_bits(r: &MonteCarloReport) -> (usize, u64, u64, u64) {
-        let mut m = r.merged.clone();
-        (
-            m.len(),
-            m.mean().unwrap().to_bits(),
-            m.variance().unwrap().to_bits(),
-            m.quantile(0.999).unwrap().to_bits(),
-        )
-    }
-
-    #[test]
-    fn resume_from_partial_checkpoint_is_bitwise_identical() {
-        let path = tmp_path("partial");
-        let ckpt = || CheckpointCfg::new(&path, 1).workload("unit");
-        let plan = || {
-            MonteCarlo::new(6, 2_000, 99).threads(1).streaming(&[5.0]).faults(Some(fault_plan()))
-        };
-        // Uninterrupted run; every=1 on one thread checkpoints after
-        // every replication, so the file ends up covering all six.
-        let full = plan().checkpoint(ckpt()).try_run(cfg()).unwrap();
-        // Simulate a crash after three replications by truncating the
-        // checkpoint, then resume.
-        let mut cp = Checkpoint::load(&path).unwrap();
-        assert_eq!(cp.completed.len(), 6);
-        cp.completed.truncate(3);
-        cp.save(&path).unwrap();
-        let resumed = plan().checkpoint(ckpt()).resume(true).try_run(cfg()).unwrap();
-        assert_eq!(resumed.resumed, 3);
-        assert_eq!(merged_bits(&resumed), merged_bits(&full));
-        // Resuming a fully-covered checkpoint re-runs nothing.
-        let all = plan().checkpoint(ckpt()).resume(true).try_run(cfg()).unwrap();
-        assert_eq!(all.resumed, 6);
-        assert_eq!(merged_bits(&all), merged_bits(&full));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn resume_refuses_a_foreign_checkpoint() {
-        let path = tmp_path("foreign");
-        let ckpt = || CheckpointCfg::new(&path, 2).workload("unit");
-        MonteCarlo::new(3, 500, 1).threads(1).checkpoint(ckpt()).try_run(cfg()).unwrap();
-        // Different master seed: fingerprint must not match.
-        let err = MonteCarlo::new(3, 500, 2)
-            .threads(1)
-            .checkpoint(ckpt())
-            .resume(true)
-            .try_run(cfg())
-            .unwrap_err();
-        assert!(matches!(err, Error::CheckpointMismatch { .. }), "{err}");
-        // Different workload tag: also a mismatch.
-        let err = MonteCarlo::new(3, 500, 1)
-            .threads(1)
-            .checkpoint(CheckpointCfg::new(&path, 2).workload("other"))
-            .resume(true)
-            .try_run(cfg())
-            .unwrap_err();
-        assert!(matches!(err, Error::CheckpointMismatch { .. }), "{err}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn resume_without_checkpoint_file_starts_fresh() {
-        // A cell whose checkpoint never made it to disk (killed before
-        // the first replication finished, or never reached in a sweep)
-        // must start from scratch, not refuse to run.
-        let path = tmp_path("missing_never_written");
-        let mc = MonteCarlo::new(2, 3_000, 1).checkpoint(CheckpointCfg::new(&path, 1)).resume(true);
-        let report = mc.try_run(cfg()).expect("fresh start");
-        assert_eq!(report.resumed, 0);
-        let baseline = MonteCarlo::new(2, 3_000, 1).run(cfg());
-        assert_eq!(merged_bits(&report), merged_bits(&baseline));
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn fault_plan_hops_mismatch_is_a_typed_error() {
         let plan = FaultPlan::per_node(vec![vec![], vec![], vec![]]).unwrap();
-        let err = MonteCarlo::new(2, 100, 1).faults(Some(plan)).try_run(cfg()).unwrap_err();
+        let err = MonteCarlo::new(2, 100, 1).faults(Some(plan)).run(cfg()).unwrap_err();
         assert!(matches!(err, Error::FaultConfig(_)), "{err}");
     }
 }

@@ -379,71 +379,6 @@ impl DelayStats {
         }
     }
 
-    /// The full internal state as raw bits, for crash-safe
-    /// checkpointing. Everything a [`DelayStats`] is — moments, max,
-    /// retained samples in their exact order, the reservoir RNG cursor,
-    /// and threshold counts — round-trips bit-exactly through
-    /// [`DelayStats::from_state`], so a resumed Monte Carlo run merges
-    /// to the same bits as an uninterrupted one.
-    pub(crate) fn state(&self) -> StatsState {
-        let (reservoir, samples, sorted, thresholds) = match &self.repr {
-            Repr::Exact { samples, sorted } => (None, samples, *sorted, Vec::new()),
-            Repr::Reservoir { cap, samples, sorted, rng, thresholds } => (
-                Some((*cap, *rng)),
-                samples,
-                *sorted,
-                thresholds.iter().map(|&(d, over)| (d.to_bits(), over)).collect(),
-            ),
-        };
-        StatsState {
-            count: self.count,
-            sum: self.sum.to_bits(),
-            m2: self.m2.to_bits(),
-            max: self.max.to_bits(),
-            reservoir,
-            samples: samples.iter().map(|s| s.to_bits()).collect(),
-            sorted,
-            thresholds,
-        }
-    }
-
-    /// Rebuilds a collection from [`DelayStats::state`] output.
-    pub(crate) fn from_state(s: StatsState) -> Result<DelayStats, String> {
-        let samples: Vec<f64> = s.samples.iter().map(|&b| f64::from_bits(b)).collect();
-        let repr = match s.reservoir {
-            None => Repr::Exact { samples, sorted: s.sorted },
-            Some((cap, rng)) => {
-                if cap == 0 {
-                    return Err("streaming state with zero reservoir capacity".into());
-                }
-                if samples.len() > cap {
-                    return Err(format!(
-                        "reservoir holds {} samples but its capacity is {cap}",
-                        samples.len()
-                    ));
-                }
-                Repr::Reservoir {
-                    cap,
-                    samples,
-                    sorted: s.sorted,
-                    rng,
-                    thresholds: s
-                        .thresholds
-                        .iter()
-                        .map(|&(d, over)| (f64::from_bits(d), over))
-                        .collect(),
-                }
-            }
-        };
-        Ok(DelayStats {
-            count: s.count,
-            sum: f64::from_bits(s.sum),
-            m2: f64::from_bits(s.m2),
-            max: f64::from_bits(s.max),
-            repr,
-        })
-    }
-
     fn sorted_samples(&mut self) -> &[f64] {
         let (samples, sorted) = match &mut self.repr {
             Repr::Exact { samples, sorted } => (samples, sorted),
@@ -455,28 +390,6 @@ impl DelayStats {
         }
         samples
     }
-}
-
-/// The raw-bits image of a [`DelayStats`] — see [`DelayStats::state`].
-/// All `f64` fields travel as `u64` bit patterns so serialization can
-/// never lose precision (decimal round-trips would).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct StatsState {
-    pub(crate) count: u64,
-    /// `sum.to_bits()`.
-    pub(crate) sum: u64,
-    /// `m2.to_bits()`.
-    pub(crate) m2: u64,
-    /// `max.to_bits()` (negative infinity when empty).
-    pub(crate) max: u64,
-    /// `None` = exact mode; `Some((capacity, rng state))` = streaming.
-    pub(crate) reservoir: Option<(usize, u64)>,
-    /// Retained samples as bits, in retention order (order feeds the
-    /// deterministic reservoir merge, so it must survive round-trips).
-    pub(crate) samples: Vec<u64>,
-    pub(crate) sorted: bool,
-    /// `(threshold bits, strictly-above count)` pairs (streaming only).
-    pub(crate) thresholds: Vec<(u64, u64)>,
 }
 
 /// Uniform draw in `[0, n)` from a SplitMix64 state via Lemire
@@ -789,44 +702,6 @@ mod tests {
             (a.samples().to_vec(), a.mean().unwrap().to_bits(), a.variance().unwrap().to_bits())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn state_roundtrip_is_bit_exact_and_merge_equivalent() {
-        // Streaming collection driven past its reservoir capacity so
-        // the RNG cursor is live, then snapshot/restore and verify that
-        // continuing the stream from the restored copy matches bits.
-        let feed = |s: &mut DelayStats, range: std::ops::Range<u64>| {
-            for i in range {
-                s.record(((i * 2_654_435_761) % 997) as f64 / 7.0);
-            }
-        };
-        let mut whole = DelayStats::streaming_with_thresholds(32, &[50.0]);
-        feed(&mut whole, 0..5_000);
-
-        let mut first = DelayStats::streaming_with_thresholds(32, &[50.0]);
-        feed(&mut first, 0..2_000);
-        let mut restored = DelayStats::from_state(first.state()).unwrap();
-        feed(&mut restored, 2_000..5_000);
-
-        assert_eq!(whole.state(), restored.state(), "resume must continue the exact stream");
-
-        // Exact mode round-trips too, including the empty collection.
-        let mut exact = DelayStats::new();
-        feed(&mut exact, 0..100);
-        assert_eq!(exact.state(), DelayStats::from_state(exact.state()).unwrap().state());
-        let empty = DelayStats::new();
-        assert_eq!(empty.state(), DelayStats::from_state(empty.state()).unwrap().state());
-    }
-
-    #[test]
-    fn from_state_rejects_inconsistent_reservoirs() {
-        let mut bad = DelayStats::streaming(4).state();
-        bad.reservoir = Some((0, 1));
-        assert!(DelayStats::from_state(bad).is_err());
-        let mut overfull = DelayStats::streaming(4).state();
-        overfull.samples = vec![0; 5];
-        assert!(DelayStats::from_state(overfull).is_err());
     }
 
     #[test]

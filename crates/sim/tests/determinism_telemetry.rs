@@ -29,7 +29,7 @@ fn cfg() -> SimConfig {
 type Fingerprint = (usize, Vec<u64>, Option<u64>, Option<u64>, Vec<(u64, u64)>);
 
 fn fingerprint(plan: MonteCarlo) -> Fingerprint {
-    let mut report = plan.run(cfg());
+    let mut report = plan.run(cfg()).unwrap();
     let m = &mut report.merged;
     let samples: Vec<u64> = m.samples().iter().map(|s| s.to_bits()).collect();
     let quantile = m.quantile(0.999).map(f64::to_bits);

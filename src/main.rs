@@ -64,8 +64,9 @@ fn main() -> ExitCode {
 
 /// Maps the engine's typed errors to distinct exit codes (see
 /// `nc_scenario::Error::exit_code`): 2 usage, 3 file I/O, 4 bad
-/// scenario/fault configuration, 5 checkpoint problems, 6 runtime
-/// failures, 7 infeasible analysis.
+/// scenario/fault configuration, 6 runtime failures, 7 infeasible
+/// analysis. Code 5 is retired and no longer produced; 6 and 7 keep
+/// their numbers.
 fn run_engine(scenario: Scenario, opts: RunOpts) -> ExitCode {
     match Engine::new(scenario, opts).run() {
         Ok(_) => ExitCode::SUCCESS,
@@ -140,7 +141,6 @@ USAGE:
     linksched run      <scenario.json> [--reps N] [--threads N] [--seed N]
                        [--slots N] [--metrics-out P] [--trace-out P]
                        [--events-out P] [--manifest-out P] [--progress]
-                       [--checkpoint P] [--checkpoint-every N] [--resume]
     linksched bench    --out P [--smoke] [--reps N] [--warmup N]
                        [--threads N] [--filter S] [--perf-guard]
 

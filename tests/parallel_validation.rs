@@ -38,7 +38,7 @@ type Fingerprint = (usize, Option<u64>, Option<u64>, Option<u64>, Option<u64>, u
 fn fingerprint(threads: usize) -> Fingerprint {
     let (_, cfg) = setup(PathScheduler::Fifo, SchedulerKind::Fifo);
     let mc = MonteCarlo::new(8, 10_000, 0xD5_EED).threads(threads).streaming(&[25.0]);
-    let mut r = mc.run(cfg);
+    let mut r = mc.run(cfg).unwrap();
     (
         r.merged.len(),
         r.merged.mean().map(f64::to_bits),
@@ -69,7 +69,7 @@ fn assert_bound_holds_parallel(scheduler: PathScheduler, kind: SchedulerKind, la
         .bound
         .delay;
     let mc = MonteCarlo::new(4, 50_000, 0xA11_0C8).streaming(&[bound]);
-    let mut report = mc.run(cfg);
+    let mut report = mc.run(cfg).unwrap();
     let n = report.merged.len();
     assert!(n > 50_000, "{label}: too few samples ({n})");
     let q = report.merged.quantile(1.0 - eps).unwrap();

@@ -424,128 +424,6 @@ fn faulted_scenario_is_deterministic_across_thread_counts() {
     }
 }
 
-/// Crash-safety acceptance: SIGKILL a checkpointing fault-injected run
-/// mid-flight, resume it, and require byte-identical stdout (and thus
-/// merged statistics) versus an uninterrupted run at a different thread
-/// count.
-#[test]
-fn killed_run_resumes_bitwise_identical() {
-    let scratch = Scratch::new("resume");
-    let scenario = scratch.path("faulted_sim.json");
-    std::fs::write(
-        &scenario,
-        r#"{
-          "name": "resume_probe",
-          "experiment": "simulate",
-          "params": {"hops": 2, "through": 30, "cross": 50, "capacity": 15.0, "sched": "fifo"},
-          "faults": [
-            {"kind": "gilbert_elliott", "p_fail": 0.002, "p_repair": 0.05, "capacity_factor": 0.0},
-            {"kind": "drop", "prob": 0.001}
-          ],
-          "sim": {"reps": 12, "slots": 150000, "seed": 9}
-        }"#,
-    )
-    .unwrap();
-
-    // Reference: uninterrupted, single-threaded, no checkpointing.
-    let reference = run(&["run", &scenario, "--threads", "1"]).stdout;
-
-    // Victim: checkpoint after every replication, SIGKILL as soon as the
-    // first checkpoint lands on disk.
-    let ckpt = scratch.path("probe.ckpt");
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_linksched"))
-        .args([
-            "run",
-            &scenario,
-            "--threads",
-            "2",
-            "--checkpoint",
-            &ckpt,
-            "--checkpoint-every",
-            "1",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("spawn victim");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    while !Path::new(&ckpt).exists() && std::time::Instant::now() < deadline {
-        if child.try_wait().expect("try_wait").is_some() {
-            break; // finished before we could kill it; resume still must work
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
-    child.kill().ok();
-    child.wait().expect("reap victim");
-    assert!(Path::new(&ckpt).exists(), "no checkpoint was written before the kill");
-
-    // Resume: must pick up the finished replications and produce stdout
-    // byte-identical to the uninterrupted reference.
-    let out = Command::new(env!("CARGO_BIN_EXE_linksched"))
-        .args([
-            "run",
-            &scenario,
-            "--threads",
-            "2",
-            "--checkpoint",
-            &ckpt,
-            "--checkpoint-every",
-            "1",
-            "--resume",
-        ])
-        .output()
-        .expect("spawn resume");
-    assert!(
-        out.status.success(),
-        "resume run failed ({:?}): {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&reference),
-        String::from_utf8_lossy(&out.stdout),
-        "resumed stdout diverged from the uninterrupted run"
-    );
-}
-
-/// A checkpoint from one workload must not be resumable by another: the
-/// fingerprint mismatch surfaces as the checkpoint exit code (5), not a
-/// silent merge of foreign statistics.
-#[test]
-fn resume_rejects_a_foreign_checkpoint() {
-    let scratch = Scratch::new("foreign");
-    let mk = |name: &str, seed: u64| {
-        let p = scratch.path(name);
-        std::fs::write(
-            &p,
-            format!(
-                r#"{{
-                  "name": "probe_{seed}",
-                  "experiment": "simulate",
-                  "params": {{"hops": 1, "through": 5, "cross": 5, "capacity": 10.0, "sched": "fifo"}},
-                  "sim": {{"reps": 2, "slots": 2000, "seed": {seed}}}
-                }}"#
-            ),
-        )
-        .unwrap();
-        p
-    };
-    let a = mk("a.json", 1);
-    let b = mk("b.json", 2);
-    let ckpt = scratch.path("a.ckpt");
-    run(&["run", &a, "--checkpoint", &ckpt]);
-    let out = Command::new(env!("CARGO_BIN_EXE_linksched"))
-        .args(["run", &b, "--checkpoint", &ckpt, "--resume"])
-        .output()
-        .expect("spawn");
-    assert_eq!(out.status.code(), Some(5), "checkpoint mismatch must exit with code 5");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("checkpoint"),
-        "stderr should name the checkpoint problem: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
 /// The typed error taxonomy maps failure classes to distinct exit
 /// codes: usage error (2), unreadable file (3), invalid scenario (4),
 /// infeasible analysis (7).
@@ -578,6 +456,11 @@ fn exit_codes_distinguish_failure_classes() {
     let fig2 = repo_path("examples/scenarios/fig2.json");
     let out = probe(&["run", &fig2, "--json", "x.json"]);
     assert_eq!(out.status.code(), Some(2), "fig2 --json is exit code 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+
+    // Runs are not resumable: `--checkpoint` is an unknown option (2).
+    let out = probe(&["run", &fig2, "--checkpoint", "x"]);
+    assert_eq!(out.status.code(), Some(2), "fig2 --checkpoint is exit code 2");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
 }
 
