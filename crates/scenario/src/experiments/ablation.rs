@@ -25,6 +25,7 @@ use nc_core::e2e::optimizer::{explicit, solve, NodeParams};
 use nc_core::PathScheduler;
 use nc_sim::{MonteCarlo, SchedulerKind, SimConfig};
 use nc_traffic::{Ebb, ExpBound, Mmoo};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn homogeneous(gamma: f64, rho_c: f64, delta: f64, hops: usize) -> Vec<NodeParams> {
@@ -53,24 +54,44 @@ fn ablation_optimizer() {
         // (X = −Δ), which the paper itself flags as possibly suboptimal.
         for delta in [f64::NEG_INFINITY, -20.0, -10.0, -2.0, 0.0, 10.0, f64::INFINITY] {
             let params = homogeneous(gamma, rho_c, delta, hops);
-            let t0 = Instant::now();
-            let e = explicit(CAPACITY, gamma, rho_c, delta, hops, sigma).expect("feasible");
-            let t_e = t0.elapsed();
-            let t1 = Instant::now();
-            let n = solve(&params, sigma).expect("feasible");
-            let t_n = t1.elapsed();
+            let run_e = || explicit(CAPACITY, gamma, rho_c, delta, hops, sigma).expect("feasible");
+            let run_n = || solve(&params, sigma).expect("feasible");
+            let (e, n) = (run_e(), run_n());
+            let (t_e, t_n) = (per_call(run_e), per_call(run_n));
             println!(
-                "{:>4} {:>8} {:>12.4} {:>12.4} {:>9.3} {:>12.1} {:>12.1}",
+                "{:>4} {:>8} {:>12.4} {:>12.4} {:>9.3} {:>12.2} {:>12.2}",
                 hops,
                 format_delta(delta),
                 e.delay,
                 n.delay,
                 100.0 * (e.delay - n.delay) / n.delay,
-                t_e.as_nanos() as f64 / 1e3,
-                t_n.as_nanos() as f64 / 1e3,
+                t_e * 1e6,
+                t_n * 1e6,
             );
         }
     }
+}
+
+/// Seconds per call of `f`: the median over five batches, each
+/// doubled in length until it lasts at least a millisecond. One
+/// `Instant` pair around a single call of 0.1–2 µs reads mostly timer
+/// and cache noise (the first, cold call alone takes ~20 µs).
+fn per_call<R>(f: impl Fn() -> R) -> f64 {
+    const BATCH_SECS: f64 = 2.5e-4;
+    let batch = |calls: u64| {
+        let t = Instant::now();
+        for _ in 0..calls {
+            black_box(f());
+        }
+        t.elapsed().as_secs_f64()
+    };
+    let mut calls = 1u64;
+    while batch(calls) < BATCH_SECS {
+        calls *= 2;
+    }
+    let mut times: Vec<f64> = (0..5).map(|_| batch(calls) / calls as f64).collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
 }
 
 fn format_delta(d: f64) -> String {
@@ -165,7 +186,7 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     let mut merged_seq = all_replications_ran(seq.run(cfg)?, "engine-seq")?;
     let t_seq = t0.elapsed();
     let par = opts.monte_carlo(&[]);
-    let workers = par.effective_threads();
+    let workers = nc_sim::effective_threads(par.threads, par.reps);
     let t1 = Instant::now();
     let mut merged_par = all_replications_ran(par.run(cfg)?, "engine-par")?;
     let t_par = t1.elapsed();

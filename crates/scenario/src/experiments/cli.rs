@@ -9,7 +9,7 @@ use crate::opts::RunOpts;
 use crate::parse_sched;
 use nc_core::MmooTandem;
 use nc_core::PathScheduler;
-use nc_sim::{DelayStats, SimConfig, TandemSim};
+use nc_sim::{DelayStats, SimConfig};
 use nc_traffic::Mmoo;
 
 pub(crate) fn bound(p: &Bound) -> Result<(), Error> {
@@ -110,46 +110,24 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
         if opts.reps > 1 { format!(", {} reps", opts.reps) } else { String::new() },
         if opts.faults.is_some() { ", faulted links" } else { "" }
     );
+    let uniform = vec![p.capacity; p.hops];
+    let caps = p.capacities.as_deref().unwrap_or(&uniform);
+    let mc = opts.monte_carlo_exact();
     let mut stats = if opts.reps > 1 {
         // Replicated run through the Monte Carlo engine: per-rep seeds
         // derive from the master seed, the merge is bitwise-identical
         // for every thread count, and fault injection follows the
         // options.
-        let mc = opts.monte_carlo_exact();
-        let report = match &p.capacities {
-            None => mc.run(cfg)?,
-            Some(caps) => {
-                let faults = opts.faults.as_ref();
-                let collect = opts.wants_metrics();
-                mc.run_instrumented(|_, seed| {
-                    let mut sim = TandemSim::with_capacities_and_faults(cfg, caps, faults, seed)
-                        .expect("fault plan validated against cfg.hops above");
-                    if collect {
-                        sim.enable_telemetry();
-                    }
-                    let stats = sim.run(opts.slots);
-                    let metrics =
-                        if collect { sim.metrics() } else { nc_telemetry::MetricSet::new() };
-                    (stats, metrics)
-                })
-            }
-        };
+        let report = mc.run_instrumented(|_, seed| {
+            mc.replicate(cfg, caps, seed).expect("fault plan validated against the hops above")
+        });
         nc_telemetry::merge_global(&report.metrics);
         all_replications_ran(report, "simulate")?.merged
     } else {
         // Single replication: the seed is used directly, matching the
         // historical `linksched simulate` behaviour.
-        let uniform = vec![p.capacity; p.hops];
-        let caps = p.capacities.as_deref().unwrap_or(&uniform);
-        let mut sim =
-            TandemSim::with_capacities_and_faults(cfg, caps, opts.faults.as_ref(), opts.seed)?;
-        if opts.wants_metrics() {
-            sim.enable_telemetry();
-        }
-        let stats = sim.run(opts.slots);
-        if opts.wants_metrics() {
-            nc_telemetry::merge_global(&sim.metrics());
-        }
+        let (stats, shard) = mc.replicate(cfg, caps, opts.seed)?;
+        nc_telemetry::merge_global(&shard);
         stats
     };
     if stats.is_empty() {

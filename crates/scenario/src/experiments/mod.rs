@@ -53,6 +53,7 @@ pub(crate) fn all_replications_ran(
 mod tests {
     use super::*;
     use nc_sim::{DelayStats, MonteCarlo};
+    use nc_telemetry::MetricSet;
 
     #[test]
     fn a_panicked_replication_fails_the_cell() {
@@ -61,13 +62,15 @@ mod tests {
                 assert!(i != poisoned, "replication {i} poisons itself");
                 let mut s = DelayStats::new();
                 s.record(i as f64);
-                s
+                (s, MetricSet::new())
             }
         };
         let mc = MonteCarlo::new(3, 0, 7).threads(1);
-        let clean = all_replications_ran(mc.run_with(job(usize::MAX)), "clean").expect("clean");
+        let clean =
+            all_replications_ran(mc.run_instrumented(job(usize::MAX)), "clean").expect("clean");
         assert_eq!(clean.merged.len(), 3);
-        let err = all_replications_ran(mc.run_with(job(1)), "h2-fifo").expect_err("panicked");
+        let err =
+            all_replications_ran(mc.run_instrumented(job(1)), "h2-fifo").expect_err("panicked");
         assert_eq!(err.exit_code(), 6);
         assert_eq!(err.to_string(), "1 of 3 replication(s) panicked in cell h2-fifo");
     }

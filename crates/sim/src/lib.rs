@@ -14,10 +14,13 @@
 //!   nodes, with fresh cross traffic entering at every node and leaving
 //!   after one hop,
 //! * Markov-modulated on-off sources matching `nc-traffic`'s analytical
-//!   models, plus CBR, batch-Poisson, and trace replay (used to execute
-//!   the adversarial scenarios of Theorem 2),
+//!   models, plus batch-Poisson and trace sources,
+//! * single-node trace replay ([`replay_single_node`]), which executes
+//!   the adversarial scenarios of Theorem 2,
 //! * delay statistics: exact empirical quantiles and binomial
-//!   confidence envelopes for bound validation.
+//!   confidence envelopes for bound validation,
+//! * [`run_indexed`], the one worker loop behind both the Monte Carlo
+//!   engine ([`MonteCarlo`]) and `nc-scenario`'s analytical sweeps.
 //!
 //! # Example
 //!
@@ -50,6 +53,7 @@ mod error;
 mod faults;
 mod montecarlo;
 mod node;
+mod pool;
 mod scheduler;
 mod schedulers;
 mod source;
@@ -58,11 +62,10 @@ mod tandem;
 
 pub use error::Error;
 pub use faults::{FaultCounters, FaultInjector, FaultModel, FaultPlan};
-pub use montecarlo::{MonteCarlo, MonteCarloReport, StatsMode, DEFAULT_RESERVOIR};
+pub use montecarlo::{MonteCarlo, MonteCarloReport, DEFAULT_RESERVOIR};
 pub use node::{Chunk, Node, NodeCounters, NodePolicy, ServiceMode};
+pub use pool::{effective_threads, run_indexed};
 pub use scheduler::SchedulerKind;
-pub use source::{
-    MmooAggregate, MmooState, MmpAggregate, MmpState, PoissonBatchSim, Source, TraceSource,
-};
+pub use source::{MmooAggregate, MmooState, MmpAggregate, MmpState, PoissonBatchSim, TraceSource};
 pub use stats::DelayStats;
 pub use tandem::{replay_single_node, SimConfig, TandemSim};

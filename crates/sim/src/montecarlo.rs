@@ -9,8 +9,10 @@
 //! * per-replication seeds are derived from one **master seed** via
 //!   the SplitMix64 sequence, so replication `i` always sees the same
 //!   RNG stream no matter which thread runs it;
-//! * workers pull replication indices from a shared counter (dynamic
-//!   load balancing), but results are collected **by index** and
+//! * replications run on [`crate::run_indexed`], the worker loop the
+//!   analytical sweeps (`nc_scenario::SweepEngine`) also run on:
+//!   workers claim replication indices from a shared counter (dynamic
+//!   load balancing), but results come back **by index** and are
 //!   merged in index order — the merged statistics are therefore
 //!   bitwise-identical for any thread count, including 1;
 //! * replications collect into bounded-memory streaming stats by
@@ -41,42 +43,23 @@
 
 use crate::error::Error;
 use crate::faults::FaultPlan;
+use crate::pool::run_indexed;
 use crate::stats::DelayStats;
 use crate::tandem::{SimConfig, TandemSim};
 use nc_telemetry::{Histogram, MetricSet};
 use rand::splitmix64;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Per-replication outcome: statistics, telemetry shard, wall seconds.
-type RepResult = (DelayStats, MetricSet, f64);
 
 /// Default reservoir capacity per replication for streaming runs:
 /// large enough that the merged reservoir still resolves the 10⁻³
 /// quantile tail with a few percent relative rank error.
 pub const DEFAULT_RESERVOIR: usize = 65_536;
 
-/// How each replication collects its delay samples.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StatsMode {
-    /// Retain every sample (exact quantiles, memory grows with slots).
-    Exact,
-    /// Bounded memory: a reservoir of the given capacity per
-    /// replication, plus exact violation counters for the given
-    /// thresholds.
-    Streaming {
-        /// Reservoir capacity per replication.
-        reservoir: usize,
-        /// Thresholds whose violation counts are tracked exactly.
-        thresholds: Vec<f64>,
-    },
-}
-
 /// A parallel replication plan: how many independent simulations to
 /// run, for how long, from which master seed, on how many threads.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MonteCarlo {
     /// Number of independent replications.
     pub reps: usize,
@@ -86,8 +69,6 @@ pub struct MonteCarlo {
     pub master_seed: u64,
     /// Simulated slots per replication.
     pub slots: u64,
-    /// Per-replication collection mode.
-    pub mode: StatsMode,
     /// Live progress reporting on stderr: exact completed/total
     /// replication counts from the shared work counter, throughput,
     /// and an ETA (works with or without the `telemetry` feature).
@@ -97,9 +78,13 @@ pub struct MonteCarlo {
     /// `telemetry` feature compiled in).
     pub collect_metrics: bool,
     /// Optional fault plan injected into every replication's tandem
-    /// (applies to [`MonteCarlo::run`], which constructs the
+    /// (applies to [`MonteCarlo::replicate`], which constructs the
     /// simulators; custom jobs inject their own faults).
     pub faults: Option<FaultPlan>,
+    /// Empty collector every replication (and the merge) starts from,
+    /// via [`DelayStats::fresh`]: exact unless [`MonteCarlo::streaming`]
+    /// was called.
+    stats: DelayStats,
 }
 
 impl MonteCarlo {
@@ -115,10 +100,10 @@ impl MonteCarlo {
             threads: 0,
             master_seed,
             slots,
-            mode: StatsMode::Exact,
             progress: false,
             collect_metrics: false,
             faults: None,
+            stats: DelayStats::new(),
         }
     }
 
@@ -149,20 +134,7 @@ impl MonteCarlo {
     /// Switches to bounded-memory streaming collection with the default
     /// reservoir and exact tracking of the given thresholds.
     pub fn streaming(mut self, thresholds: &[f64]) -> Self {
-        self.mode =
-            StatsMode::Streaming { reservoir: DEFAULT_RESERVOIR, thresholds: thresholds.to_vec() };
-        self
-    }
-
-    /// Sets the per-replication reservoir capacity (switching to
-    /// streaming mode if not already).
-    pub fn reservoir(mut self, cap: usize) -> Self {
-        self.mode = match self.mode {
-            StatsMode::Streaming { thresholds, .. } => {
-                StatsMode::Streaming { reservoir: cap, thresholds }
-            }
-            StatsMode::Exact => StatsMode::Streaming { reservoir: cap, thresholds: Vec::new() },
-        };
+        self.stats = DelayStats::streaming_with_thresholds(DEFAULT_RESERVOIR, thresholds);
         self
     }
 
@@ -171,26 +143,6 @@ impl MonteCarlo {
     pub fn seeds(&self) -> Vec<u64> {
         let mut state = self.master_seed;
         (0..self.reps).map(|_| splitmix64(&mut state)).collect()
-    }
-
-    /// The effective worker count.
-    pub fn effective_threads(&self) -> usize {
-        let t = if self.threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.threads
-        };
-        t.min(self.reps).max(1)
-    }
-
-    /// An empty collector configured per [`MonteCarlo::mode`].
-    fn collector(&self) -> DelayStats {
-        match &self.mode {
-            StatsMode::Exact => DelayStats::new(),
-            StatsMode::Streaming { reservoir, thresholds } => {
-                DelayStats::streaming_with_thresholds(*reservoir, thresholds)
-            }
-        }
     }
 
     /// Runs the tandem simulation [`MonteCarlo::reps`] times and merges
@@ -204,30 +156,54 @@ impl MonteCarlo {
         if let Some(plan) = &self.faults {
             plan.check_hops(cfg.hops)?;
         }
-        let collect = self.collect_metrics;
+        let capacities = vec![cfg.capacity; cfg.hops];
         Ok(self.run_instrumented(|_, seed| {
-            let mut sim = match &self.faults {
-                Some(plan) => TandemSim::with_faults(cfg, plan, seed)
-                    .expect("fault plan validated against cfg.hops above"),
-                None => TandemSim::new(cfg, seed),
-            };
-            sim.set_stats_collector(self.collector());
-            if collect {
-                sim.enable_telemetry();
-            }
-            let stats = sim.run(self.slots);
-            let metrics = if collect { sim.metrics() } else { MetricSet::new() };
-            (stats, metrics)
+            self.replicate(cfg, &capacities, seed).expect("fault plan validated against cfg.hops")
         }))
     }
 
-    /// Runs an arbitrary per-replication job `(rep index, seed) →
-    /// DelayStats` across the worker threads and merges the results in
-    /// replication order.
+    /// One replication of the tandem `cfg` with per-node `capacities`
+    /// (`cfg.capacity` is ignored) under `seed`: builds the simulator
+    /// with this plan's fault plan, collector and telemetry switch,
+    /// runs [`MonteCarlo::slots`] slots, and returns the delay
+    /// statistics with the telemetry shard (empty unless
+    /// [`MonteCarlo::collect_metrics`]).
     ///
-    /// The merged statistics are bitwise-identical for every thread
-    /// count. The per-replication job must itself be deterministic in
-    /// `(index, seed)`.
+    /// # Errors
+    ///
+    /// Returns [`Error::FaultConfig`] when the fault plan does not fit
+    /// `cfg.hops`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`TandemSim::with_capacities_and_faults`].
+    pub fn replicate(
+        &self,
+        cfg: SimConfig,
+        capacities: &[f64],
+        seed: u64,
+    ) -> Result<(DelayStats, MetricSet), Error> {
+        let mut sim =
+            TandemSim::with_capacities_and_faults(cfg, capacities, self.faults.as_ref(), seed)?;
+        sim.set_stats_collector(self.stats.fresh());
+        if self.collect_metrics {
+            sim.enable_telemetry();
+        }
+        let stats = sim.run(self.slots);
+        let metrics = if self.collect_metrics { sim.metrics() } else { MetricSet::new() };
+        Ok((stats, metrics))
+    }
+
+    /// Runs an arbitrary per-replication job `(rep index, seed) →
+    /// (DelayStats, telemetry shard)` on the workspace's worker loop
+    /// ([`crate::run_indexed`]) and merges the results in replication
+    /// order.
+    ///
+    /// The merged statistics and metrics are bitwise-identical for
+    /// every thread count; the job must itself be deterministic in
+    /// `(index, seed)`. The engine adds its own `mc_*` series
+    /// (replication timings, throughput, per-worker utilization) on
+    /// top of the shards.
     ///
     /// A replication that panics does **not** abort the run: the
     /// panic is caught, the replication contributes an empty
@@ -239,75 +215,40 @@ impl MonteCarlo {
     ///
     /// Panics (in streaming mode) if the job returns collectors with
     /// mismatched thresholds.
-    pub fn run_with<F>(&self, job: F) -> MonteCarloReport
-    where
-        F: Fn(usize, u64) -> DelayStats + Sync,
-    {
-        self.run_instrumented(|i, seed| (job(i, seed), MetricSet::new()))
-    }
-
-    /// [`MonteCarlo::run_with`] for jobs that also return a telemetry
-    /// shard. Shards are merged in replication order — like the delay
-    /// statistics, the merged metrics do not depend on the thread
-    /// count. The engine adds its own `mc_*` series (replication
-    /// timings, throughput, per-worker utilization) on top.
     pub fn run_instrumented<F>(&self, job: F) -> MonteCarloReport
     where
         F: Fn(usize, u64) -> (DelayStats, MetricSet) + Sync,
     {
         let t0 = Instant::now();
         let seeds = self.seeds();
-        let workers = self.effective_threads();
-        let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        let panicked = AtomicUsize::new(0);
-        let finished_workers = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<RepResult>>> =
-            Mutex::new(std::iter::repeat_with(|| None).take(self.reps).collect());
-        let busy: Mutex<Vec<f64>> = Mutex::new(vec![0.0; workers]);
-        std::thread::scope(|scope| {
-            let (job, seeds) = (&job, &seeds);
-            let (next, done, finished) = (&next, &done, &finished_workers);
-            let (results, busy, panicked) = (&results, &busy, &panicked);
-            for w in 0..workers {
-                scope.spawn(move || {
-                    let mut my_busy = 0.0;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= seeds.len() {
-                            break;
-                        }
-                        let rep_start = Instant::now();
-                        // Panic isolation: one poisoned replication
-                        // degrades the run (recorded below) instead of
-                        // killing every worker's progress.
-                        let outcome =
-                            std::panic::catch_unwind(AssertUnwindSafe(|| job(i, seeds[i])));
-                        let secs = rep_start.elapsed().as_secs_f64();
-                        my_busy += secs;
-                        let (stats, metrics) = outcome.unwrap_or_else(|_| {
-                            panicked.fetch_add(1, Ordering::Relaxed);
-                            (self.collector(), MetricSet::new())
-                        });
-                        results.lock().expect("result mutex poisoned")[i] =
-                            Some((stats, metrics, secs));
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                    busy.lock().expect("busy mutex poisoned")[w] = my_busy;
-                    finished.fetch_add(1, Ordering::Release);
-                });
-            }
+        let finished = AtomicBool::new(false);
+        let (outcomes, busy) = std::thread::scope(|scope| {
             if self.progress {
-                scope.spawn(|| self.report_progress(done, finished, workers));
+                scope.spawn(|| self.report_progress(&done, &finished));
             }
+            let out = run_indexed(self.threads, self.reps, |i| {
+                let start = Instant::now();
+                // Panic isolation: one poisoned replication degrades
+                // the run (recorded below) instead of killing every
+                // worker's progress.
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| job(i, seeds[i])));
+                done.fetch_add(1, Ordering::Relaxed);
+                (outcome.ok(), start.elapsed().as_secs_f64())
+            });
+            finished.store(true, Ordering::Release);
+            out
         });
         let wall = t0.elapsed().as_secs_f64();
         let mut per_rep = Vec::with_capacity(self.reps);
         let mut metrics = MetricSet::new();
         let mut rep_seconds = Histogram::new();
-        let slots = results.into_inner().expect("result mutex poisoned");
-        for slot in slots {
-            let (stats, shard, secs) = slot.expect("worker completed every claimed replication");
+        let mut panicked = 0usize;
+        for (outcome, secs) in outcomes {
+            let (stats, shard) = outcome.unwrap_or_else(|| {
+                panicked += 1;
+                (self.stats.fresh(), MetricSet::new())
+            });
             // Replication order: merged metrics are deterministic in
             // structure regardless of which thread ran which rep.
             metrics.merge(&shard);
@@ -316,22 +257,21 @@ impl MonteCarlo {
         }
         // Merge in replication order: determinism does not depend on
         // which thread finished first.
-        let mut merged = self.collector();
+        let mut merged = self.stats.fresh();
         for s in &per_rep {
             merged.merge(s);
         }
-        let panicked = panicked.into_inner();
         metrics.counter_add("mc_replications_total", &[], self.reps as u64);
         if panicked > 0 {
             metrics.counter_add("mc_replications_panicked_total", &[], panicked as u64);
         }
-        metrics.gauge_set("mc_workers", &[], workers as f64);
+        metrics.gauge_set("mc_workers", &[], busy.len() as f64);
         metrics.gauge_set("mc_wall_seconds", &[], wall);
         metrics.histogram_merge("mc_replication_seconds", &[], &rep_seconds);
         if wall > 0.0 {
             metrics.gauge_set("mc_throughput_reps_per_second", &[], self.reps as f64 / wall);
         }
-        for (w, b) in busy.into_inner().expect("busy mutex poisoned").iter().enumerate() {
+        for (w, b) in busy.iter().enumerate() {
             let idx = w.to_string();
             let labels: [(&str, &str); 1] = [("worker", idx.as_str())];
             metrics.gauge_set("mc_worker_busy_seconds", &labels, *b);
@@ -342,12 +282,12 @@ impl MonteCarlo {
         MonteCarloReport { per_rep, merged, metrics, panicked }
     }
 
-    /// Progress loop (runs on its own thread inside the worker scope):
+    /// Progress loop (runs on its own thread beside the workers):
     /// prints `completed/total` from the shared counter — exact even
     /// when `reps` is not a multiple of the worker count — plus
     /// throughput and ETA, every 200 ms until all replications finish
-    /// (or every worker has exited, should one panic).
-    fn report_progress(&self, done: &AtomicUsize, finished: &AtomicUsize, workers: usize) {
+    /// (or the worker loop has returned).
+    fn report_progress(&self, done: &AtomicUsize, finished: &AtomicBool) {
         use std::io::Write;
         let t0 = Instant::now();
         loop {
@@ -362,7 +302,7 @@ impl MonteCarlo {
             }
             eprint!("{line}        ");
             let _ = std::io::stderr().flush();
-            if d >= self.reps || finished.load(Ordering::Acquire) >= workers {
+            if d >= self.reps || finished.load(Ordering::Acquire) {
                 break;
             }
         }
@@ -514,13 +454,13 @@ mod tests {
     }
 
     #[test]
-    fn run_with_custom_job() {
+    fn run_instrumented_custom_job() {
         let mc = MonteCarlo::new(4, 0, 5).threads(2);
-        let report = mc.run_with(|i, seed| {
+        let report = mc.run_instrumented(|i, seed| {
             let mut s = DelayStats::new();
             s.record(i as f64);
             s.record((seed % 7) as f64);
-            s
+            (s, MetricSet::new())
         });
         assert_eq!(report.merged.len(), 8);
         assert_eq!(report.per_rep[3].samples()[0], 3.0);
@@ -553,12 +493,6 @@ mod tests {
         assert_eq!(quiet.merged.mean(), chatty.merged.mean());
     }
 
-    #[test]
-    fn effective_threads_is_clamped() {
-        assert_eq!(MonteCarlo::new(2, 1, 0).threads(16).effective_threads(), 2);
-        assert!(MonteCarlo::new(64, 1, 0).effective_threads() >= 1);
-    }
-
     fn fault_plan() -> FaultPlan {
         FaultPlan::uniform(vec![
             crate::faults::FaultModel::GilbertElliott {
@@ -573,16 +507,19 @@ mod tests {
 
     #[test]
     fn panicking_replication_degrades_instead_of_aborting() {
-        let mc = MonteCarlo::new(4, 0, 5).threads(2);
-        let report = mc.run_with(|i, _| {
-            assert!(i != 2, "replication 2 poisons itself");
-            let mut s = DelayStats::new();
-            s.record(i as f64);
-            s
-        });
-        assert_eq!(report.panicked, 1);
-        assert_eq!(report.per_rep[2].len(), 0);
-        assert_eq!(report.merged.len(), 3);
+        // One worker runs inline on the calling thread, two spawn.
+        for threads in [1, 2] {
+            let mc = MonteCarlo::new(4, 0, 5).threads(threads);
+            let report = mc.run_instrumented(|i, _| {
+                assert!(i != 2, "replication 2 poisons itself");
+                let mut s = DelayStats::new();
+                s.record(i as f64);
+                (s, MetricSet::new())
+            });
+            assert_eq!(report.panicked, 1, "threads = {threads}");
+            assert_eq!(report.per_rep[2].len(), 0);
+            assert_eq!(report.merged.len(), 3);
+        }
     }
 
     #[test]

@@ -1,18 +1,8 @@
 //! Slotted traffic sources.
 
 use crate::binomial::Binomial;
-use nc_traffic::{CbrSource, Mmoo, Mmp, PoissonBatch};
+use nc_traffic::{Mmoo, Mmp, PoissonBatch};
 use rand::{Rng, RngExt};
-
-/// A slotted traffic source: each call to [`Source::pull`] returns the
-/// amount of data emitted in the next slot.
-///
-/// The trait is object-safe (`&mut dyn Rng` rather than a generic
-/// parameter) so heterogeneous source mixes can be boxed.
-pub trait Source {
-    /// Data emitted in the next slot.
-    fn pull(&mut self, rng: &mut dyn Rng) -> f64;
-}
 
 /// Simulation state of one MMOO flow (see
 /// [`nc_traffic::Mmoo`] for the analytical model).
@@ -54,12 +44,6 @@ impl MmooState {
             self.on = !self.on;
         }
         emitted
-    }
-}
-
-impl Source for MmooState {
-    fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
-        self.step(rng)
     }
 }
 
@@ -142,18 +126,6 @@ impl MmooAggregate {
     }
 }
 
-impl Source for MmooAggregate {
-    fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
-        self.step(rng)
-    }
-}
-
-impl Source for CbrSource {
-    fn pull(&mut self, _rng: &mut dyn Rng) -> f64 {
-        self.rate()
-    }
-}
-
 /// Draws a state from the stationary distribution `pi` by inversion
 /// (one uniform draw).
 fn stationary_state<R: Rng + ?Sized>(pi: &[f64], rng: &mut R) -> usize {
@@ -224,12 +196,6 @@ impl MmpState {
     }
 }
 
-impl Source for MmpState {
-    fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
-        self.step(rng)
-    }
-}
-
 /// An aggregate of independent general Markov-modulated flows: one
 /// shared model and one state index per flow, stepped in flow order
 /// with the same draws as a [`MmpState`] per flow.
@@ -265,12 +231,6 @@ impl MmpAggregate {
     }
 }
 
-impl Source for MmpAggregate {
-    fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
-        self.step(rng)
-    }
-}
-
 /// The largest share of `λ` one run of Knuth's sampler takes on:
 /// `e^{−500} ≈ 7·10⁻²¹⁸` is still a normal `f64`, while `e^{−λ}`
 /// underflows for `λ ≳ 745` and would end every run at ~745 batches.
@@ -298,10 +258,10 @@ impl PoissonBatchSim {
         let exp_neg_part = (-model.lambda() / f64::from(parts)).exp();
         PoissonBatchSim { model, parts, exp_neg_part }
     }
-}
 
-impl Source for PoissonBatchSim {
-    fn pull(&mut self, rng: &mut dyn Rng) -> f64 {
+    /// Advances one slot: returns the data of this slot's
+    /// `Poisson(λ)` batches.
+    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         let mut k = 0u64;
         for _ in 0..self.parts {
             let mut p = rng.random::<f64>();
@@ -314,8 +274,8 @@ impl Source for PoissonBatchSim {
     }
 }
 
-/// Replays a fixed per-slot arrival schedule (used for the Theorem-2
-/// adversarial scenarios); emits `0` past the end of the trace.
+/// Replays a fixed per-slot arrival schedule; emits `0` past the end of
+/// the trace.
 #[derive(Debug, Clone)]
 pub struct TraceSource {
     slots: Vec<f64>,
@@ -332,10 +292,10 @@ impl TraceSource {
     pub fn is_done(&self) -> bool {
         self.pos >= self.slots.len()
     }
-}
 
-impl Source for TraceSource {
-    fn pull(&mut self, _rng: &mut dyn Rng) -> f64 {
+    /// Advances one slot: returns the trace's amount for it (`0` past
+    /// the end).
+    pub fn step(&mut self) -> f64 {
         let v = self.slots.get(self.pos).copied().unwrap_or(0.0);
         self.pos += 1;
         v
@@ -356,7 +316,7 @@ mod tests {
         let slots = 200_000usize;
         let mut total = 0.0;
         for _ in 0..slots {
-            total += agg.pull(&mut rng);
+            total += agg.step(&mut rng);
         }
         let per_flow = total / (slots as f64 * 50.0);
         let want = model.mean_rate();
@@ -375,19 +335,10 @@ mod tests {
         let slots = 50_000usize;
         for _ in 0..slots {
             on_slots += agg.on_count();
-            agg.pull(&mut rng);
+            agg.step(&mut rng);
         }
         let frac = on_slots as f64 / (slots * 100) as f64;
         assert!((frac - model.stationary_on()).abs() < 0.01);
-    }
-
-    #[test]
-    fn cbr_is_constant() {
-        let mut c = CbrSource::new(2.5);
-        let mut rng = StdRng::seed_from_u64(1);
-        for _ in 0..10 {
-            assert_eq!(c.pull(&mut rng), 2.5);
-        }
     }
 
     #[test]
@@ -398,7 +349,7 @@ mod tests {
             let model = PoissonBatch::new(lambda, 2.0);
             let mut src = PoissonBatchSim::new(model);
             let mut rng = StdRng::seed_from_u64(3);
-            let total: f64 = (0..slots).map(|_| src.pull(&mut rng)).sum();
+            let total: f64 = (0..slots).map(|_| src.step(&mut rng)).sum();
             let batches = total / (slots as f64 * model.batch());
             // Five standard errors of the mean of `slots` Poisson(λ) draws.
             let tol = 5.0 * (lambda / slots as f64).sqrt();
@@ -415,7 +366,7 @@ mod tests {
         let slots = 100_000usize;
         let mut total = 0.0;
         for _ in 0..slots {
-            total += agg.pull(&mut rng);
+            total += agg.step(&mut rng);
         }
         let per_flow = total / (slots as f64 * 50.0);
         assert!(
@@ -437,7 +388,7 @@ mod tests {
         let slots = 200_000usize;
         let mut total = 0.0;
         for _ in 0..slots {
-            total += agg.pull(&mut rng);
+            total += agg.step(&mut rng);
         }
         let per_flow = total / (slots as f64 * 20.0);
         assert!((per_flow - want).abs() / want < 0.05, "empirical {per_flow} vs analytical {want}");
@@ -446,11 +397,10 @@ mod tests {
     #[test]
     fn trace_replays_and_pads_with_zero() {
         let mut t = TraceSource::new(vec![1.0, 2.0]);
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(t.pull(&mut rng), 1.0);
+        assert_eq!(t.step(), 1.0);
         assert!(!t.is_done());
-        assert_eq!(t.pull(&mut rng), 2.0);
+        assert_eq!(t.step(), 2.0);
         assert!(t.is_done());
-        assert_eq!(t.pull(&mut rng), 0.0);
+        assert_eq!(t.step(), 0.0);
     }
 }

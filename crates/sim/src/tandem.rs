@@ -144,28 +144,44 @@ pub struct TandemSim {
 }
 
 impl TandemSim {
-    /// Creates a simulation from a config and RNG seed.
+    /// Creates a simulation from a config and RNG seed: every node has
+    /// capacity `cfg.capacity` and no faults.
     ///
     /// # Panics
     ///
-    /// Panics if `hops` is zero, `n_through` is zero, or the capacity is
-    /// not positive/finite (via [`Node::new`]).
+    /// As for [`TandemSim::with_capacities_and_faults`].
     pub fn new(cfg: SimConfig, seed: u64) -> Self {
         let capacities = vec![cfg.capacity; cfg.hops];
-        Self::with_capacities(cfg, &capacities, seed)
+        Self::with_capacities_and_faults(cfg, &capacities, None, seed)
+            .expect("no fault plan to mismatch")
     }
 
-    /// Creates a simulation with *per-node* capacities (a heterogeneous
-    /// path); `cfg.capacity` is ignored.
+    /// The general constructor: *per-node* capacities (a heterogeneous
+    /// path; `cfg.capacity` is ignored) plus an optional [`FaultPlan`]
+    /// injected at every node. Fault draws come from a separate salted
+    /// stream derived from `seed`, so the traffic sample path is
+    /// identical to the unfaulted simulation under the same seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::FaultConfig`] when a per-node plan does not
+    /// cover exactly `cfg.hops` nodes.
     ///
     /// # Panics
     ///
     /// Panics if `capacities.len() != cfg.hops`, `hops` or `n_through`
-    /// is zero, or any capacity is invalid (via [`Node::new`]).
-    pub fn with_capacities(cfg: SimConfig, capacities: &[f64], seed: u64) -> Self {
+    /// is zero, the packet size is invalid or combined with GPS, or any
+    /// capacity is not positive/finite (via [`Node::new`]).
+    pub fn with_capacities_and_faults(
+        cfg: SimConfig,
+        capacities: &[f64],
+        plan: Option<&FaultPlan>,
+        seed: u64,
+    ) -> Result<Self, Error> {
         assert!(cfg.hops > 0, "TandemSim: need at least one hop");
         assert!(cfg.n_through > 0, "TandemSim: need at least one through flow");
         assert_eq!(capacities.len(), cfg.hops, "TandemSim: one capacity per hop");
+        let faults = plan.map(|plan| FaultInjector::new(plan, cfg.hops, seed)).transpose()?;
         let mut rng = StdRng::seed_from_u64(seed);
         let through = MmooAggregate::stationary(cfg.source, cfg.n_through, &mut rng);
         let cross = (0..cfg.hops)
@@ -187,7 +203,7 @@ impl TandemSim {
             .iter()
             .map(|&c| Node::with_mode(c, cfg.scheduler.node_policy(), 2, mode))
             .collect();
-        TandemSim {
+        Ok(TandemSim {
             cfg,
             rng,
             through,
@@ -200,48 +216,9 @@ impl TandemSim {
             slot: 0,
             stats: DelayStats::new(),
             telemetry: None,
-            faults: None,
+            faults,
             lost_emissions: 0,
-        }
-    }
-
-    /// Creates a faulted simulation: like [`TandemSim::new`], with the
-    /// given [`FaultPlan`] injected at every node. Fault draws come
-    /// from a separate salted stream derived from `seed`, so the
-    /// traffic sample path is identical to the unfaulted simulation
-    /// under the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::FaultConfig`] when a per-node plan does not
-    /// cover exactly `cfg.hops` nodes.
-    pub fn with_faults(cfg: SimConfig, plan: &FaultPlan, seed: u64) -> Result<Self, Error> {
-        let capacities = vec![cfg.capacity; cfg.hops];
-        Self::with_capacities_and_faults(cfg, &capacities, Some(plan), seed)
-    }
-
-    /// The fully general constructor: per-node capacities plus an
-    /// optional fault plan (`None` behaves exactly like
-    /// [`TandemSim::with_capacities`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::FaultConfig`] on a plan/topology mismatch.
-    ///
-    /// # Panics
-    ///
-    /// As for [`TandemSim::with_capacities`].
-    pub fn with_capacities_and_faults(
-        cfg: SimConfig,
-        capacities: &[f64],
-        plan: Option<&FaultPlan>,
-        seed: u64,
-    ) -> Result<Self, Error> {
-        let mut sim = Self::with_capacities(cfg, capacities, seed);
-        if let Some(plan) = plan {
-            sim.faults = Some(FaultInjector::new(plan, cfg.hops, seed)?);
-        }
-        Ok(sim)
+        })
     }
 
     /// Turns on per-node telemetry collection (queue-depth and backlog
@@ -281,17 +258,6 @@ impl TandemSim {
     /// [`TandemSim::run`] — any already-recorded samples are discarded.
     pub fn set_stats_collector(&mut self, collector: DelayStats) {
         self.stats = collector;
-    }
-
-    /// Runs the same configuration under several explicit seeds on
-    /// parallel threads (via [`crate::MonteCarlo`]'s worker pool) and
-    /// merges the delay samples — the cheap way to reach deeper
-    /// empirical quantiles. For seed derivation from a single master
-    /// seed, confidence envelopes, and streaming statistics, use
-    /// [`crate::MonteCarlo`] directly.
-    pub fn run_many(cfg: SimConfig, seeds: &[u64], slots: u64) -> DelayStats {
-        let mc = crate::MonteCarlo::new(seeds.len(), slots, 0);
-        mc.run_with(|i, _| TandemSim::new(cfg, seeds[i]).run(slots)).merged
     }
 
     /// The configuration.
@@ -590,6 +556,11 @@ pub fn replay_single_node(
 mod tests {
     use super::*;
 
+    /// A uniform-capacity tandem with `plan` injected at every node.
+    fn faulted(cfg: SimConfig, plan: &FaultPlan, seed: u64) -> Result<TandemSim, Error> {
+        TandemSim::with_capacities_and_faults(cfg, &vec![cfg.capacity; cfg.hops], Some(plan), seed)
+    }
+
     fn light_cfg(scheduler: SchedulerKind) -> SimConfig {
         SimConfig {
             capacity: 20.0,
@@ -668,7 +639,7 @@ mod tests {
         let cfg = light_cfg(SchedulerKind::Fifo);
         let plain = TandemSim::new(cfg, 21).run(20_000);
         let plan = FaultPlan::uniform(vec![]).unwrap();
-        let faulted = TandemSim::with_faults(cfg, &plan, 21).unwrap().run(20_000);
+        let faulted = faulted(cfg, &plan, 21).unwrap().run(20_000);
         assert_eq!(plain.samples(), faulted.samples(), "empty plan must not perturb traffic");
     }
 
@@ -680,10 +651,10 @@ mod tests {
             crate::FaultModel::Drop { prob: 0.002 },
         ])
         .unwrap();
-        let a = TandemSim::with_faults(cfg, &plan, 77).unwrap().run(20_000);
-        let b = TandemSim::with_faults(cfg, &plan, 77).unwrap().run(20_000);
+        let a = faulted(cfg, &plan, 77).unwrap().run(20_000);
+        let b = faulted(cfg, &plan, 77).unwrap().run(20_000);
         assert_eq!(a.samples(), b.samples());
-        let c = TandemSim::with_faults(cfg, &plan, 78).unwrap().run(20_000);
+        let c = faulted(cfg, &plan, 78).unwrap().run(20_000);
         assert_ne!(a.samples(), c.samples(), "different seeds must diverge");
     }
 
@@ -697,7 +668,7 @@ mod tests {
             capacity_factor: 0.0,
         }])
         .unwrap();
-        let mut sim = TandemSim::with_faults(cfg, &plan, 5).unwrap();
+        let mut sim = faulted(cfg, &plan, 5).unwrap();
         let faulted = sim.run(40_000);
         assert!(
             faulted.mean().unwrap() > clean.mean().unwrap(),
@@ -713,7 +684,7 @@ mod tests {
     fn drops_lose_emissions_not_samples_integrity() {
         let cfg = light_cfg(SchedulerKind::Fifo);
         let plan = FaultPlan::uniform(vec![crate::FaultModel::Drop { prob: 0.05 }]).unwrap();
-        let mut sim = TandemSim::with_faults(cfg, &plan, 13).unwrap();
+        let mut sim = faulted(cfg, &plan, 13).unwrap();
         let stats = sim.run(40_000);
         assert!(sim.lost_emissions() > 0, "5% drops over 40k slots must lose something");
         assert!(!stats.is_empty(), "most emissions still make it through");
@@ -725,7 +696,7 @@ mod tests {
     fn per_node_plan_mismatch_is_an_error() {
         let cfg = light_cfg(SchedulerKind::Fifo);
         let plan = FaultPlan::per_node(vec![vec![], vec![]]).unwrap(); // 2 nodes, cfg has 3
-        assert!(TandemSim::with_faults(cfg, &plan, 1).is_err());
+        assert!(faulted(cfg, &plan, 1).is_err());
     }
 
     #[test]
@@ -761,17 +732,12 @@ mod tests {
     #[test]
     fn heterogeneous_bottleneck_raises_delays() {
         let cfg = light_cfg(SchedulerKind::Fifo);
-        let uniform = TandemSim::with_capacities(cfg, &[20.0, 20.0, 20.0], 11).run(40_000);
-        let bottleneck = TandemSim::with_capacities(cfg, &[20.0, 12.0, 20.0], 11).run(40_000);
+        let run = |caps: &[f64]| {
+            TandemSim::with_capacities_and_faults(cfg, caps, None, 11).unwrap().run(40_000)
+        };
+        let uniform = run(&[20.0, 20.0, 20.0]);
+        let bottleneck = run(&[20.0, 12.0, 20.0]);
         assert!(bottleneck.mean().unwrap() > uniform.mean().unwrap());
-    }
-
-    #[test]
-    fn run_many_merges_seeds() {
-        let cfg = SimConfig { warmup: 100, ..light_cfg(SchedulerKind::Fifo) };
-        let merged = TandemSim::run_many(cfg, &[1, 2, 3], 5_000);
-        let single = TandemSim::new(cfg, 1).run(5_000);
-        assert!(merged.len() > 2 * single.len());
     }
 
     #[test]

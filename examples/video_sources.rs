@@ -11,7 +11,7 @@
 //! Run with `cargo run --release --example video_sources`.
 
 use linksched::core::{PathScheduler, SourceTandem};
-use linksched::sim::{DelayStats, MmpAggregate, Node, NodePolicy, Source};
+use linksched::sim::{DelayStats, MmpAggregate, Node, NodePolicy};
 use linksched::traffic::Mmp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,12 +74,12 @@ fn main() {
     let mut outstanding: VecDeque<(u64, f64)> = VecDeque::new();
     let mut stats = DelayStats::new();
     for t in 0..300_000u64 {
-        let a0 = through.pull(&mut rng);
+        let a0 = through.step(&mut rng);
         if a0 > 0.0 {
             node.enqueue(linksched::sim::Chunk { class: 0, bits: a0, entry: t, node_arrival: t });
             outstanding.push_back((t, a0));
         }
-        let a1 = cross.pull(&mut rng);
+        let a1 = cross.step(&mut rng);
         if a1 > 0.0 {
             node.enqueue(linksched::sim::Chunk { class: 1, bits: a1, entry: t, node_arrival: t });
         }

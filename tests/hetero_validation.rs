@@ -38,7 +38,7 @@ fn hetero_bound_dominates_simulation_with_bottleneck() {
 
     // Simulation with matching per-node capacities.
     let cfg = SimConfig {
-        capacity: 0.0, // ignored by with_capacities
+        capacity: 0.0, // ignored: the capacities are per node
         hops: capacities.len(),
         n_through,
         n_cross,
@@ -47,7 +47,8 @@ fn hetero_bound_dominates_simulation_with_bottleneck() {
         warmup: 5_000,
         packet_size: None,
     };
-    let stats = TandemSim::with_capacities(cfg, &capacities, 77).run(400_000);
+    let stats =
+        TandemSim::with_capacities_and_faults(cfg, &capacities, None, 77).unwrap().run(400_000);
     assert!(stats.len() > 10_000);
     let emp = stats.violation_fraction(bound);
     assert!(
@@ -72,7 +73,9 @@ fn hetero_reduces_to_homogeneous_in_simulation() {
         packet_size: None,
     };
     let mut a = TandemSim::new(cfg, 5).run(100_000);
-    let mut b = TandemSim::with_capacities(cfg, &[20.0, 20.0, 20.0], 5).run(100_000);
+    let mut b = TandemSim::with_capacities_and_faults(cfg, &[20.0, 20.0, 20.0], None, 5)
+        .unwrap()
+        .run(100_000);
     assert_eq!(a.len(), b.len());
     assert_eq!(a.quantile(0.99), b.quantile(0.99));
 }

@@ -4,7 +4,7 @@
 //! MMOO; this drives `Node`s directly, mirroring Fig. 1).
 
 use linksched::core::{PathScheduler, SourceTandem};
-use linksched::sim::{Chunk, DelayStats, MmpAggregate, Node, NodePolicy, Source};
+use linksched::sim::{Chunk, DelayStats, MmpAggregate, Node, NodePolicy};
 use linksched::traffic::Mmp;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +38,7 @@ fn simulate_tandem_mmp(
     let mut stats = DelayStats::new();
     let warmup = 5_000u64;
     for t in 0..slots {
-        let a0 = through.pull(&mut rng);
+        let a0 = through.step(&mut rng);
         let mut forwarded = Vec::new();
         if a0 > 0.0 {
             forwarded.push(Chunk { class: 0, bits: a0, entry: t, node_arrival: t });
@@ -48,7 +48,7 @@ fn simulate_tandem_mmp(
             for c in forwarded.drain(..) {
                 node.enqueue(c);
             }
-            let ac = cross[h].pull(&mut rng);
+            let ac = cross[h].step(&mut rng);
             if ac > 0.0 {
                 node.enqueue(Chunk { class: 1, bits: ac, entry: t, node_arrival: t });
             }
@@ -107,7 +107,7 @@ fn mmp_empirical_mean_matches_model() {
     let mut rng = StdRng::seed_from_u64(9);
     let mut agg = MmpAggregate::stationary(&src, 30, &mut rng);
     let slots = 100_000usize;
-    let total: f64 = (0..slots).map(|_| agg.pull(&mut rng)).sum();
+    let total: f64 = (0..slots).map(|_| agg.step(&mut rng)).sum();
     let per_flow = total / (slots as f64 * 30.0);
     let want = src.mean_rate();
     assert!((per_flow - want).abs() / want < 0.05, "empirical {per_flow} vs analytical {want}");
