@@ -111,9 +111,7 @@ impl Curve {
     ///   case after peeling the latency).
     ///
     /// Remaining mixed shapes go through the exact segment-merge
-    /// algorithm ([`Curve::convolve_segment_merge`]); the dense-sampling
-    /// approximation ([`Curve::convolve_sampled`]) stays available for
-    /// callers that want grid semantics.
+    /// algorithm ([`Curve::convolve_segment_merge`]).
     pub fn convolve(&self, other: &Curve) -> Curve {
         // Recursive cases (latency peeling) count as separate ops; the
         // timer histogram then records nested durations, which is fine
@@ -200,22 +198,6 @@ impl Curve {
             }
         }
         acc
-    }
-
-    /// Min-plus convolution by dense sampling on a uniform grid with step
-    /// `dt` and `n` points (horizon `n·dt`).
-    ///
-    /// The samples over-estimate the true infimum by at most one grid
-    /// cell of growth, so the reconstructed curve is a conservative upper
-    /// bound that converges to `f ∗ g` as `dt → 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not strictly positive or `n` is zero.
-    pub fn convolve_sampled(&self, other: &Curve, dt: f64, n: usize) -> Curve {
-        let a = crate::SampledCurve::from_curve(self, dt, n);
-        let b = crate::SampledCurve::from_curve(other, dt, n);
-        a.convolve(&b).to_curve(self.long_run_rate().min(other.long_run_rate()))
     }
 
     // ------------------------------------------------------------------

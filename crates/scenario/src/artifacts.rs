@@ -2,19 +2,18 @@
 //! figure scenarios' Monte Carlo overlay column.
 
 use crate::error::Error;
-use crate::experiments::all_replications_ran;
+use crate::experiments::simulate_cell;
 use crate::opts::RunOpts;
 use crate::CAPACITY;
-use nc_sim::MonteCarloReport;
 use nc_telemetry as tel;
 use nc_traffic::Mmoo;
 
 /// Writes the telemetry artifacts (`--metrics-out`, `--trace-out`,
 /// `--events-out`, and the run manifest) at the end of a scenario run.
 ///
-/// Construct with [`RunArtifacts::begin`] before the workload, merge
-/// per-run metric shards with [`RunArtifacts::absorb`] (or let
-/// [`sim_overlay`] do it), and call [`RunArtifacts::finish`] last.
+/// Construct with [`RunArtifacts::begin`] before the workload and call
+/// [`RunArtifacts::finish`] last; the workload folds its metric shards
+/// into the global registry in between.
 /// Without artifact flags every method is a no-op, and without the
 /// `telemetry` feature the files are written but carry empty metric and
 /// span sections.
@@ -39,11 +38,6 @@ impl RunArtifacts {
             binary: binary.to_string(),
             start: std::time::Instant::now(),
         }
-    }
-
-    /// Merges a Monte Carlo report's metric shard into the artifacts.
-    pub fn absorb(&self, metrics: &tel::MetricSet) {
-        tel::merge_global(metrics);
     }
 
     /// Writes all requested artifacts (atomically, via temp + rename in
@@ -91,21 +85,22 @@ impl RunArtifacts {
 /// reference point every valid ε = 10⁻⁹ bound must exceed.
 pub const OVERLAY_EPS: f64 = 1e-3;
 
-/// Runs the paper's tandem (FIFO, `C = 100`) through the Monte Carlo
-/// engine per the options and merges the report's metric shard into the
-/// global registry. The merged statistics are bitwise-identical for any
-/// `--threads` value.
+/// Formats the merged simulated `q(1 − OVERLAY_EPS)` plus its
+/// across-replication spread for the figure scenarios' `--sim` overlay
+/// column: the paper's tandem (FIFO, `C = 100`) run through the Monte
+/// Carlo engine per the options. The merged statistics are
+/// bitwise-identical for any `--threads` value.
 ///
 /// # Errors
 ///
 /// [`Error::Sim`] if the options' fault plan does not match `hops`;
 /// [`Error::Runtime`] if a replication panicked.
-pub fn overlay_report(
+pub fn sim_overlay(
     opts: &RunOpts,
     n_through: usize,
     n_cross: usize,
     hops: usize,
-) -> Result<MonteCarloReport, Error> {
+) -> Result<String, Error> {
     let cfg = nc_sim::SimConfig {
         capacity: CAPACITY,
         hops,
@@ -117,21 +112,7 @@ pub fn overlay_report(
         packet_size: None,
     };
     let cell = format!("overlay-h{hops}-n{n_through}-c{n_cross}");
-    let report = opts.monte_carlo(&[]).run(cfg)?;
-    tel::merge_global(&report.metrics);
-    all_replications_ran(report, &cell)
-}
-
-/// Formats the merged simulated `q(1 − OVERLAY_EPS)` plus its
-/// across-replication spread for the figure scenarios' `--sim` overlay
-/// column (see [`overlay_report`]).
-pub fn sim_overlay(
-    opts: &RunOpts,
-    n_through: usize,
-    n_cross: usize,
-    hops: usize,
-) -> Result<String, Error> {
-    let mut report = overlay_report(opts, n_through, n_cross, hops)?;
+    let mut report = simulate_cell(&opts.monte_carlo(&[]), cfg, &cell)?;
     let q = 1.0 - OVERLAY_EPS;
     Ok(match (report.merged.quantile(q), report.quantile_spread(q)) {
         (Some(m), Some((lo, hi))) => format!("{m:9.2} [{lo:.2}, {hi:.2}]"),

@@ -16,14 +16,14 @@
 //! figure experiments they take no scenario parameters; the scenario
 //! contributes the Monte Carlo defaults for ablation 4.
 
-use super::all_replications_ran;
+use super::simulate_cell;
 use crate::error::Error;
 use crate::opts::RunOpts;
 use crate::{flows_for_utilization, tandem, CAPACITY, EPSILON};
 use nc_core::e2e::netbound;
 use nc_core::e2e::optimizer::{explicit, solve, NodeParams};
 use nc_core::PathScheduler;
-use nc_sim::{MonteCarlo, SchedulerKind, SimConfig};
+use nc_sim::{SchedulerKind, SimConfig};
 use nc_traffic::{Ebb, ExpBound, Mmoo};
 use std::hint::black_box;
 use std::time::Instant;
@@ -181,17 +181,14 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     };
     // (a) Wall-clock vs thread count; merged statistics must be
     // bitwise-identical across runs.
-    let seq = opts.monte_carlo(&[]).threads(1);
-    let t0 = Instant::now();
-    let mut merged_seq = all_replications_ran(seq.run(cfg)?, "engine-seq")?;
-    let t_seq = t0.elapsed();
     let par = opts.monte_carlo(&[]);
+    let t0 = Instant::now();
+    let mut merged_seq = simulate_cell(&par.clone().threads(1), cfg, "engine-seq")?;
+    let t_seq = t0.elapsed();
     let workers = nc_sim::effective_threads(par.threads, par.reps);
     let t1 = Instant::now();
-    let mut merged_par = all_replications_ran(par.run(cfg)?, "engine-par")?;
+    let mut merged_par = simulate_cell(&par, cfg, "engine-par")?;
     let t_par = t1.elapsed();
-    nc_telemetry::merge_global(&merged_seq.metrics);
-    nc_telemetry::merge_global(&merged_par.metrics);
     let q = 0.999;
     let identical = merged_seq.merged.len() == merged_par.merged.len()
         && merged_seq.merged.mean().map(f64::to_bits) == merged_par.merged.mean().map(f64::to_bits)
@@ -207,8 +204,7 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     );
     // (b) Streaming reservoir vs exact collection: moments must agree
     // exactly, quantiles up to reservoir resolution.
-    let exact = MonteCarlo::new(opts.reps, opts.slots, opts.seed).threads(opts.threads).run(cfg)?;
-    let mut exact = all_replications_ran(exact, "engine-exact")?;
+    let mut exact = simulate_cell(&opts.monte_carlo_exact(), cfg, "engine-exact")?;
     let mean_gap =
         (merged_par.merged.mean().unwrap_or(0.0) - exact.merged.mean().unwrap_or(0.0)).abs();
     let q_stream = merged_par.merged.quantile(q).unwrap_or(f64::NAN);

@@ -2,7 +2,7 @@
 //! tandem simulations (the scenario forms of `linksched
 //! bound`/`sweep`/`simulate`).
 
-use super::all_replications_ran;
+use super::simulate_cell;
 use crate::error::Error;
 use crate::model::{Bound, CrossSweep, Simulate};
 use crate::opts::RunOpts;
@@ -87,11 +87,6 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
         warmup: (opts.slots / 100).max(1_000),
         packet_size: p.packet,
     };
-    // Fail fast on a fault plan that cannot fit this path, before any
-    // table output.
-    if let Some(plan) = &opts.faults {
-        plan.check_hops(p.hops)?;
-    }
     let capacity_note = match &p.capacities {
         Some(caps) => format!(
             "C = [{}] Mbps",
@@ -110,26 +105,10 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
         if opts.reps > 1 { format!(", {} reps", opts.reps) } else { String::new() },
         if opts.faults.is_some() { ", faulted links" } else { "" }
     );
-    let uniform = vec![p.capacity; p.hops];
-    let caps = p.capacities.as_deref().unwrap_or(&uniform);
-    let mc = opts.monte_carlo_exact();
-    let mut stats = if opts.reps > 1 {
-        // Replicated run through the Monte Carlo engine: per-rep seeds
-        // derive from the master seed, the merge is bitwise-identical
-        // for every thread count, and fault injection follows the
-        // options.
-        let report = mc.run_instrumented(|_, seed| {
-            mc.replicate(cfg, caps, seed).expect("fault plan validated against the hops above")
-        });
-        nc_telemetry::merge_global(&report.metrics);
-        all_replications_ran(report, "simulate")?.merged
-    } else {
-        // Single replication: the seed is used directly, matching the
-        // historical `linksched simulate` behaviour.
-        let (stats, shard) = mc.replicate(cfg, caps, opts.seed)?;
-        nc_telemetry::merge_global(&shard);
-        stats
-    };
+    // Replication i runs under the i-th seed derived from the master
+    // seed, so the merge is bitwise-identical for every thread count.
+    let mc = opts.monte_carlo_exact().capacities(p.capacities.clone());
+    let mut stats = simulate_cell(&mc, cfg, "simulate")?.merged;
     if stats.is_empty() {
         return Err(Error::Runtime("no samples recorded (all within warm-up?)".into()));
     }

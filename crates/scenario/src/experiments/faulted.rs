@@ -12,13 +12,13 @@
 //! changes the damage. Fair-queueing rows (GPS/SCFQ) are measured
 //! against the BMUX envelope, as in the validation experiment.
 
-use super::all_replications_ran;
+use super::simulate_cell;
 use crate::error::Error;
 use crate::model::Faulted;
 use crate::opts::RunOpts;
-use crate::{fmt, is_fair_queueing, parse_sched};
-use nc_core::{MmooTandem, PathScheduler};
-use nc_sim::{MonteCarloReport, SimConfig};
+use crate::{fmt, parse_sched};
+use nc_core::MmooTandem;
+use nc_sim::SimConfig;
 use nc_traffic::Mmoo;
 
 pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
@@ -46,21 +46,16 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
         "{:>18} {:>10} {:>14} {:>14} {:>16} {:>14}",
         "scheduler", "bound", "clean P(W>d)", "fault P(W>d)", "fault q(1-eps)", "note"
     );
-    // The same options minus the fault plan drive the clean baseline,
-    // so seeds and thread count stay aligned.
-    let mut clean_opts = opts.clone();
-    clean_opts.faults = None;
     for case in &p.schedulers {
         let (analysis_sched, sim_sched) = parse_sched(&case.sched).map_err(Error::Runtime)?;
-        let fair = is_fair_queueing(&case.sched);
-        let bound_sched = if fair { PathScheduler::Bmux } else { analysis_sched };
+        let fair = sim_sched.delta().is_none();
         let bound = MmooTandem {
             source,
             n_through: p.through,
             n_cross: p.cross,
             capacity: p.capacity,
             hops: p.hops,
-            scheduler: bound_sched,
+            scheduler: analysis_sched,
         }
         .delay_bound(p.epsilon)
         .map(|b| b.bound.delay);
@@ -74,8 +69,11 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
             warmup: super::TANDEM_WARMUP,
             packet_size: None,
         };
-        let clean = run_cell(&clean_opts, cfg, bound, &format!("clean-{}", case.label))?;
-        let mut faulted = run_cell(opts, cfg, bound, &format!("faulted-{}", case.label))?;
+        let mc = opts.monte_carlo(bound.as_slice());
+        // The same plan minus the fault plan drives the clean baseline,
+        // so seeds and thread count stay aligned.
+        let clean = simulate_cell(&mc.clone().faults(None), cfg, &format!("clean-{}", case.label))?;
+        let mut faulted = simulate_cell(&mc, cfg, &format!("faulted-{}", case.label))?;
         let q_fault = faulted.merged.quantile(1.0 - p.epsilon).unwrap_or(f64::NAN);
         let (clean_col, fault_col, note) = match bound {
             Some(d) => {
@@ -101,19 +99,4 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
         );
     }
     Ok(())
-}
-
-/// One Monte Carlo cell through the engine (streaming mode with the
-/// bound as an exact threshold); folds the metric shard into the global
-/// registry for the artifact writers.
-fn run_cell(
-    opts: &RunOpts,
-    cfg: SimConfig,
-    bound: Option<f64>,
-    cell: &str,
-) -> Result<MonteCarloReport, Error> {
-    let thresholds: Vec<f64> = bound.into_iter().collect();
-    let report = opts.monte_carlo(&thresholds).run(cfg)?;
-    nc_telemetry::merge_global(&report.metrics);
-    all_replications_ran(report, cell)
 }

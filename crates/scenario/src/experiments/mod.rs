@@ -11,7 +11,7 @@ pub(crate) mod utilization_sweep;
 pub(crate) mod validate;
 
 use crate::error::Error;
-use nc_sim::MonteCarloReport;
+use nc_sim::{MonteCarlo, MonteCarloReport, SimConfig};
 
 /// Warm-up slots per replication of the `validate` and `faulted`
 /// tandems: delay samples whose entry slot falls inside it are
@@ -31,47 +31,53 @@ pub(crate) fn check_past_warmup(slots: u64) -> Result<(), Error> {
     Ok(())
 }
 
-/// Passes a Monte Carlo cell's report on only if every replication ran
-/// to completion. The engine isolates a panicking replication and keeps
-/// going, but a table printed from fewer replications than `--reps`
-/// asked for misstates its own sample, so the run fails instead.
-pub(crate) fn all_replications_ran(
-    report: MonteCarloReport,
+/// Runs one simulated table cell: the plan's replications of the
+/// tandem `cfg`, merged in replication order. Folds the cell's metric
+/// shard into the process-wide registry for the artifact writers. A
+/// table printed from fewer replications than `--reps` asked for would
+/// misstate its own sample, so a panicked replication fails the cell
+/// (exit code 6) once the others have run.
+pub(crate) fn simulate_cell(
+    mc: &MonteCarlo,
+    cfg: SimConfig,
     cell: &str,
 ) -> Result<MonteCarloReport, Error> {
-    if report.panicked > 0 {
-        return Err(Error::Runtime(format!(
-            "{} of {} replication(s) panicked in cell {cell}",
-            report.panicked,
-            report.per_rep.len()
-        )));
+    match mc.run(cfg) {
+        Ok(report) => {
+            nc_telemetry::merge_global(&report.metrics);
+            Ok(report)
+        }
+        Err(nc_sim::Error::ReplicationsPanicked { panicked, reps }) => Err(Error::Runtime(
+            format!("{panicked} of {reps} replication(s) panicked in cell {cell}"),
+        )),
+        Err(e) => Err(e.into()),
     }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nc_sim::{DelayStats, MonteCarlo};
-    use nc_telemetry::MetricSet;
+    use nc_sim::SchedulerKind;
 
     #[test]
     fn a_panicked_replication_fails_the_cell() {
-        let job = |poisoned: usize| {
-            move |i: usize, _seed: u64| {
-                assert!(i != poisoned, "replication {i} poisons itself");
-                let mut s = DelayStats::new();
-                s.record(i as f64);
-                (s, MetricSet::new())
-            }
+        let cfg = |packet_size| SimConfig {
+            capacity: 20.0,
+            hops: 2,
+            n_through: 10,
+            n_cross: 20,
+            scheduler: SchedulerKind::Gps { w_through: 1.0, w_cross: 1.0 },
+            warmup: 100,
+            packet_size,
+            ..SimConfig::default()
         };
-        let mc = MonteCarlo::new(3, 0, 7).threads(1);
-        let clean =
-            all_replications_ran(mc.run_instrumented(job(usize::MAX)), "clean").expect("clean");
-        assert_eq!(clean.merged.len(), 3);
-        let err =
-            all_replications_ran(mc.run_instrumented(job(1)), "h2-fifo").expect_err("panicked");
+        let mc = MonteCarlo::new(3, 500, 7).threads(1);
+        let clean = simulate_cell(&mc, cfg(None), "clean").expect("clean");
+        assert_eq!(clean.per_rep.len(), 3);
+        // The simulator does not model packetized GPS: it panics in
+        // every replication.
+        let err = simulate_cell(&mc, cfg(Some(1.5)), "h2-gps").expect_err("panicked");
         assert_eq!(err.exit_code(), 6);
-        assert_eq!(err.to_string(), "1 of 3 replication(s) panicked in cell h2-fifo");
+        assert_eq!(err.to_string(), "3 of 3 replication(s) panicked in cell h2-gps");
     }
 }

@@ -10,14 +10,14 @@
 //! BMUX envelope, which dominates every work-conserving locally-FIFO
 //! discipline.
 
-use super::all_replications_ran;
+use super::simulate_cell;
 use crate::error::Error;
 use crate::model::Validate;
 use crate::opts::RunOpts;
-use crate::{fmt, is_fair_queueing, parse_sched};
+use crate::{fmt, parse_sched};
 use nc_core::{deterministic_delay_bound, LeakyBucket, MmooTandem, PathScheduler};
 use nc_minplus::Curve;
-use nc_sim::{MonteCarloReport, SchedulerKind, SimConfig};
+use nc_sim::{SchedulerKind, SimConfig};
 use nc_telemetry::json;
 use nc_traffic::Mmoo;
 
@@ -41,91 +41,53 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error>
             "{:>18} {:>10} {:>12} {:>17} {:>12} {:>21} {:>14}",
             "scheduler", "bound", "sim q(1-eps)", "q spread", "P(W>bound)", "P spread", "valid"
         );
-        // The BMUX reference bound for fair-queueing rows, computed
-        // lazily so scenarios without such rows skip it.
-        let mut bmux_ref: Option<Option<f64>> = None;
         for case in &p.schedulers {
+            // Fair-queueing rows have no Δ-scheduler bound of their own:
+            // parse_sched gives them the BMUX envelope.
             let (analysis_sched, sim_sched) = parse_sched(&case.sched).map_err(Error::Runtime)?;
-            if is_fair_queueing(&case.sched) {
-                let bmux_bound = *bmux_ref.get_or_insert_with(|| {
-                    MmooTandem {
-                        source,
-                        n_through,
-                        n_cross,
-                        capacity,
-                        hops,
-                        scheduler: PathScheduler::Bmux,
-                    }
-                    .delay_bound(eps)
-                    .map(|b| b.bound.delay)
-                });
-                let mut report = run_cell(
-                    opts,
-                    cfg(capacity, hops, n_through, n_cross, sim_sched, source),
-                    bmux_bound,
-                    &format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label),
-                )?;
-                let q = report.merged.quantile(1.0 - eps).unwrap_or(f64::NAN);
-                let q_spread = report.quantile_spread(1.0 - eps);
-                let note = match bmux_bound {
-                    Some(b) if q <= b => "yes (vs BMUX)",
-                    Some(_) => "NO (vs BMUX)",
-                    None => "-",
-                };
-                println!(
-                    "{:>18} {} {:>12.2} {} {:>12} {:>21} {:>14}",
-                    case.label,
-                    fmt(bmux_bound),
-                    q,
-                    fmt_spread(q_spread),
-                    "n/a",
-                    "n/a",
-                    note
-                );
-                let fq_valid = bmux_bound.map(|b| q <= b);
-                out.cell(
-                    &case.label,
-                    bmux_bound,
-                    q,
-                    q_spread,
-                    None,
-                    None,
-                    fq_valid,
-                    Some("vs BMUX"),
-                );
-                continue;
-            }
-            let analysis = MmooTandem {
+            let fair = sim_sched.delta().is_none();
+            let bound = MmooTandem {
                 source,
                 n_through,
                 n_cross,
                 capacity,
                 hops,
                 scheduler: analysis_sched,
-            };
-            let bound = analysis.delay_bound(eps).map(|b| b.bound.delay);
-            let mut report = run_cell(
-                opts,
+            }
+            .delay_bound(eps)
+            .map(|b| b.bound.delay);
+            let mut report = simulate_cell(
+                &opts.monte_carlo(bound.as_slice()),
                 cfg(capacity, hops, n_through, n_cross, sim_sched, source),
-                bound,
                 &format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label),
             )?;
             let q = report.merged.quantile(1.0 - eps).unwrap_or(f64::NAN);
             let q_spread = report.quantile_spread(1.0 - eps);
+            // A fair row is checked on its quantile alone.
             let (viol, p_spread, valid) = match bound {
+                Some(b) if fair => (None, None, Some(q <= b)),
                 Some(b) => {
                     let v = report.merged.violation_fraction(b);
                     (Some(v), report.violation_spread(b), Some(q <= b && v <= eps))
                 }
                 None => (None, None, None),
             };
-            let (viol_col, pspread_col, valid_col) = match (bound, viol) {
-                (Some(_), Some(v)) => (
+            let (viol_col, pspread_col, valid_col) = match (fair, viol) {
+                (true, _) => (
+                    format!("{:>12}", "n/a"),
+                    format!("{:>21}", "n/a"),
+                    match valid {
+                        Some(true) => "yes (vs BMUX)",
+                        Some(false) => "NO (vs BMUX)",
+                        None => "-",
+                    },
+                ),
+                (false, Some(v)) => (
                     format!("{v:12.2e}"),
                     fmt_spread_sci(p_spread),
                     if valid == Some(true) { "yes" } else { "NO" },
                 ),
-                _ => (format!("{:>12}", "-"), format!("{:>21}", "-"), "-"),
+                (false, None) => (format!("{:>12}", "-"), format!("{:>21}", "-"), "-"),
             };
             println!(
                 "{:>18} {} {:>12.2} {} {} {} {:>14}",
@@ -137,7 +99,8 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error>
                 pspread_col,
                 valid_col
             );
-            out.cell(&case.label, bound, q, q_spread, viol, p_spread, valid, None);
+            let note = fair.then_some("vs BMUX");
+            out.cell(&case.label, bound, q, q_spread, viol, p_spread, valid, note);
         }
         out.close_section();
     }
@@ -182,22 +145,6 @@ fn cfg(
         warmup: super::TANDEM_WARMUP,
         packet_size: None,
     }
-}
-
-/// Runs one table cell: `opts.reps` replications merged through the
-/// engine, tracking the cell's bound as an exact threshold. Folds the
-/// cell's metric shard into the process-wide registry for the artifact
-/// writers, and fails if a replication panicked.
-fn run_cell(
-    opts: &RunOpts,
-    cfg: SimConfig,
-    bound: Option<f64>,
-    cell: &str,
-) -> Result<MonteCarloReport, Error> {
-    let thresholds: Vec<f64> = bound.into_iter().collect();
-    let report = opts.monte_carlo(&thresholds).run(cfg)?;
-    nc_telemetry::merge_global(&report.metrics);
-    all_replications_ran(report, cell)
 }
 
 /// The γ = 0 BMUX optimizer bound and the classical min-plus pipeline

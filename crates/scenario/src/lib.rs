@@ -46,7 +46,7 @@ mod opts;
 mod sched;
 mod sweep;
 
-pub use artifacts::{overlay_report, sim_overlay, RunArtifacts, OVERLAY_EPS};
+pub use artifacts::{sim_overlay, RunArtifacts, OVERLAY_EPS};
 pub use engine::{Engine, RunSummary};
 pub use error::Error;
 pub use model::{
@@ -54,7 +54,7 @@ pub use model::{
     UtilizationSweep, Validate, ValidateCase,
 };
 pub use opts::{RunOpts, USAGE};
-pub use sched::{is_fair_queueing, parse_sched};
+pub use sched::parse_sched;
 pub use sweep::SweepEngine;
 
 use nc_core::{MmooTandem, PathScheduler};

@@ -6,8 +6,21 @@
 //! uses the zero-dependency JSON reader in [`nc_telemetry::json`].
 
 use crate::error::Error;
-use nc_sim::{FaultModel, FaultPlan};
+use nc_sim::{FaultModel, FaultPlan, SchedulerKind};
 use nc_telemetry::json::{self, Json};
+
+/// The experiment flags of `linksched bound|sweep|simulate` and the
+/// scenario `params` key each one sets (see [`Scenario::from_cli`]).
+const CLI_PARAMS: [(&str, &str); 8] = [
+    ("--hops", "hops"),
+    ("--through", "through"),
+    ("--cross", "cross"),
+    ("--cross-max", "cross_max"),
+    ("--capacity", "capacity"),
+    ("--eps", "epsilon"),
+    ("--sched", "sched"),
+    ("--packet", "packet"),
+];
 
 /// A parsed scenario file: name, optional table title, the experiment
 /// description, simulation defaults, and an optional fault plan.
@@ -241,9 +254,67 @@ impl Scenario {
     /// Parses and validates a scenario document.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = json::parse(text).map_err(|e| format!("scenario is not valid JSON: {e}"))?;
-        let name = req_str(&doc, "name")?;
-        let title = opt_str(&doc, "title")?;
-        let kind = req_str(&doc, "experiment")?;
+        Self::from_doc(&doc)
+    }
+
+    /// The scenario of `linksched bound|sweep|simulate`. Each
+    /// experiment flag sets the `params` key of its name (`--eps` sets
+    /// `epsilon`, `--cross-max` sets `cross_max`), and the document
+    /// goes through the same constructor and checks as a scenario file,
+    /// with the `sim` defaults reps 1, slots 1 000 000 and seed 1.
+    /// Returns the scenario and the remaining arguments, which are
+    /// engine flags for [`crate::RunOpts::parse`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Usage`] (exit code 2) for an unknown command, a flag
+    /// without a value or with a non-numeric one, and for a scenario
+    /// that fails validation.
+    pub fn from_cli(command: &str, args: &[String]) -> Result<(Self, Vec<String>), Error> {
+        let experiment = match command {
+            "bound" => "bound",
+            "sweep" => "cross_sweep",
+            "simulate" => "simulate",
+            other => return Err(Error::Usage(format!("unknown command `{other}`"))),
+        };
+        let mut params: Vec<(String, Json)> = Vec::new();
+        let mut rest = Vec::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let Some(&(_, key)) = CLI_PARAMS.iter().find(|(f, _)| f == flag) else {
+                rest.push(flag.clone());
+                continue;
+            };
+            let raw =
+                it.next().ok_or_else(|| Error::Usage(format!("missing value for `{flag}`")))?;
+            let value = if key == "sched" {
+                Json::Str(raw.clone())
+            } else {
+                Json::Num(
+                    raw.parse()
+                        .map_err(|_| Error::Usage(format!("invalid value `{raw}` for `{flag}`")))?,
+                )
+            };
+            // A repeated flag overrides the earlier one.
+            params.retain(|(k, _)| k != key);
+            params.push((key.to_string(), value));
+        }
+        let sim = [("reps", 1.0), ("slots", 1_000_000.0), ("seed", 1.0)];
+        let doc = Json::Object(vec![
+            ("name".into(), Json::Str(command.into())),
+            ("experiment".into(), Json::Str(experiment.into())),
+            ("params".into(), Json::Object(params)),
+            ("sim".into(), Json::Object(sim.map(|(k, v)| (k.into(), Json::Num(v))).into())),
+        ]);
+        let scenario = Self::from_doc(&doc).map_err(Error::Usage)?;
+        Ok((scenario, rest))
+    }
+
+    /// Builds and validates a scenario from a parsed document.
+    fn from_doc(doc: &Json) -> Result<Self, String> {
+        let name = req_str(doc, "name")?;
+        let title = opt_str(doc, "title")?;
+        let kind = req_str(doc, "experiment")?;
         let params = doc.get("params").unwrap_or(&Json::Null);
         let experiment = match kind.as_str() {
             "utilization_sweep" => Experiment::UtilizationSweep(UtilizationSweep {
@@ -306,8 +377,8 @@ impl Scenario {
                 ))
             }
         };
-        let sim = parse_sim(&doc)?;
-        let faults = parse_faults(&doc)?;
+        let sim = parse_sim(doc)?;
+        let faults = parse_faults(doc)?;
         let scenario = Scenario { name, title, experiment, sim, faults };
         scenario.check()?;
         Ok(scenario)
@@ -444,8 +515,16 @@ impl Scenario {
             }
             Experiment::Simulate(p) => {
                 check_point(p.hops, p.through, p.capacity)?;
-                crate::parse_sched(&p.sched)?;
+                let (_, kind) = crate::parse_sched(&p.sched)?;
                 check_packet(p.packet)?;
+                if p.packet.is_some() && matches!(kind, SchedulerKind::Gps { .. }) {
+                    return Err("`params.packet` cannot be combined with a gps scheduler: \
+                                packetized GPS is not modelled (scfq is)"
+                        .into());
+                }
+                if let Some(plan) = &self.faults {
+                    plan.check_hops(p.hops).map_err(|e| e.to_string())?;
+                }
                 if let Some(caps) = &p.capacities {
                     if caps.len() != p.hops {
                         return Err(format!(
@@ -793,6 +872,40 @@ mod tests {
             other => panic!("wrong experiment {other:?}"),
         }
         assert_eq!(s.sim, SimDefaults::default());
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn cli_flags_build_the_scenario_a_file_does() {
+        let text = include_str!("../../../examples/scenarios/bound_demo.json");
+        let file = Scenario::from_json(text).unwrap();
+        let flags = "--hops 5 --through 100 --cross 200 --capacity 100 --eps 1e-9 --sched fifo";
+        let (cli, rest) = Scenario::from_cli("bound", &args(flags)).unwrap();
+        assert_eq!(cli.experiment, file.experiment);
+        assert!(rest.is_empty());
+        assert_eq!(cli.sim, SimDefaults { reps: 1, slots: 1_000_000, seed: Some(1) });
+    }
+
+    #[test]
+    fn cli_passes_engine_flags_through_and_rejects_bad_input() {
+        let flags = "--hops 3 --threads 2 --through 50 --cross-max 300";
+        let (s, rest) = Scenario::from_cli("sweep", &args(flags)).unwrap();
+        assert_eq!(rest, args("--threads 2"));
+        assert!(matches!(s.experiment, Experiment::CrossSweep(CrossSweep { cross_max: 300, .. })));
+        for bad in [
+            "--hops 0 --through 1",
+            "--hops x --through 1",
+            "--hops 1",
+            "--hops 1 --through 1 --eps",
+            "--hops 1 --through 1 --sched gps:1,1 --packet 1",
+        ] {
+            let err = Scenario::from_cli("simulate", &args(bad)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{bad}: {err}");
+        }
+        assert!(Scenario::from_cli("frobnicate", &[]).is_err());
     }
 
     #[test]

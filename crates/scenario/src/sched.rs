@@ -61,13 +61,6 @@ pub fn parse_sched(s: &str) -> Result<(PathScheduler, SchedulerKind), String> {
     }
 }
 
-/// Whether a scheduler string denotes a fair-queueing discipline, i.e.
-/// one whose analytical column is the BMUX envelope rather than a
-/// Δ-scheduler bound of its own.
-pub fn is_fair_queueing(s: &str) -> bool {
-    s.starts_with("gps:") || s.starts_with("scfq:")
-}
-
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid value `{s}` for `{what}`"))
 }
@@ -111,13 +104,5 @@ mod tests {
         assert!(parse_sched("gps:1").is_err());
         assert!(parse_sched("delta:inf").is_err());
         assert!(parse_sched("wfq").is_err());
-    }
-
-    #[test]
-    fn fair_queueing_detection() {
-        assert!(is_fair_queueing("gps:1,1"));
-        assert!(is_fair_queueing("scfq:2,1"));
-        assert!(!is_fair_queueing("fifo"));
-        assert!(!is_fair_queueing("edf:10,40"));
     }
 }

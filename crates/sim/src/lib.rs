@@ -13,8 +13,8 @@
 //! * the tandem topology of Fig. 1: a through aggregate crossing `H`
 //!   nodes, with fresh cross traffic entering at every node and leaving
 //!   after one hop,
-//! * Markov-modulated on-off sources matching `nc-traffic`'s analytical
-//!   models, plus batch-Poisson and trace sources,
+//! * Markov-modulated sources matching `nc-traffic`'s MMOO and MMP
+//!   models,
 //! * single-node trace replay ([`replay_single_node`]), which executes
 //!   the adversarial scenarios of Theorem 2,
 //! * delay statistics: exact empirical quantiles and binomial
@@ -66,6 +66,6 @@ pub use montecarlo::{MonteCarlo, MonteCarloReport, DEFAULT_RESERVOIR};
 pub use node::{Chunk, Node, NodeCounters, NodePolicy, ServiceMode};
 pub use pool::{effective_threads, run_indexed};
 pub use scheduler::SchedulerKind;
-pub use source::{MmooAggregate, MmooState, MmpAggregate, MmpState, PoissonBatchSim, TraceSource};
+pub use source::{MmooAggregate, MmooState, MmpAggregate, MmpState};
 pub use stats::DelayStats;
 pub use tandem::{replay_single_node, SimConfig, TandemSim};

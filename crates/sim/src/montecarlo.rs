@@ -78,9 +78,13 @@ pub struct MonteCarlo {
     /// `telemetry` feature compiled in).
     pub collect_metrics: bool,
     /// Optional fault plan injected into every replication's tandem
-    /// (applies to [`MonteCarlo::replicate`], which constructs the
+    /// (applies to [`MonteCarlo::run`], which constructs the
     /// simulators; custom jobs inject their own faults).
     pub faults: Option<FaultPlan>,
+    /// Optional per-node capacities of every replication's tandem
+    /// (a heterogeneous path; `None` gives every node
+    /// [`SimConfig::capacity`]). Applies to [`MonteCarlo::run`].
+    pub capacities: Option<Vec<f64>>,
     /// Empty collector every replication (and the merge) starts from,
     /// via [`DelayStats::fresh`]: exact unless [`MonteCarlo::streaming`]
     /// was called.
@@ -103,6 +107,7 @@ impl MonteCarlo {
             progress: false,
             collect_metrics: false,
             faults: None,
+            capacities: None,
             stats: DelayStats::new(),
         }
     }
@@ -110,6 +115,13 @@ impl MonteCarlo {
     /// Attaches (or clears) a fault plan for the built-in tandem runs.
     pub fn faults(mut self, plan: Option<FaultPlan>) -> Self {
         self.faults = plan;
+        self
+    }
+
+    /// Sets (or clears) per-node capacities for the built-in tandem
+    /// runs.
+    pub fn capacities(mut self, capacities: Option<Vec<f64>>) -> Self {
+        self.capacities = capacities;
         self
     }
 
@@ -148,50 +160,39 @@ impl MonteCarlo {
     /// Runs the tandem simulation [`MonteCarlo::reps`] times and merges
     /// the per-replication delay statistics (and, with
     /// [`MonteCarlo::collect_metrics`], the per-replication simulator
-    /// telemetry).
+    /// telemetry). Each replication builds its tandem with this plan's
+    /// capacities, fault plan and collector.
     ///
-    /// Fails with [`Error::FaultConfig`] if the fault plan does not
-    /// match `cfg.hops`; nothing else about the run can fail.
+    /// # Errors
+    ///
+    /// [`Error::FaultConfig`] if the fault plan does not match
+    /// `cfg.hops` (before any replication runs);
+    /// [`Error::ReplicationsPanicked`] as for
+    /// [`MonteCarlo::run_instrumented`].
+    ///
+    /// # Panics
+    ///
+    /// A plan whose capacities do not cover `cfg.hops` nodes panics in
+    /// every replication (see
+    /// [`TandemSim::with_capacities_and_faults`]).
     pub fn run(&self, cfg: SimConfig) -> Result<MonteCarloReport, Error> {
         if let Some(plan) = &self.faults {
             plan.check_hops(cfg.hops)?;
         }
-        let capacities = vec![cfg.capacity; cfg.hops];
-        Ok(self.run_instrumented(|_, seed| {
-            self.replicate(cfg, &capacities, seed).expect("fault plan validated against cfg.hops")
-        }))
-    }
-
-    /// One replication of the tandem `cfg` with per-node `capacities`
-    /// (`cfg.capacity` is ignored) under `seed`: builds the simulator
-    /// with this plan's fault plan, collector and telemetry switch,
-    /// runs [`MonteCarlo::slots`] slots, and returns the delay
-    /// statistics with the telemetry shard (empty unless
-    /// [`MonteCarlo::collect_metrics`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::FaultConfig`] when the fault plan does not fit
-    /// `cfg.hops`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`TandemSim::with_capacities_and_faults`].
-    pub fn replicate(
-        &self,
-        cfg: SimConfig,
-        capacities: &[f64],
-        seed: u64,
-    ) -> Result<(DelayStats, MetricSet), Error> {
-        let mut sim =
-            TandemSim::with_capacities_and_faults(cfg, capacities, self.faults.as_ref(), seed)?;
-        sim.set_stats_collector(self.stats.fresh());
-        if self.collect_metrics {
-            sim.enable_telemetry();
-        }
-        let stats = sim.run(self.slots);
-        let metrics = if self.collect_metrics { sim.metrics() } else { MetricSet::new() };
-        Ok((stats, metrics))
+        let uniform = vec![cfg.capacity; cfg.hops];
+        let capacities = self.capacities.as_deref().unwrap_or(&uniform);
+        self.run_instrumented(|_, seed| {
+            let mut sim =
+                TandemSim::with_capacities_and_faults(cfg, capacities, self.faults.as_ref(), seed)
+                    .expect("fault plan validated against cfg.hops");
+            sim.set_stats_collector(self.stats.fresh());
+            if self.collect_metrics {
+                sim.enable_telemetry();
+            }
+            let stats = sim.run(self.slots);
+            let metrics = if self.collect_metrics { sim.metrics() } else { MetricSet::new() };
+            (stats, metrics)
+        })
     }
 
     /// Runs an arbitrary per-replication job `(rep index, seed) →
@@ -205,17 +206,18 @@ impl MonteCarlo {
     /// (replication timings, throughput, per-worker utilization) on
     /// top of the shards.
     ///
-    /// A replication that panics does **not** abort the run: the
-    /// panic is caught, the replication contributes an empty
-    /// collector, and [`MonteCarloReport::panicked`] (plus the
-    /// `mc_replications_panicked_total` counter) records the
-    /// degradation.
+    /// # Errors
+    ///
+    /// A replication that panics does not abort the others: the panic
+    /// is caught, every remaining replication still runs, and then the
+    /// run fails with [`Error::ReplicationsPanicked`] instead of
+    /// reporting statistics from fewer replications than planned.
     ///
     /// # Panics
     ///
     /// Panics (in streaming mode) if the job returns collectors with
     /// mismatched thresholds.
-    pub fn run_instrumented<F>(&self, job: F) -> MonteCarloReport
+    pub fn run_instrumented<F>(&self, job: F) -> Result<MonteCarloReport, Error>
     where
         F: Fn(usize, u64) -> (DelayStats, MetricSet) + Sync,
     {
@@ -229,9 +231,8 @@ impl MonteCarlo {
             }
             let out = run_indexed(self.threads, self.reps, |i| {
                 let start = Instant::now();
-                // Panic isolation: one poisoned replication degrades
-                // the run (recorded below) instead of killing every
-                // worker's progress.
+                // Panic isolation: one poisoned replication fails the
+                // run (below) without stopping the others.
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| job(i, seeds[i])));
                 done.fetch_add(1, Ordering::Relaxed);
                 (outcome.ok(), start.elapsed().as_secs_f64())
@@ -243,17 +244,18 @@ impl MonteCarlo {
         let mut per_rep = Vec::with_capacity(self.reps);
         let mut metrics = MetricSet::new();
         let mut rep_seconds = Histogram::new();
-        let mut panicked = 0usize;
         for (outcome, secs) in outcomes {
-            let (stats, shard) = outcome.unwrap_or_else(|| {
-                panicked += 1;
-                (self.stats.fresh(), MetricSet::new())
-            });
             // Replication order: merged metrics are deterministic in
             // structure regardless of which thread ran which rep.
-            metrics.merge(&shard);
+            if let Some((stats, shard)) = outcome {
+                metrics.merge(&shard);
+                per_rep.push(stats);
+            }
             rep_seconds.record(secs);
-            per_rep.push(stats);
+        }
+        if per_rep.len() < self.reps {
+            let panicked = self.reps - per_rep.len();
+            return Err(Error::ReplicationsPanicked { panicked, reps: self.reps });
         }
         // Merge in replication order: determinism does not depend on
         // which thread finished first.
@@ -262,9 +264,6 @@ impl MonteCarlo {
             merged.merge(s);
         }
         metrics.counter_add("mc_replications_total", &[], self.reps as u64);
-        if panicked > 0 {
-            metrics.counter_add("mc_replications_panicked_total", &[], panicked as u64);
-        }
         metrics.gauge_set("mc_workers", &[], busy.len() as f64);
         metrics.gauge_set("mc_wall_seconds", &[], wall);
         metrics.histogram_merge("mc_replication_seconds", &[], &rep_seconds);
@@ -279,7 +278,7 @@ impl MonteCarlo {
                 metrics.gauge_set("mc_worker_utilization_ratio", &labels, *b / wall);
             }
         }
-        MonteCarloReport { per_rep, merged, metrics, panicked }
+        Ok(MonteCarloReport { per_rep, merged, metrics })
     }
 
     /// Progress loop (runs on its own thread beside the workers):
@@ -329,10 +328,6 @@ pub struct MonteCarloReport {
     /// every simulator telemetry shard (`sim_*`). Empty without the
     /// `telemetry` feature.
     pub metrics: MetricSet,
-    /// Replications that panicked and contributed empty statistics:
-    /// the run is degraded (also exported as the
-    /// `mc_replications_panicked_total` counter).
-    pub panicked: usize,
 }
 
 impl MonteCarloReport {
@@ -456,12 +451,14 @@ mod tests {
     #[test]
     fn run_instrumented_custom_job() {
         let mc = MonteCarlo::new(4, 0, 5).threads(2);
-        let report = mc.run_instrumented(|i, seed| {
-            let mut s = DelayStats::new();
-            s.record(i as f64);
-            s.record((seed % 7) as f64);
-            (s, MetricSet::new())
-        });
+        let report = mc
+            .run_instrumented(|i, seed| {
+                let mut s = DelayStats::new();
+                s.record(i as f64);
+                s.record((seed % 7) as f64);
+                (s, MetricSet::new())
+            })
+            .unwrap();
         assert_eq!(report.merged.len(), 8);
         assert_eq!(report.per_rep[3].samples()[0], 3.0);
     }
@@ -509,17 +506,33 @@ mod tests {
     fn panicking_replication_degrades_instead_of_aborting() {
         // One worker runs inline on the calling thread, two spawn.
         for threads in [1, 2] {
+            let finished = AtomicUsize::new(0);
             let mc = MonteCarlo::new(4, 0, 5).threads(threads);
-            let report = mc.run_instrumented(|i, _| {
-                assert!(i != 2, "replication 2 poisons itself");
-                let mut s = DelayStats::new();
-                s.record(i as f64);
-                (s, MetricSet::new())
-            });
-            assert_eq!(report.panicked, 1, "threads = {threads}");
-            assert_eq!(report.per_rep[2].len(), 0);
-            assert_eq!(report.merged.len(), 3);
+            let err = mc
+                .run_instrumented(|i, _| {
+                    assert!(i != 2, "replication 2 poisons itself");
+                    finished.fetch_add(1, Ordering::Relaxed);
+                    (DelayStats::new(), MetricSet::new())
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::ReplicationsPanicked { panicked: 1, reps: 4 }),
+                "threads = {threads}: {err}"
+            );
+            assert_eq!(err.to_string(), "1 of 4 replication(s) panicked");
+            // The other replications still ran before the run failed.
+            assert_eq!(finished.load(Ordering::Relaxed), 3, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn per_node_capacities_apply_to_every_replication() {
+        let caps = vec![cfg().capacity; cfg().hops];
+        let run = |mc: MonteCarlo| mc.run(cfg()).unwrap().merged.samples().to_vec();
+        let uniform = run(MonteCarlo::new(2, 2_000, 9));
+        assert_eq!(uniform, run(MonteCarlo::new(2, 2_000, 9).capacities(Some(caps))));
+        let slower = run(MonteCarlo::new(2, 2_000, 9).capacities(Some(vec![8.0, 8.0])));
+        assert_ne!(uniform, slower);
     }
 
     #[test]

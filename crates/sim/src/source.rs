@@ -1,7 +1,7 @@
 //! Slotted traffic sources.
 
 use crate::binomial::Binomial;
-use nc_traffic::{Mmoo, Mmp, PoissonBatch};
+use nc_traffic::{Mmoo, Mmp};
 use rand::{Rng, RngExt};
 
 /// Simulation state of one MMOO flow (see
@@ -231,77 +231,6 @@ impl MmpAggregate {
     }
 }
 
-/// The largest share of `λ` one run of Knuth's sampler takes on:
-/// `e^{−500} ≈ 7·10⁻²¹⁸` is still a normal `f64`, while `e^{−λ}`
-/// underflows for `λ ≳ 745` and would end every run at ~745 batches.
-const POISSON_PART: f64 = 500.0;
-
-/// Simulation wrapper for a batch-Poisson source.
-///
-/// Draws `Poisson(λ)` batches per slot with Knuth's product-of-uniforms
-/// sampler. Larger `λ` are split into equal parts of at most
-/// [`POISSON_PART`] and the parts' draws summed, which is exact:
-/// independent Poisson draws sum to a Poisson of the summed means.
-#[derive(Debug, Clone)]
-pub struct PoissonBatchSim {
-    model: PoissonBatch,
-    /// Number of equal parts `λ` is split into.
-    parts: u32,
-    /// `e^{−λ/parts}`, the stopping level of each part's sampler.
-    exp_neg_part: f64,
-}
-
-impl PoissonBatchSim {
-    /// Wraps the analytical model for simulation.
-    pub fn new(model: PoissonBatch) -> Self {
-        let parts = (model.lambda() / POISSON_PART).ceil().max(1.0) as u32;
-        let exp_neg_part = (-model.lambda() / f64::from(parts)).exp();
-        PoissonBatchSim { model, parts, exp_neg_part }
-    }
-
-    /// Advances one slot: returns the data of this slot's
-    /// `Poisson(λ)` batches.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let mut k = 0u64;
-        for _ in 0..self.parts {
-            let mut p = rng.random::<f64>();
-            while p > self.exp_neg_part {
-                k += 1;
-                p *= rng.random::<f64>();
-            }
-        }
-        k as f64 * self.model.batch()
-    }
-}
-
-/// Replays a fixed per-slot arrival schedule; emits `0` past the end of
-/// the trace.
-#[derive(Debug, Clone)]
-pub struct TraceSource {
-    slots: Vec<f64>,
-    pos: usize,
-}
-
-impl TraceSource {
-    /// Creates a trace source from per-slot amounts.
-    pub fn new(slots: Vec<f64>) -> Self {
-        TraceSource { slots, pos: 0 }
-    }
-
-    /// Whether the trace has been fully replayed.
-    pub fn is_done(&self) -> bool {
-        self.pos >= self.slots.len()
-    }
-
-    /// Advances one slot: returns the trace's amount for it (`0` past
-    /// the end).
-    pub fn step(&mut self) -> f64 {
-        let v = self.slots.get(self.pos).copied().unwrap_or(0.0);
-        self.pos += 1;
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,22 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_mean_rate() {
-        // λ = 800 and 2000 are past the e^{−λ} underflow (λ ≳ 745), so
-        // they exercise the split into parts.
-        for (lambda, slots) in [(0.3, 200_000usize), (800.0, 4_000), (2000.0, 2_000)] {
-            let model = PoissonBatch::new(lambda, 2.0);
-            let mut src = PoissonBatchSim::new(model);
-            let mut rng = StdRng::seed_from_u64(3);
-            let total: f64 = (0..slots).map(|_| src.step(&mut rng)).sum();
-            let batches = total / (slots as f64 * model.batch());
-            // Five standard errors of the mean of `slots` Poisson(λ) draws.
-            let tol = 5.0 * (lambda / slots as f64).sqrt();
-            assert!((batches - lambda).abs() < tol, "λ = {lambda}: mean {batches}");
-        }
-    }
-
-    #[test]
     fn mmp_two_state_matches_mmoo_statistics() {
         let mmoo = Mmoo::paper_source();
         let mmp = Mmp::from_mmoo(&mmoo);
@@ -392,15 +305,5 @@ mod tests {
         }
         let per_flow = total / (slots as f64 * 20.0);
         assert!((per_flow - want).abs() / want < 0.05, "empirical {per_flow} vs analytical {want}");
-    }
-
-    #[test]
-    fn trace_replays_and_pads_with_zero() {
-        let mut t = TraceSource::new(vec![1.0, 2.0]);
-        assert_eq!(t.step(), 1.0);
-        assert!(!t.is_done());
-        assert_eq!(t.step(), 2.0);
-        assert!(t.is_done());
-        assert_eq!(t.step(), 0.0);
     }
 }

@@ -13,16 +13,16 @@
 //! Every command builds a [`nc_scenario::Scenario`] and runs it through
 //! [`nc_scenario::Engine`], so the analysis, the Monte Carlo overlay,
 //! and the telemetry artifacts behave identically everywhere.
-//! `run` executes a declarative scenario file (see
-//! `examples/scenarios/`); the paper's figures are the shipped
-//! `fig2`/`fig3`/`fig4.json` scenarios.
+//! `bound`/`sweep`/`simulate` turn their experiment flags into the
+//! scenario's `params` ([`Scenario::from_cli`]); every other flag is an
+//! engine flag, parsed as for `run`, which executes a declarative
+//! scenario file (see `examples/scenarios/`); the paper's figures are
+//! the shipped `fig2`/`fig3`/`fig4.json` scenarios.
 //!
 //! Units follow the paper: capacity in kb per 1 ms slot (= Mbps),
 //! delays in ms.
 
-use nc_scenario::{
-    Bound, CrossSweep, Engine, Experiment, RunOpts, Scenario, SimDefaults, Simulate,
-};
+use nc_scenario::{Engine, Scenario};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -32,27 +32,17 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     match cmd.as_str() {
-        "bound" | "sweep" | "simulate" => {
-            let opts = match Options::parse(&args[1..]) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("error: {e}\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            };
-            let scenario = match opts.scenario(cmd) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            run_engine(scenario, opts.run_opts())
-        }
+        "bound" | "sweep" | "simulate" => match Scenario::from_cli(cmd, &args[1..]) {
+            Ok((scenario, flags)) => run_engine(scenario, flags),
+            Err(e) => {
+                eprintln!("error: {e}\n\n{USAGE}");
+                ExitCode::from(e.exit_code())
+            }
+        },
         "run" => cmd_run(&args[1..]),
         "bench" => cmd_bench(&args[1..]),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            println!("{USAGE}\n\nShared {}", nc_scenario::USAGE);
             ExitCode::SUCCESS
         }
         other => {
@@ -62,12 +52,20 @@ fn main() -> ExitCode {
     }
 }
 
-/// Maps the engine's typed errors to distinct exit codes (see
+/// Applies the engine flags on top of the scenario's defaults and runs
+/// it. Maps the engine's typed errors to distinct exit codes (see
 /// `nc_scenario::Error::exit_code`): 2 usage, 3 file I/O, 4 bad
 /// scenario/fault configuration, 6 runtime failures, 7 infeasible
 /// analysis. Code 5 is retired and no longer produced; 6 and 7 keep
 /// their numbers.
-fn run_engine(scenario: Scenario, opts: RunOpts) -> ExitCode {
+fn run_engine(scenario: Scenario, flags: Vec<String>) -> ExitCode {
+    let opts = match Engine::default_opts(&scenario).parse(flags) {
+        Ok(o) => o,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::from(2);
+        }
+    };
     match Engine::new(scenario, opts).run() {
         Ok(_) => ExitCode::SUCCESS,
         Err(e) => {
@@ -89,21 +87,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
     };
     // Scenario::load distinguishes an unreadable file (exit code 3)
     // from an invalid one (exit code 4).
-    let scenario = match Scenario::load(path) {
-        Ok(s) => s,
+    match Scenario::load(path) {
+        Ok(scenario) => run_engine(scenario, args[1..].to_vec()),
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::from(e.exit_code());
+            ExitCode::from(e.exit_code())
         }
-    };
-    let opts = match Engine::default_opts(&scenario).parse(args[1..].to_vec()) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
-    };
-    run_engine(scenario, opts)
+    }
 }
 
 /// `linksched bench [options]`: the pinned perf-trajectory suite.
@@ -135,28 +125,32 @@ linksched — end-to-end delay bounds for link schedulers on long paths
 (reproduction of Liebeherr/Ghiassi-Farrokhfal/Burchard, ICDCS 2010)
 
 USAGE:
-    linksched bound    --hops H --through N0 --cross NC [options]
-    linksched sweep    --hops H --through N0 [--cross-max NC] [options]
-    linksched simulate --hops H --through N0 --cross NC [--slots N] [options]
-    linksched run      <scenario.json> [--reps N] [--threads N] [--seed N]
-                       [--slots N] [--metrics-out P] [--trace-out P]
-                       [--events-out P] [--manifest-out P] [--progress]
+    linksched bound    --hops H --through N0 [--cross NC] [--capacity C]
+                       [--eps E] [--sched S] [--packet L] [options]
+    linksched sweep    --hops H --through N0 [--cross-max NC] [--capacity C]
+                       [--eps E] [options]
+    linksched simulate --hops H --through N0 [--cross NC] [--capacity C]
+                       [--sched S] [--packet L] [options]
+    linksched run      <scenario.json> [options]
     linksched bench    --out P [--smoke] [--reps N] [--warmup N]
                        [--threads N] [--filter S] [--perf-guard]
 
-OPTIONS:
+EXPERIMENT FLAGS (each sets the scenario `params` key of its name):
+    --hops H           path length
+    --through N0       through flows
+    --cross NC         cross flows per node                     [default: 0]
+    --cross-max NC     largest cross-flow count (`cross_max`)   [default: 500]
     --capacity C       link capacity in Mbps (= kb/ms)          [default: 100]
-    --eps E            violation probability                    [default: 1e-9]
+    --eps E            violation probability (`epsilon`)        [default: 1e-9]
     --sched S          fifo | bmux | sp | edf:<d0>,<dc> | delta:<v>
                        | gps:<w0>,<wc> | scfq:<w0>,<wc>
                        (gps/scfq are not Δ-schedulers: `bound` reports
                        the BMUX envelope for them)            [default: fifo]
-    --slots N          simulated slots (simulate)               [default: 1000000]
-    --seed X           RNG seed (simulate)                      [default: 1]
-    --reps N           Monte Carlo replications (simulate)      [default: 1]
-    --threads N        worker threads, 0 = auto (simulate)      [default: 0]
-    --packet L         packet size in kb: non-preemptive packet mode (simulate)
-    --cross-max NC     largest cross-flow count (sweep)         [default: 500]
+    --packet L         packet size in kb: non-preemptive packet mode
+                       (not with gps in `simulate`)
+
+`bound`, `sweep` and `simulate` run with --reps 1, --slots 1000000 and
+--seed 1 unless the shared options say otherwise.
 
 `run` executes a declarative scenario file (see examples/scenarios/,
 which holds one per figure), including the telemetry artifact
@@ -169,136 +163,3 @@ EXPERIMENTS.md).
 
 Traffic is the paper's Markov-modulated on-off source: 1.5 Mbps peak,
 ≈0.15 Mbps mean per flow.";
-
-#[derive(Debug, Clone)]
-struct Options {
-    hops: usize,
-    through: usize,
-    cross: usize,
-    cross_max: usize,
-    capacity: f64,
-    eps: f64,
-    sched: String,
-    slots: u64,
-    seed: u64,
-    reps: usize,
-    threads: usize,
-    packet: Option<f64>,
-}
-
-impl Options {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut o = Options {
-            hops: 1,
-            through: 1,
-            cross: 0,
-            cross_max: 500,
-            capacity: 100.0,
-            eps: 1e-9,
-            sched: "fifo".into(),
-            slots: 1_000_000,
-            seed: 1,
-            reps: 1,
-            threads: 0,
-            packet: None,
-        };
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut val =
-                || it.next().cloned().ok_or_else(|| format!("missing value for `{flag}`"));
-            match flag.as_str() {
-                "--hops" => o.hops = parse(&val()?, "hops")?,
-                "--through" => o.through = parse(&val()?, "through")?,
-                "--cross" => o.cross = parse(&val()?, "cross")?,
-                "--cross-max" => o.cross_max = parse(&val()?, "cross-max")?,
-                "--capacity" => o.capacity = parse(&val()?, "capacity")?,
-                "--eps" => o.eps = parse(&val()?, "eps")?,
-                "--sched" => o.sched = val()?,
-                "--slots" => o.slots = parse(&val()?, "slots")?,
-                "--seed" => o.seed = parse(&val()?, "seed")?,
-                "--reps" => o.reps = parse(&val()?, "reps")?,
-                "--threads" => o.threads = parse(&val()?, "threads")?,
-                "--packet" => o.packet = Some(parse(&val()?, "packet")?),
-                other => return Err(format!("unknown option `{other}`")),
-            }
-        }
-        // Validate up front so library asserts never reach the user as
-        // panics.
-        if o.hops == 0 {
-            return Err("`--hops` must be at least 1".into());
-        }
-        if o.through == 0 {
-            return Err("`--through` must be at least 1".into());
-        }
-        if !(o.eps > 0.0 && o.eps < 1.0) {
-            return Err(format!("`--eps` must lie in (0, 1), got {}", o.eps));
-        }
-        if !(o.capacity > 0.0 && o.capacity.is_finite()) {
-            return Err(format!("`--capacity` must be positive, got {}", o.capacity));
-        }
-        if let Some(l) = o.packet {
-            if !(l > 0.0 && l.is_finite()) {
-                return Err(format!("`--packet` must be positive, got {l}"));
-            }
-        }
-        if o.slots == 0 {
-            return Err("`--slots` must be at least 1".into());
-        }
-        if o.reps == 0 {
-            return Err("`--reps` must be at least 1".into());
-        }
-        Ok(o)
-    }
-
-    /// The scenario equivalent of this command line. The scheduler spec
-    /// is validated here so bad input fails before any table output.
-    fn scenario(&self, cmd: &str) -> Result<Scenario, String> {
-        nc_scenario::parse_sched(&self.sched)?;
-        let experiment = match cmd {
-            "bound" => Experiment::Bound(Bound {
-                hops: self.hops,
-                through: self.through,
-                cross: self.cross,
-                capacity: self.capacity,
-                epsilon: self.eps,
-                sched: self.sched.clone(),
-                packet: self.packet,
-            }),
-            "sweep" => Experiment::CrossSweep(CrossSweep {
-                hops: self.hops,
-                through: self.through,
-                cross_max: self.cross_max,
-                capacity: self.capacity,
-                epsilon: self.eps,
-            }),
-            "simulate" => Experiment::Simulate(Simulate {
-                hops: self.hops,
-                through: self.through,
-                cross: self.cross,
-                capacity: self.capacity,
-                capacities: None,
-                sched: self.sched.clone(),
-                packet: self.packet,
-            }),
-            other => return Err(format!("unknown command `{other}`")),
-        };
-        Ok(Scenario {
-            name: cmd.to_string(),
-            title: None,
-            experiment,
-            sim: SimDefaults { reps: self.reps, slots: self.slots, seed: Some(self.seed) },
-            faults: None,
-        })
-    }
-
-    fn run_opts(&self) -> RunOpts {
-        let mut opts = RunOpts::new(self.reps, self.slots);
-        opts.seed = self.seed;
-        opts.threads = self.threads;
-        opts
-    }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid value `{s}` for `{what}`"))
-}

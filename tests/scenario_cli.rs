@@ -358,7 +358,6 @@ fn sweep_counter_export_is_pinned() {
     assert!(!text.contains("core_solver_seconds"), "the solver is counted, not timed");
 }
 
-#[cfg(feature = "telemetry")]
 fn prom_counter(text: &str, name: &str) -> Option<f64> {
     text.lines()
         .filter(|l| !l.starts_with('#'))
@@ -462,6 +461,38 @@ fn exit_codes_distinguish_failure_classes() {
     let out = probe(&["run", &fig2, "--checkpoint", "x"]);
     assert_eq!(out.status.code(), Some(2), "fig2 --checkpoint is exit code 2");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+
+    // The simulator has no packetized GPS: the combination is an input
+    // error, usage (2) from the command line and invalid scenario (4)
+    // from a file, never a panic.
+    let gps_packet = ["--hops", "1", "--through", "5", "--cross", "5", "--sched", "gps:1,1"];
+    let out = probe(&[&["simulate"][..], &gps_packet, &["--packet", "1.5"]].concat());
+    assert_eq!(out.status.code(), Some(2), "simulate gps + packet is exit code 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("gps"));
+    let file = scratch.path("gps_packet.json");
+    std::fs::write(
+        &file,
+        r#"{"name": "g", "experiment": "simulate",
+            "params": {"hops": 1, "through": 5, "cross": 5, "sched": "gps:1,1", "packet": 1.5}}"#,
+    )
+    .unwrap();
+    let out = probe(&["run", &file, "--reps", "2"]);
+    assert_eq!(out.status.code(), Some(4), "a gps + packet scenario file is exit code 4");
+}
+
+/// `bound`, `sweep` and `simulate` take every engine flag of `run`:
+/// a single bound query exports its metrics.
+#[test]
+fn bound_accepts_the_engine_flags() {
+    let scratch = Scratch::new("bound-metrics");
+    let metrics = scratch.path("m.prom");
+    let args = ["bound", "--hops", "5", "--through", "100", "--cross", "200", "--metrics-out"];
+    run(&[&args[..], &[metrics.as_str()]].concat());
+    let text = scratch.read("m.prom");
+    if cfg!(feature = "telemetry") {
+        let calls = prom_counter(&text, "core_delay_bound_calls_total").unwrap_or(0.0);
+        assert!(calls > 0.0, "bound must count its delay-bound call, got {calls}");
+    }
 }
 
 /// Scenario files shipped in the repository must all parse (full runs
