@@ -112,7 +112,8 @@ pub fn sim_overlay(
         packet_size: None,
     };
     let cell = format!("overlay-h{hops}-n{n_through}-c{n_cross}");
-    let mut report = simulate_cell(&opts.monte_carlo(&[]), cfg, &cell)?;
+    let mut report =
+        simulate_cell(&opts.monte_carlo(), &[cell], &[opts.lane(cfg).streaming(&[])])?.remove(0);
     let q = 1.0 - OVERLAY_EPS;
     Ok(match (report.merged.quantile(q), report.quantile_spread(q)) {
         (Some(m), Some((lo, hi))) => format!("{m:9.2} [{lo:.2}, {hi:.2}]"),

@@ -412,7 +412,40 @@ fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
             // The simulator buffers its telemetry in a per-run shard
             // (merged in replication order by the Monte Carlo engine);
             // flush it so the bench entry's op counts cover it.
-            tel::merge_global(&sim.metrics());
+            tel::merge_global(&sim.lane(0).metrics());
+        }),
+    });
+    let lanes: Vec<nc_sim::Lane> = ["fifo", "bmux", "sp", "edf:10,40", "gps:1,1"]
+        .iter()
+        .map(|spec| {
+            let (_, scheduler) = crate::parse_sched(spec).expect("valid scheduler spec");
+            nc_sim::Lane::new(nc_sim::SimConfig {
+                capacity: 20.0,
+                hops: 2,
+                n_through: 40,
+                n_cross: 60,
+                scheduler,
+                warmup: 200,
+                ..nc_sim::SimConfig::default()
+            })
+        })
+        .collect();
+    ws.push(Workload {
+        name: "sim/tandem-five-lanes".into(),
+        kind: "simulator",
+        threads: 1,
+        // The validate experiment's H = 2 section: its five scheduler
+        // rows served by one arrival stream.
+        body: Box::new(move || {
+            let mut sim = nc_sim::TandemSim::with_lanes(&lanes, 0x5EED).expect("no fault plan");
+            sim.enable_telemetry();
+            for _ in 0..slots {
+                sim.step();
+            }
+            for lane in sim.lanes() {
+                assert!(!lane.stats().is_empty());
+                tel::merge_global(&lane.metrics());
+            }
         }),
     });
     ws

@@ -181,13 +181,15 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     };
     // (a) Wall-clock vs thread count; merged statistics must be
     // bitwise-identical across runs.
-    let par = opts.monte_carlo(&[]);
+    let par = opts.monte_carlo();
+    let streaming = [opts.lane(cfg).streaming(&[])];
     let t0 = Instant::now();
-    let mut merged_seq = simulate_cell(&par.clone().threads(1), cfg, "engine-seq")?;
+    let mut merged_seq =
+        simulate_cell(&par.clone().threads(1), &["engine-seq".into()], &streaming)?.remove(0);
     let t_seq = t0.elapsed();
     let workers = nc_sim::effective_threads(par.threads, par.reps);
     let t1 = Instant::now();
-    let mut merged_par = simulate_cell(&par, cfg, "engine-par")?;
+    let mut merged_par = simulate_cell(&par, &["engine-par".into()], &streaming)?.remove(0);
     let t_par = t1.elapsed();
     let q = 0.999;
     let identical = merged_seq.merged.len() == merged_par.merged.len()
@@ -204,7 +206,7 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     );
     // (b) Streaming reservoir vs exact collection: moments must agree
     // exactly, quantiles up to reservoir resolution.
-    let mut exact = simulate_cell(&opts.monte_carlo_exact(), cfg, "engine-exact")?;
+    let mut exact = simulate_cell(&par, &["engine-exact".into()], &[opts.lane(cfg)])?.remove(0);
     let mean_gap =
         (merged_par.merged.mean().unwrap_or(0.0) - exact.merged.mean().unwrap_or(0.0)).abs();
     let q_stream = merged_par.merged.quantile(q).unwrap_or(f64::NAN);

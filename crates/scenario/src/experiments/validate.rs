@@ -41,11 +41,15 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error>
             "{:>18} {:>10} {:>12} {:>17} {:>12} {:>21} {:>14}",
             "scheduler", "bound", "sim q(1-eps)", "q spread", "P(W>bound)", "P spread", "valid"
         );
+        // Every row simulates on the section's one arrival stream: the
+        // schedulers are compared on the same traffic, drawn once.
+        let mut rows = Vec::with_capacity(p.schedulers.len());
+        let mut cells = Vec::with_capacity(p.schedulers.len());
+        let mut lanes = Vec::with_capacity(p.schedulers.len());
         for case in &p.schedulers {
             // Fair-queueing rows have no Δ-scheduler bound of their own:
             // parse_sched gives them the BMUX envelope.
             let (analysis_sched, sim_sched) = parse_sched(&case.sched).map_err(Error::Runtime)?;
-            let fair = sim_sched.delta().is_none();
             let bound = MmooTandem {
                 source,
                 n_through,
@@ -56,11 +60,13 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error>
             }
             .delay_bound(eps)
             .map(|b| b.bound.delay);
-            let mut report = simulate_cell(
-                &opts.monte_carlo(bound.as_slice()),
-                cfg(capacity, hops, n_through, n_cross, sim_sched, source),
-                &format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label),
-            )?;
+            rows.push((case, sim_sched.delta().is_none(), bound));
+            cells.push(format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label));
+            let cfg = cfg(capacity, hops, n_through, n_cross, sim_sched, source);
+            lanes.push(opts.lane(cfg).streaming(bound.as_slice()));
+        }
+        let reports = simulate_cell(&opts.monte_carlo(), &cells, &lanes)?;
+        for ((case, fair, bound), mut report) in rows.into_iter().zip(reports) {
             let q = report.merged.quantile(1.0 - eps).unwrap_or(f64::NAN);
             let q_spread = report.quantile_spread(1.0 - eps);
             // A fair row is checked on its quantile alone.

@@ -1,6 +1,6 @@
 //! Command-line options of `linksched run`, shared by every scenario.
 
-use nc_sim::{FaultPlan, MonteCarlo};
+use nc_sim::{FaultPlan, Lane, MonteCarlo, SimConfig};
 use std::str::FromStr;
 
 /// Usage text for the options shared by every scenario run.
@@ -106,7 +106,6 @@ impl RunOpts {
                 "--events-out" => self.events_out = Some(value(&mut it, "--events-out")?),
                 "--manifest-out" => self.manifest_out = Some(value(&mut it, "--manifest-out")?),
                 "--json" if self.accepts_json => self.json = Some(value(&mut it, "--json")?),
-                "-h" | "--help" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown option `{other}`\n{USAGE}")),
             }
         }
@@ -146,24 +145,20 @@ impl RunOpts {
         })
     }
 
-    /// A streaming Monte Carlo plan per these options, tracking the
-    /// given thresholds exactly (pass the analytical bounds here so the
-    /// reported violation fractions are exact, not reservoir-estimated).
-    /// Progress reporting, metric collection and fault injection follow
-    /// the flags.
-    pub fn monte_carlo(&self, thresholds: &[f64]) -> MonteCarlo {
-        self.monte_carlo_exact().streaming(thresholds)
-    }
-
-    /// A Monte Carlo plan in exact-collection mode (every sample kept;
-    /// the `simulate` experiment's historical behaviour), with progress,
-    /// metric collection and fault injection per the flags.
-    pub fn monte_carlo_exact(&self) -> MonteCarlo {
+    /// The Monte Carlo plan of these options: replications, slots,
+    /// master seed and threads, with progress reporting and metric
+    /// collection per the flags.
+    pub fn monte_carlo(&self) -> MonteCarlo {
         MonteCarlo::new(self.reps, self.slots, self.seed)
             .threads(self.threads)
             .progress(self.progress)
             .collect_metrics(self.wants_metrics())
-            .faults(self.faults.clone())
+    }
+
+    /// A lane simulating `cfg` under these options' fault plan, with
+    /// exact statistics (see [`Lane::streaming`] for bounded memory).
+    pub fn lane(&self, cfg: SimConfig) -> Lane {
+        Lane::new(cfg).faults(self.faults.clone())
     }
 }
 
@@ -246,13 +241,15 @@ mod tests {
         assert!(RunOpts::new(8, 1).parse(args(&["--reps", "x"])).is_err());
         assert!(RunOpts::new(8, 1).parse(args(&["--reps", "0"])).is_err());
         assert!(RunOpts::new(8, 1).parse(args(&["--frobnicate"])).is_err());
+        // `-h`/`--help` is answered by the front end before any flag is
+        // parsed; among the flags it is unknown.
         assert!(RunOpts::new(8, 1).parse(args(&["--help"])).unwrap_err().contains("--reps"));
     }
 
     #[test]
     fn runopts_monte_carlo_plan() {
         let o = RunOpts::new(3, 1_000).parse(args(&["--threads", "2"])).unwrap();
-        let mc = o.monte_carlo(&[5.0]);
+        let mc = o.monte_carlo();
         assert_eq!((mc.reps, mc.threads, mc.slots), (3, 2, 1_000));
         assert_eq!(mc.seeds().len(), 3);
     }

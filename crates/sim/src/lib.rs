@@ -12,7 +12,8 @@
 //!   of the paper's class,
 //! * the tandem topology of Fig. 1: a through aggregate crossing `H`
 //!   nodes, with fresh cross traffic entering at every node and leaving
-//!   after one hop,
+//!   after one hop; one simulation can serve the same arrivals to
+//!   several lanes (schedulers, capacities, fault plans) at once,
 //! * Markov-modulated sources matching `nc-traffic`'s MMOO and MMP
 //!   models,
 //! * single-node trace replay ([`replay_single_node`]), which executes
@@ -68,4 +69,4 @@ pub use pool::{effective_threads, run_indexed};
 pub use scheduler::SchedulerKind;
 pub use source::{MmooAggregate, MmooState, MmpAggregate, MmpState};
 pub use stats::DelayStats;
-pub use tandem::{replay_single_node, SimConfig, TandemSim};
+pub use tandem::{replay_single_node, Lane, LaneSim, SimConfig, TandemSim};

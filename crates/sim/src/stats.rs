@@ -132,6 +132,16 @@ impl DelayStats {
         }
     }
 
+    /// Releases the retained samples' spare capacity (a growing sample
+    /// buffer can hold up to twice what it uses).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        match &mut self.repr {
+            Repr::Exact { samples, .. } | Repr::Reservoir { samples, .. } => {
+                samples.shrink_to_fit()
+            }
+        }
+    }
+
     /// Whether this collection is in bounded-memory streaming mode.
     pub fn is_streaming(&self) -> bool {
         matches!(self.repr, Repr::Reservoir { .. })
@@ -166,6 +176,12 @@ impl DelayStats {
                     }
                 }
                 if samples.len() < *cap {
+                    // Take the whole reservoir at once: doubling growth
+                    // would leave each outgrown buffer behind as a heap
+                    // fragment.
+                    if samples.len() == samples.capacity() {
+                        samples.reserve_exact(*cap - samples.len());
+                    }
                     samples.push(delay);
                     *sorted = false;
                 } else {

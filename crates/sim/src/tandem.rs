@@ -1,8 +1,19 @@
 //! The tandem topology of the paper's Fig. 1.
+//!
+//! A [`TandemSim`] is one **arrival stream** driving one or more
+//! **lanes**. The stream owns the traffic RNG and the through and cross
+//! MMOO aggregates, and draws each slot's `H + 1` emissions once. Every
+//! lane ([`LaneSim`]) serves those emissions with its own scheduler,
+//! nodes, optional fault injector and statistics collector. Lanes never
+//! feed back into the stream, so a lane's sample path is bit for bit the
+//! one a single-lane simulation of the same [`Lane`] and seed produces:
+//! comparing schedulers on several lanes is comparing them on the same
+//! traffic, at the cost of one arrival draw per slot.
 
 use crate::error::Error;
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan};
-use crate::node::{Chunk, Node, NodePolicy};
+use crate::montecarlo::DEFAULT_RESERVOIR;
+use crate::node::{Chunk, Node, NodePolicy, ServiceMode};
 use crate::scheduler::SchedulerKind;
 use crate::source::MmooAggregate;
 use crate::stats::DelayStats;
@@ -12,8 +23,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
 
-/// Per-run simulator telemetry: queue/backlog histograms per node plus
-/// emission and sample counters. Only allocated when
+/// Per-run simulator telemetry of one lane: queue/backlog histograms
+/// per node plus emission and sample counters. Only allocated when
 /// [`TandemSim::enable_telemetry`] was called; recording into it is a
 /// no-op unless the `telemetry` feature (which forwards to
 /// `nc-telemetry/enabled`) is compiled in.
@@ -93,6 +104,73 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// Whether two configurations draw the same arrival stream from the
+    /// same seed: equal path length, flow counts, source and packet
+    /// size. Scheduler, capacity and warm-up are per lane.
+    fn same_arrivals(&self, other: &SimConfig) -> bool {
+        self.hops == other.hops
+            && self.n_through == other.n_through
+            && self.n_cross == other.n_cross
+            && self.source == other.source
+            && self.packet_size == other.packet_size
+    }
+}
+
+/// What one lane of a [`TandemSim`] runs: the configuration's scheduler
+/// and warm-up, per-node capacities, an optional fault plan, and the
+/// empty collector its delay samples go into.
+///
+/// The lanes of one simulation share its arrival stream, so their
+/// configurations must agree on hops, flow counts, source and packet
+/// size.
+#[derive(Debug, Clone)]
+pub struct Lane {
+    /// The tandem; `capacity` applies to every node unless
+    /// [`Lane::capacities`] overrides it.
+    pub cfg: SimConfig,
+    /// Per-node capacities (a heterogeneous path); `None` gives every
+    /// node `cfg.capacity`.
+    pub capacities: Option<Vec<f64>>,
+    /// Faults injected at every node; `None` is clean links.
+    pub faults: Option<FaultPlan>,
+    /// Empty collector the lane starts from (exact unless
+    /// [`Lane::streaming`] was called).
+    collector: DelayStats,
+}
+
+impl Lane {
+    /// A clean, uniform-capacity lane with exact statistics.
+    pub fn new(cfg: SimConfig) -> Self {
+        Lane { cfg, capacities: None, faults: None, collector: DelayStats::new() }
+    }
+
+    /// Sets (or clears) per-node capacities.
+    pub fn capacities(mut self, capacities: Option<Vec<f64>>) -> Self {
+        self.capacities = capacities;
+        self
+    }
+
+    /// Attaches (or clears) a fault plan.
+    pub fn faults(mut self, plan: Option<FaultPlan>) -> Self {
+        self.faults = plan;
+        self
+    }
+
+    /// Switches to bounded-memory streaming collection with the default
+    /// reservoir and exact tracking of the given thresholds.
+    pub fn streaming(mut self, thresholds: &[f64]) -> Self {
+        self.collector = DelayStats::streaming_with_thresholds(DEFAULT_RESERVOIR, thresholds);
+        self
+    }
+
+    /// An empty collector of this lane's kind (mode, reservoir
+    /// capacity, tracked thresholds).
+    pub(crate) fn collector(&self) -> DelayStats {
+        self.collector.fresh()
+    }
+}
+
 /// One through-aggregate emission still inside the network.
 #[derive(Debug, Clone, Copy)]
 struct OutstandingEmission {
@@ -106,7 +184,79 @@ struct OutstandingEmission {
     lossy: bool,
 }
 
-/// A running tandem simulation.
+/// The arrival stream every lane sees: the traffic RNG, the through
+/// aggregate, one cross aggregate per node, and (in packet mode) the
+/// residual fluid of each feed.
+#[derive(Debug)]
+struct Arrivals {
+    /// The stream's configuration (its scheduler, capacity and warm-up
+    /// are the first lane's and unused here).
+    cfg: SimConfig,
+    rng: StdRng,
+    through: MmooAggregate,
+    cross: Vec<MmooAggregate>,
+    /// Packet-mode residual fluid per feed: the through aggregate, then
+    /// one per node's cross aggregate.
+    residuals: Vec<f64>,
+    /// This slot's emissions per feed (same order) as `(bits, packets)`.
+    emissions: Vec<(f64, usize)>,
+}
+
+impl Arrivals {
+    /// # Panics
+    ///
+    /// Panics if `hops` or `n_through` is zero or the packet size is
+    /// not positive and finite.
+    fn new(cfg: &SimConfig, seed: u64) -> Self {
+        assert!(cfg.hops > 0, "TandemSim: need at least one hop");
+        assert!(cfg.n_through > 0, "TandemSim: need at least one through flow");
+        if let Some(l) = cfg.packet_size {
+            assert!(l > 0.0 && l.is_finite(), "TandemSim: packet size must be positive");
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let through = MmooAggregate::stationary(cfg.source, cfg.n_through, &mut rng);
+        let cross = (0..cfg.hops)
+            .map(|_| MmooAggregate::stationary(cfg.source, cfg.n_cross, &mut rng))
+            .collect();
+        Arrivals {
+            cfg: *cfg,
+            rng,
+            through,
+            cross,
+            residuals: vec![0.0; cfg.hops + 1],
+            emissions: vec![(0.0, 0); cfg.hops + 1],
+        }
+    }
+
+    /// Draws the slot's emissions: the through aggregate first, then the
+    /// cross aggregates in path order.
+    fn draw(&mut self) {
+        let packet_size = self.cfg.packet_size;
+        let raw = self.through.step(&mut self.rng);
+        self.emissions[0] = quantize(packet_size, &mut self.residuals[0], raw);
+        for (h, cross) in self.cross.iter_mut().enumerate() {
+            let raw = cross.step(&mut self.rng);
+            self.emissions[h + 1] = quantize(packet_size, &mut self.residuals[h + 1], raw);
+        }
+    }
+}
+
+/// Quantizes an emission into whole packets in packet mode, carrying
+/// the remainder in the feed's `residual`; identity in fluid mode.
+fn quantize(packet_size: Option<f64>, residual: &mut f64, bits: f64) -> (f64, usize) {
+    match packet_size {
+        None => (bits, 1),
+        Some(l) => {
+            *residual += bits;
+            let packets = (*residual / l).floor() as usize;
+            *residual -= packets as f64 * l;
+            (packets as f64 * l, packets)
+        }
+    }
+}
+
+/// One lane of a running [`TandemSim`]: its nodes, the through
+/// emissions still inside them, and what it has measured.
 ///
 /// Traffic moves in cut-through fashion: data served by node `h` during
 /// slot `t` is available to node `h+1` within the same slot, matching
@@ -115,11 +265,8 @@ struct OutstandingEmission {
 /// through aggregate: one sample per emission slot, measured until the
 /// *last* bit of that slot's emission has left the final node.
 #[derive(Debug)]
-pub struct TandemSim {
+pub struct LaneSim {
     cfg: SimConfig,
-    rng: StdRng,
-    through: MmooAggregate,
-    cross: Vec<MmooAggregate>,
     nodes: Vec<Node>,
     /// Outstanding through emissions, in entry order.
     outstanding: VecDeque<OutstandingEmission>,
@@ -129,10 +276,6 @@ pub struct TandemSim {
     forwarded: Vec<Chunk>,
     /// Reusable per-node departure buffer passed to [`Node::serve_slot`].
     departures: Vec<Chunk>,
-    /// Packet-mode residual fluid per traffic feed (through, then one
-    /// per node's cross aggregate).
-    residuals: Vec<f64>,
-    slot: u64,
     stats: DelayStats,
     /// Opt-in telemetry; `None` keeps the hot loop untouched.
     telemetry: Option<SimTelemetry>,
@@ -143,143 +286,58 @@ pub struct TandemSim {
     lost_emissions: u64,
 }
 
-impl TandemSim {
-    /// Creates a simulation from a config and RNG seed: every node has
-    /// capacity `cfg.capacity` and no faults.
-    ///
+impl LaneSim {
     /// # Panics
     ///
-    /// As for [`TandemSim::with_capacities_and_faults`].
-    pub fn new(cfg: SimConfig, seed: u64) -> Self {
-        let capacities = vec![cfg.capacity; cfg.hops];
-        Self::with_capacities_and_faults(cfg, &capacities, None, seed)
-            .expect("no fault plan to mismatch")
-    }
-
-    /// The general constructor: *per-node* capacities (a heterogeneous
-    /// path; `cfg.capacity` is ignored) plus an optional [`FaultPlan`]
-    /// injected at every node. Fault draws come from a separate salted
-    /// stream derived from `seed`, so the traffic sample path is
-    /// identical to the unfaulted simulation under the same seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::FaultConfig`] when a per-node plan does not
-    /// cover exactly `cfg.hops` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities.len() != cfg.hops`, `hops` or `n_through`
-    /// is zero, the packet size is invalid or combined with GPS, or any
-    /// capacity is not positive/finite (via [`Node::new`]).
-    pub fn with_capacities_and_faults(
-        cfg: SimConfig,
-        capacities: &[f64],
-        plan: Option<&FaultPlan>,
-        seed: u64,
-    ) -> Result<Self, Error> {
-        assert!(cfg.hops > 0, "TandemSim: need at least one hop");
-        assert!(cfg.n_through > 0, "TandemSim: need at least one through flow");
+    /// Panics if the capacities do not cover `cfg.hops` nodes, packet
+    /// mode is combined with GPS, or a capacity is not positive and
+    /// finite (via [`Node::new`]).
+    fn new(lane: &Lane, seed: u64) -> Result<Self, Error> {
+        let cfg = lane.cfg;
+        let uniform;
+        let capacities = match &lane.capacities {
+            Some(caps) => caps.as_slice(),
+            None => {
+                uniform = vec![cfg.capacity; cfg.hops];
+                &uniform
+            }
+        };
         assert_eq!(capacities.len(), cfg.hops, "TandemSim: one capacity per hop");
-        let faults = plan.map(|plan| FaultInjector::new(plan, cfg.hops, seed)).transpose()?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let through = MmooAggregate::stationary(cfg.source, cfg.n_through, &mut rng);
-        let cross = (0..cfg.hops)
-            .map(|_| MmooAggregate::stationary(cfg.source, cfg.n_cross, &mut rng))
-            .collect();
-        if let Some(l) = cfg.packet_size {
-            assert!(l > 0.0 && l.is_finite(), "TandemSim: packet size must be positive");
+        let faults = lane
+            .faults
+            .as_ref()
+            .map(|plan| FaultInjector::new(plan, cfg.hops, seed))
+            .transpose()?;
+        let mode = if cfg.packet_size.is_some() {
             assert!(
                 !matches!(cfg.scheduler, SchedulerKind::Gps { .. }),
                 "TandemSim: packet mode with GPS (packetized WFQ) is not modelled"
             );
-        }
-        let mode = if cfg.packet_size.is_some() {
-            crate::node::ServiceMode::NonPreemptive
+            ServiceMode::NonPreemptive
         } else {
-            crate::node::ServiceMode::Fluid
+            ServiceMode::Fluid
         };
         let nodes = capacities
             .iter()
             .map(|&c| Node::with_mode(c, cfg.scheduler.node_policy(), 2, mode))
             .collect();
-        Ok(TandemSim {
+        Ok(LaneSim {
             cfg,
-            rng,
-            through,
-            cross,
             nodes,
             outstanding: VecDeque::new(),
             forwarded: Vec::new(),
             departures: Vec::new(),
-            residuals: vec![0.0; cfg.hops + 1],
-            slot: 0,
-            stats: DelayStats::new(),
+            stats: lane.collector(),
             telemetry: None,
             faults,
             lost_emissions: 0,
         })
     }
 
-    /// Turns on per-node telemetry collection (queue-depth and backlog
-    /// histograms, emission and sample counters) for this run. The
-    /// recorded values never feed back into the simulation, so results
-    /// are bitwise-identical with telemetry on or off; without the
-    /// `telemetry` cargo feature the collection itself is erased and
-    /// [`TandemSim::metrics`] stays empty.
-    pub fn enable_telemetry(&mut self) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(SimTelemetry::new(self.cfg.hops));
-        }
-    }
-
-    /// Whether [`TandemSim::enable_telemetry`] was called.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
-    /// Quantizes an emission into whole packets in packet mode (feed 0
-    /// is the through aggregate, feed `h+1` the cross aggregate of node
-    /// `h`); identity in fluid mode.
-    fn quantize(&mut self, feed: usize, bits: f64) -> (f64, usize) {
-        match self.cfg.packet_size {
-            None => (bits, 1),
-            Some(l) => {
-                self.residuals[feed] += bits;
-                let packets = (self.residuals[feed] / l).floor() as usize;
-                self.residuals[feed] -= packets as f64 * l;
-                (packets as f64 * l, packets)
-            }
-        }
-    }
-
-    /// Replaces the delay-statistics collector (e.g. with a streaming
-    /// one from [`DelayStats::streaming_with_thresholds`]). Call before
-    /// [`TandemSim::run`] — any already-recorded samples are discarded.
-    pub fn set_stats_collector(&mut self, collector: DelayStats) {
-        self.stats = collector;
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Current slot.
-    pub fn slot(&self) -> u64 {
-        self.slot
-    }
-
-    /// Total backlog across all nodes.
-    pub fn backlog(&self) -> f64 {
-        self.nodes.iter().map(Node::backlog).sum()
-    }
-
-    /// Advances one slot.
-    pub fn step(&mut self) {
-        let t = self.slot;
-        let raw_thr = self.through.step(&mut self.rng);
-        let (thr_bits, thr_packets) = self.quantize(0, raw_thr);
+    /// Serves slot `t` given the slot's emissions (`(bits, packets)` of
+    /// the through aggregate, then of each node's cross aggregate).
+    fn step(&mut self, t: u64, emissions: &[(f64, usize)]) {
+        let (thr_bits, thr_packets) = emissions[0];
         // Reuse the per-step buffers (taken out of `self` to satisfy the
         // borrow checker, restored below); both end each step drained,
         // so only their capacity survives.
@@ -324,8 +382,7 @@ impl TandemSim {
                 }
                 self.nodes[h].enqueue(c);
             }
-            let raw_cross = self.cross[h].step(&mut self.rng);
-            let (cross_bits, cross_packets) = self.quantize(h + 1, raw_cross);
+            let (cross_bits, cross_packets) = emissions[h + 1];
             let mut cross_arrived_kb = 0.0_f64;
             if cross_bits > 0.0 {
                 let per = cross_bits / cross_packets as f64;
@@ -373,7 +430,6 @@ impl TandemSim {
         if let Some(tel) = &mut self.telemetry {
             tel.slots += 1;
         }
-        self.slot += 1;
     }
 
     /// A through fragment left the final node: retire it against its
@@ -414,7 +470,7 @@ impl TandemSim {
 
     /// Pops leading outstanding entries whose bits are fully accounted
     /// for by fault drops (exits pop their own entries in
-    /// [`TandemSim::record_exit`]).
+    /// [`LaneSim::record_exit`]).
     fn drain_retired_front(&mut self) {
         while self.outstanding.front().is_some_and(|e| e.bits <= 1e-9) {
             let e = self.outstanding.pop_front().expect("front exists");
@@ -424,18 +480,21 @@ impl TandemSim {
         }
     }
 
-    /// Runs `slots` slots and returns (a clone of) the accumulated
-    /// delay statistics.
-    pub fn run(&mut self, slots: u64) -> DelayStats {
-        for _ in 0..slots {
-            self.step();
-        }
-        self.stats.clone()
-    }
-
     /// The statistics accumulated so far.
     pub fn stats(&self) -> &DelayStats {
         &self.stats
+    }
+
+    /// Moves the accumulated statistics out; the lane goes on
+    /// collecting into an empty collector of the same kind.
+    pub(crate) fn take_stats(&mut self) -> DelayStats {
+        let fresh = self.stats.fresh();
+        std::mem::replace(&mut self.stats, fresh)
+    }
+
+    /// Total backlog across the lane's nodes.
+    pub fn backlog(&self) -> f64 {
+        self.nodes.iter().map(Node::backlog).sum()
     }
 
     /// Node `h` of the path (0-based), for reading its state between
@@ -448,8 +507,7 @@ impl TandemSim {
         &self.nodes[h]
     }
 
-    /// Fault event counters, when the simulation was built with a
-    /// fault plan.
+    /// Fault event counters, when the lane has a fault plan.
     pub fn fault_counters(&self) -> Option<&FaultCounters> {
         self.faults.as_ref().map(FaultInjector::counters)
     }
@@ -492,6 +550,153 @@ impl TandemSim {
             m.counter_add("sim_fault_lost_emissions_total", &[], self.lost_emissions);
         }
         m
+    }
+}
+
+/// A running tandem simulation: one arrival stream served by one or
+/// more lanes (see the module documentation).
+#[derive(Debug)]
+pub struct TandemSim {
+    arrivals: Arrivals,
+    lanes: Vec<LaneSim>,
+    seed: u64,
+    slot: u64,
+    /// The lane being added or stepped, so that a panic inside a lane
+    /// can be traced to it (see [`TandemSim::busy_lane`]).
+    busy_lane: usize,
+}
+
+impl TandemSim {
+    /// A one-lane simulation from a config and RNG seed: every node has
+    /// capacity `cfg.capacity` and no faults.
+    ///
+    /// # Panics
+    ///
+    /// As for [`TandemSim::with_lanes`].
+    pub fn new(cfg: SimConfig, seed: u64) -> Self {
+        Self::with_lanes(&[Lane::new(cfg)], seed).expect("no fault plan to mismatch")
+    }
+
+    /// The general constructor: one arrival stream seeded by `seed`,
+    /// served by every lane in order. Each lane's fault draws come from
+    /// its own salted stream derived from `seed`, so the traffic sample
+    /// path is identical to the unfaulted simulation under the same
+    /// seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::FaultConfig`] when a lane's per-node fault plan
+    /// does not cover exactly its `hops` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is empty or the lanes disagree on hops, flow
+    /// counts, source or packet size; if `hops` or `n_through` is zero;
+    /// if a lane's capacities do not cover its nodes or are not
+    /// positive and finite; or if the packet size is invalid or
+    /// combined with GPS.
+    pub fn with_lanes(lanes: &[Lane], seed: u64) -> Result<Self, Error> {
+        let first = lanes.first().expect("TandemSim: need at least one lane");
+        let mut sim = Self::without_lanes(&first.cfg, seed);
+        for lane in lanes {
+            sim.add_lane(lane)?;
+        }
+        Ok(sim)
+    }
+
+    /// The arrival stream of `cfg` alone; lanes follow via
+    /// [`TandemSim::add_lane`].
+    pub(crate) fn without_lanes(cfg: &SimConfig, seed: u64) -> Self {
+        TandemSim {
+            arrivals: Arrivals::new(cfg, seed),
+            lanes: Vec::new(),
+            seed,
+            slot: 0,
+            busy_lane: 0,
+        }
+    }
+
+    /// Adds a lane (before the first step).
+    pub(crate) fn add_lane(&mut self, lane: &Lane) -> Result<(), Error> {
+        debug_assert_eq!(self.slot, 0, "TandemSim: lanes are added before the first step");
+        self.busy_lane = self.lanes.len();
+        assert!(
+            lane.cfg.same_arrivals(&self.arrivals.cfg),
+            "TandemSim: lanes must share hops, flow counts, source and packet size"
+        );
+        self.lanes.push(LaneSim::new(lane, self.seed)?);
+        Ok(())
+    }
+
+    /// The lane that was being added or stepped last: after a panic
+    /// inside the simulation, the lane it happened in.
+    pub(crate) fn busy_lane(&self) -> usize {
+        self.busy_lane
+    }
+
+    /// Turns on per-node telemetry collection (queue-depth and backlog
+    /// histograms, emission and sample counters) in every lane. The
+    /// recorded values never feed back into the simulation, so results
+    /// are bitwise-identical with telemetry on or off; without the
+    /// `telemetry` cargo feature the collection itself is erased and
+    /// [`LaneSim::metrics`] stays empty.
+    pub fn enable_telemetry(&mut self) {
+        for lane in &mut self.lanes {
+            if lane.telemetry.is_none() {
+                lane.telemetry = Some(SimTelemetry::new(lane.cfg.hops));
+            }
+        }
+    }
+
+    /// Current slot.
+    pub fn slot(&self) -> u64 {
+        self.slot
+    }
+
+    /// Advances one slot: draws the arrivals once, then steps every
+    /// lane on them in lane order.
+    pub fn step(&mut self) {
+        let t = self.slot;
+        self.arrivals.draw();
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            self.busy_lane = k;
+            lane.step(t, &self.arrivals.emissions);
+        }
+        self.slot += 1;
+    }
+
+    /// Advances `slots` slots.
+    pub(crate) fn advance(&mut self, slots: u64) {
+        for _ in 0..slots {
+            self.step();
+        }
+    }
+
+    /// Runs `slots` slots and moves the first lane's accumulated
+    /// statistics out — the result of a one-lane simulation. The lane
+    /// goes on collecting into an empty collector of the same kind.
+    pub fn run(&mut self, slots: u64) -> DelayStats {
+        self.advance(slots);
+        self.lanes[0].take_stats()
+    }
+
+    /// The lanes, in the order they were given.
+    pub fn lanes(&self) -> &[LaneSim] {
+        &self.lanes
+    }
+
+    /// Lane `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not below the lane count.
+    pub fn lane(&self, k: usize) -> &LaneSim {
+        &self.lanes[k]
+    }
+
+    /// Consumes the simulation, returning its lanes in order.
+    pub(crate) fn into_lanes(self) -> Vec<LaneSim> {
+        self.lanes
     }
 }
 
@@ -558,7 +763,7 @@ mod tests {
 
     /// A uniform-capacity tandem with `plan` injected at every node.
     fn faulted(cfg: SimConfig, plan: &FaultPlan, seed: u64) -> Result<TandemSim, Error> {
-        TandemSim::with_capacities_and_faults(cfg, &vec![cfg.capacity; cfg.hops], Some(plan), seed)
+        TandemSim::with_lanes(&[Lane::new(cfg).faults(Some(plan.clone()))], seed)
     }
 
     fn light_cfg(scheduler: SchedulerKind) -> SimConfig {
@@ -630,8 +835,9 @@ mod tests {
         }
         // Outstanding bits + recorded samples account for every through
         // emission: outstanding is bounded by the backlog.
-        let outstanding_bits: f64 = sim.outstanding.iter().map(|e| e.bits).sum();
-        assert!(outstanding_bits <= sim.backlog() + 1e-6);
+        let lane = sim.lane(0);
+        let outstanding_bits: f64 = lane.outstanding.iter().map(|e| e.bits).sum();
+        assert!(outstanding_bits <= lane.backlog() + 1e-6);
     }
 
     #[test]
@@ -676,7 +882,7 @@ mod tests {
             clean.mean(),
             faulted.mean()
         );
-        let fc = sim.fault_counters().unwrap();
+        let fc = sim.lane(0).fault_counters().unwrap();
         assert!(fc.outage_slots.iter().sum::<u64>() > 0);
     }
 
@@ -686,9 +892,9 @@ mod tests {
         let plan = FaultPlan::uniform(vec![crate::FaultModel::Drop { prob: 0.05 }]).unwrap();
         let mut sim = faulted(cfg, &plan, 13).unwrap();
         let stats = sim.run(40_000);
-        assert!(sim.lost_emissions() > 0, "5% drops over 40k slots must lose something");
+        assert!(sim.lane(0).lost_emissions() > 0, "5% drops over 40k slots must lose something");
         assert!(!stats.is_empty(), "most emissions still make it through");
-        let fc = sim.fault_counters().unwrap();
+        let fc = sim.lane(0).fault_counters().unwrap();
         assert!(fc.dropped_chunks.iter().sum::<u64>() > 0);
     }
 
@@ -733,7 +939,8 @@ mod tests {
     fn heterogeneous_bottleneck_raises_delays() {
         let cfg = light_cfg(SchedulerKind::Fifo);
         let run = |caps: &[f64]| {
-            TandemSim::with_capacities_and_faults(cfg, caps, None, 11).unwrap().run(40_000)
+            let lane = Lane::new(cfg).capacities(Some(caps.to_vec()));
+            TandemSim::with_lanes(&[lane], 11).unwrap().run(40_000)
         };
         let uniform = run(&[20.0, 20.0, 20.0]);
         let bottleneck = run(&[20.0, 12.0, 20.0]);
@@ -760,7 +967,7 @@ mod tests {
         let mut sim = TandemSim::new(cfg, 9);
         sim.enable_telemetry();
         let stats = sim.run(20_000);
-        let m = sim.metrics();
+        let m = sim.lane(0).metrics();
         assert_eq!(m.counter_value("sim_slots_total", &[]), 20_000);
         assert_eq!(m.counter_value("sim_delay_samples_total", &[]), stats.len() as u64);
         for h in 0..cfg.hops {
@@ -786,7 +993,29 @@ mod tests {
         let mut sim = TandemSim::new(light_cfg(SchedulerKind::Fifo), 9);
         sim.enable_telemetry();
         let _ = sim.run(1_000);
-        assert!(sim.metrics().is_empty());
+        assert!(sim.lane(0).metrics().is_empty());
+    }
+
+    #[test]
+    fn busy_lane_follows_the_lane_in_progress() {
+        let cfg = light_cfg(SchedulerKind::Fifo);
+        let lanes =
+            [Lane::new(cfg), Lane::new(SimConfig { scheduler: SchedulerKind::Bmux, ..cfg })];
+        let mut sim = TandemSim::without_lanes(&cfg, 3);
+        sim.add_lane(&lanes[0]).unwrap();
+        assert_eq!(sim.busy_lane(), 0);
+        sim.add_lane(&lanes[1]).unwrap();
+        assert_eq!(sim.busy_lane(), 1);
+        sim.step();
+        assert_eq!(sim.busy_lane(), 1, "the last lane stepped");
+    }
+
+    #[test]
+    #[should_panic(expected = "lanes must share")]
+    fn lanes_with_different_arrivals_are_rejected() {
+        let cfg = light_cfg(SchedulerKind::Fifo);
+        let lanes = [Lane::new(cfg), Lane::new(SimConfig { n_cross: cfg.n_cross + 1, ..cfg })];
+        let _ = TandemSim::with_lanes(&lanes, 1);
     }
 
     #[test]
@@ -797,6 +1026,6 @@ mod tests {
             sim.step();
         }
         // All entries so far are within warm-up: nothing recorded.
-        assert_eq!(sim.stats().len(), 0);
+        assert_eq!(sim.lane(0).stats().len(), 0);
     }
 }

@@ -7,7 +7,7 @@
 //! `linksched run examples/scenarios/validate.json` between default and
 //! `--no-default-features` builds.
 
-use nc_sim::{MonteCarlo, SchedulerKind, SimConfig};
+use nc_sim::{Lane, MonteCarlo, SchedulerKind, SimConfig};
 use nc_traffic::Mmoo;
 
 fn cfg() -> SimConfig {
@@ -29,7 +29,7 @@ fn cfg() -> SimConfig {
 type Fingerprint = (usize, Vec<u64>, Option<u64>, Option<u64>, Vec<(u64, u64)>);
 
 fn fingerprint(plan: MonteCarlo) -> Fingerprint {
-    let mut report = plan.run(cfg()).unwrap();
+    let mut report = plan.run(&[Lane::new(cfg()).streaming(&[12.0])]).unwrap().remove(0);
     let m = &mut report.merged;
     let samples: Vec<u64> = m.samples().iter().map(|s| s.to_bits()).collect();
     let quantile = m.quantile(0.999).map(f64::to_bits);
@@ -47,7 +47,6 @@ fn delay_stats_identical_across_telemetry_and_thread_count() {
     let plan = |threads: usize, telemetry: bool| {
         MonteCarlo::new(6, 8_000, 0xD0_0DAD)
             .threads(threads)
-            .streaming(&[12.0])
             .collect_metrics(telemetry)
             .progress(false)
     };

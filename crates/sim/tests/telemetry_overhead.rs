@@ -12,10 +12,11 @@
 //! `--no-default-features` run of `tests/scenario_cli.rs`.
 //!
 //! Run with `cargo test -p nc-sim --features telemetry --release --test
-//! telemetry_overhead`; without the feature this file compiles to no
-//! tests.
+//! telemetry_overhead`; without the feature, and in unoptimized builds
+//! (where a wall-clock ratio with a 5 ms allowance is noise, not a
+//! measurement), this file compiles to no tests.
 
-#![cfg(feature = "telemetry")]
+#![cfg(all(feature = "telemetry", not(debug_assertions)))]
 
 use nc_sim::{SchedulerKind, SimConfig, TandemSim};
 use std::time::{Duration, Instant};

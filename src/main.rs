@@ -31,7 +31,11 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
+    // `-h`/`--help` anywhere among a command's flags asks for the usage,
+    // as it does in place of a command.
+    let help = args[1..].iter().any(|a| a == "-h" || a == "--help");
     match cmd.as_str() {
+        "bound" | "sweep" | "simulate" | "run" if help => print_usage(),
         "bound" | "sweep" | "simulate" => match Scenario::from_cli(cmd, &args[1..]) {
             Ok((scenario, flags)) => run_engine(scenario, flags),
             Err(e) => {
@@ -41,15 +45,18 @@ fn main() -> ExitCode {
         },
         "run" => cmd_run(&args[1..]),
         "bench" => cmd_bench(&args[1..]),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}\n\nShared {}", nc_scenario::USAGE);
-            ExitCode::SUCCESS
-        }
+        "--help" | "-h" | "help" => print_usage(),
         other => {
             eprintln!("error: unknown command `{other}`\n\n{USAGE}");
             ExitCode::from(2)
         }
     }
+}
+
+/// Prints the usage, with the shared engine options, to stdout.
+fn print_usage() -> ExitCode {
+    println!("{USAGE}\n\nShared {}", nc_scenario::USAGE);
+    ExitCode::SUCCESS
 }
 
 /// Applies the engine flags on top of the scenario's defaults and runs

@@ -169,7 +169,7 @@ fn backlog_bound_dominates_simulation() {
         let t = sim.slot();
         sim.step();
         if t >= sim_cfg.warmup {
-            stats.record(sim.node(0).class_backlog(0));
+            stats.record(sim.lane(0).node(0).class_backlog(0));
         }
     }
     assert!(stats.len() > 100_000);

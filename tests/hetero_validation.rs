@@ -2,7 +2,7 @@
 //! extension) against the simulator with per-node capacities.
 
 use linksched::core::{HeteroNode, HeteroPath, PathScheduler};
-use linksched::sim::{SchedulerKind, SimConfig, TandemSim};
+use linksched::sim::{Lane, SchedulerKind, SimConfig, TandemSim};
 use linksched::traffic::Mmoo;
 
 #[test]
@@ -47,8 +47,9 @@ fn hetero_bound_dominates_simulation_with_bottleneck() {
         warmup: 5_000,
         packet_size: None,
     };
-    let stats =
-        TandemSim::with_capacities_and_faults(cfg, &capacities, None, 77).unwrap().run(400_000);
+    let stats = TandemSim::with_lanes(&[Lane::new(cfg).capacities(Some(capacities.to_vec()))], 77)
+        .unwrap()
+        .run(400_000);
     assert!(stats.len() > 10_000);
     let emp = stats.violation_fraction(bound);
     assert!(
@@ -73,7 +74,7 @@ fn hetero_reduces_to_homogeneous_in_simulation() {
         packet_size: None,
     };
     let mut a = TandemSim::new(cfg, 5).run(100_000);
-    let mut b = TandemSim::with_capacities_and_faults(cfg, &[20.0, 20.0, 20.0], None, 5)
+    let mut b = TandemSim::with_lanes(&[Lane::new(cfg).capacities(Some(vec![20.0; 3]))], 5)
         .unwrap()
         .run(100_000);
     assert_eq!(a.len(), b.len());

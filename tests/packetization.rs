@@ -90,5 +90,5 @@ fn conservation_in_packet_mode() {
     for _ in 0..50_000 {
         sim.step();
     }
-    assert!(sim.stats().len() > 1_000, "packets flow end to end");
+    assert!(sim.lane(0).stats().len() > 1_000, "packets flow end to end");
 }

@@ -11,7 +11,7 @@
 //! `bound_validation.rs`; this file exercises the engine path.
 
 use linksched::core::{MmooTandem, PathScheduler};
-use linksched::sim::{MonteCarlo, SchedulerKind, SimConfig};
+use linksched::sim::{Lane, MonteCarlo, SchedulerKind, SimConfig};
 use linksched::traffic::Mmoo;
 
 /// Scaled-down paper setup (C = 20 kb/ms), as in `bound_validation.rs`.
@@ -37,8 +37,8 @@ type Fingerprint = (usize, Option<u64>, Option<u64>, Option<u64>, Option<u64>, u
 
 fn fingerprint(threads: usize) -> Fingerprint {
     let (_, cfg) = setup(PathScheduler::Fifo, SchedulerKind::Fifo);
-    let mc = MonteCarlo::new(8, 10_000, 0xD5_EED).threads(threads).streaming(&[25.0]);
-    let mut r = mc.run(cfg).unwrap();
+    let mc = MonteCarlo::new(8, 10_000, 0xD5_EED).threads(threads);
+    let mut r = mc.run(&[Lane::new(cfg).streaming(&[25.0])]).unwrap().remove(0);
     (
         r.merged.len(),
         r.merged.mean().map(f64::to_bits),
@@ -68,8 +68,8 @@ fn assert_bound_holds_parallel(scheduler: PathScheduler, kind: SchedulerKind, la
         .unwrap_or_else(|| panic!("{label}: no analytical bound"))
         .bound
         .delay;
-    let mc = MonteCarlo::new(4, 50_000, 0xA11_0C8).streaming(&[bound]);
-    let mut report = mc.run(cfg).unwrap();
+    let mc = MonteCarlo::new(4, 50_000, 0xA11_0C8);
+    let mut report = mc.run(&[Lane::new(cfg).streaming(&[bound])]).unwrap().remove(0);
     let n = report.merged.len();
     assert!(n > 50_000, "{label}: too few samples ({n})");
     let q = report.merged.quantile(1.0 - eps).unwrap();

@@ -423,6 +423,39 @@ fn faulted_scenario_is_deterministic_across_thread_counts() {
     }
 }
 
+/// Every `validate` row and every clean and faulted `faulted` run of a
+/// table is simulated on one shared arrival stream; the tables must
+/// not depend on how the replications are spread over threads.
+#[test]
+fn tandem_tables_are_identical_at_one_and_two_threads() {
+    for scenario in ["validate.json", "faulted_tandem.json"] {
+        let one = run_scenario(scenario, &[&SMALL_TANDEM[..], &["--threads", "1"]].concat());
+        let two = run_scenario(scenario, &[&SMALL_TANDEM[..], &["--threads", "2"]].concat());
+        assert_eq!(one, two, "{scenario}: stdout differs between --threads 1 and 2");
+    }
+}
+
+/// `-h`/`--help` after a command prints the usage to stdout and exits
+/// 0, as `linksched --help` does, whatever else is on the line.
+#[test]
+fn help_after_a_command_prints_usage_and_succeeds() {
+    let demo = repo_path("examples/scenarios/bound_demo.json");
+    let top = run(&["--help"]).stdout;
+    for args in [
+        &["run", demo.as_str(), "--help"][..],
+        &["run", "-h"],
+        &["bound", "--help"],
+        &["bound", "--hops", "5", "--through", "100", "-h"],
+        &["sweep", "--help"],
+        &["simulate", "--reps", "2", "--help"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_linksched")).args(args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert_eq!(out.stdout, top, "{args:?} prints the usage");
+        assert!(out.stderr.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
 /// The typed error taxonomy maps failure classes to distinct exit
 /// codes: usage error (2), unreadable file (3), invalid scenario (4),
 /// infeasible analysis (7).
