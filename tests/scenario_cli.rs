@@ -99,6 +99,67 @@ fn small_faulted_tandem_matches_golden() {
     );
 }
 
+/// Packetized FIFO, SP, EDF and SCFQ and fluid SCFQ run paths no
+/// figure golden reaches. Their stdout and their per-node scheduler
+/// counters are pinned here.
+#[test]
+fn simulate_schedulers_match_golden() {
+    const BASE: [&str; 13] = [
+        "simulate",
+        "--hops",
+        "3",
+        "--through",
+        "40",
+        "--cross",
+        "60",
+        "--capacity",
+        "20",
+        "--slots",
+        "60000",
+        "--reps",
+        "2",
+    ];
+    const RUNS: [&[&str]; 6] = [
+        &["--sched", "fifo", "--packet", "1.5"],
+        &["--sched", "sp", "--packet", "1.5"],
+        &["--sched", "edf:10,40", "--packet", "1.5"],
+        &["--sched", "scfq:1,2", "--packet", "1.5"],
+        &["--sched", "scfq:1,2"],
+        &["--sched", "scfq:2,1"],
+    ];
+    let scratch = Scratch::new("simulate-schedulers");
+    let metrics = scratch.path("m.prom");
+    let (mut stdout, mut counters) = (String::new(), String::new());
+    for extra in RUNS {
+        let header = format!("$ linksched {} {}\n", BASE.join(" "), extra.join(" "));
+        let out = run(&[&BASE[..], extra, &["--metrics-out", metrics.as_str()]].concat());
+        stdout.push_str(&header);
+        stdout.push_str(&String::from_utf8(out.stdout).expect("stdout is UTF-8"));
+        counters.push_str(&header);
+        for line in scratch.read("m.prom").lines().filter(|l| is_scheduler_counter(l)) {
+            counters.push_str(line);
+            counters.push('\n');
+        }
+    }
+    let golden = |name: &str| {
+        std::fs::read_to_string(repo_path(&format!("tests/golden/small/{name}"))).expect("golden")
+    };
+    assert_eq!(golden("simulate_schedulers.txt"), stdout, "simulate stdout diverged");
+    if cfg!(feature = "telemetry") {
+        assert_eq!(
+            golden("simulate_scheduler_counters.txt"),
+            counters,
+            "scheduler counters diverged"
+        );
+    }
+}
+
+fn is_scheduler_counter(line: &str) -> bool {
+    ["scheduler_decisions", "chunks_completed", "chunk_splits", "edf_deadline_misses"]
+        .iter()
+        .any(|name| line.starts_with(&format!("sim_node_{name}_total")))
+}
+
 /// The full-size figure runs reproduce `tests/golden/` (see its README
 /// for the invocations).
 const FIGURE_SIM: [&str; 5] = ["--sim", "--reps", "2", "--slots", "6000"];
