@@ -1,6 +1,6 @@
 //! Dense uniform-grid curve representation.
 
-use crate::curve::{Curve, CurveError, Segment};
+use crate::curve::{Curve, CurveError};
 use nc_telemetry as tel;
 
 static GRID_CONVOLUTION: tel::Counter = tel::Counter::new("minplus_grid_convolution_total");
@@ -245,43 +245,6 @@ impl SampledCurve {
         let values = (0..n).map(|i| self.values[i] + other.values[i]).collect();
         SampledCurve { dt: self.dt, values }
     }
-
-    /// Reconstructs a piecewise-linear [`Curve`] that interpolates the
-    /// samples and continues with `final_slope` past the horizon.
-    ///
-    /// Infinite samples are turned into a terminal jump to `+∞`.
-    pub fn to_curve(&self, final_slope: f64) -> Curve {
-        let fs = if final_slope.is_finite() { final_slope.max(0.0) } else { 0.0 };
-        let inf_at = self.values.iter().position(|v| v.is_infinite());
-        let finite = &self.values[..inf_at.unwrap_or(self.values.len())];
-        if finite.is_empty() {
-            return Curve::infinite();
-        }
-        let mut points: Vec<(f64, f64)> = Vec::with_capacity(finite.len());
-        let mut prev = f64::NEG_INFINITY;
-        for (i, &v) in finite.iter().enumerate() {
-            // from_points requires monotone values; absorb fp noise.
-            let v = v.max(prev);
-            prev = v;
-            points.push((i as f64 * self.dt, v));
-        }
-        let curve = Curve::from_points(&points, if inf_at.is_some() { 0.0 } else { fs })
-            .expect("monotone samples produce a valid curve");
-        match inf_at {
-            None => curve,
-            Some(k) => {
-                // Append the jump to ∞ at the last finite grid point.
-                let x_inf = (k.saturating_sub(1)) as f64 * self.dt;
-                if x_inf <= 0.0 {
-                    return Curve::infinite();
-                }
-                let mut segs: Vec<Segment> = curve.segments().to_vec();
-                segs.retain(|s| s.x < x_inf);
-                segs.push(Segment::new(x_inf, f64::INFINITY, 0.0));
-                Curve::from_segments(segs).expect("jump to infinity keeps the curve valid")
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -292,10 +255,10 @@ mod tests {
     fn sampling_round_trip() {
         let f = Curve::token_bucket(2.0, 3.0);
         let s = SampledCurve::from_curve(&f, 0.25, 64);
-        let back = s.to_curve(f.long_run_rate());
-        for i in 1..60 {
+        assert_eq!(s.len(), 64);
+        for i in 0..64 {
             let t = i as f64 * 0.25;
-            assert!((back.eval(t) - f.eval(t)).abs() < 1e-9, "mismatch at {t}");
+            assert_eq!(s.eval(i), f.eval(t), "mismatch at {t}");
         }
     }
 
@@ -374,14 +337,6 @@ mod tests {
             "deconvolve_into must match bitwise"
         );
         assert_eq!(buf.capacity(), cap, "deconvolve_into must reuse the buffer");
-    }
-
-    #[test]
-    fn to_curve_with_infinity() {
-        let s = SampledCurve { dt: 1.0, values: vec![0.0, 1.0, f64::INFINITY, f64::INFINITY] };
-        let c = s.to_curve(1.0);
-        assert_eq!(c.eval(1.0), 1.0);
-        assert!(c.eval(1.5).is_infinite());
     }
 
     #[test]

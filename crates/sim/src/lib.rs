@@ -56,7 +56,6 @@ mod montecarlo;
 mod node;
 mod pool;
 mod scheduler;
-mod schedulers;
 mod source;
 mod stats;
 mod tandem;

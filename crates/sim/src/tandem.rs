@@ -289,9 +289,9 @@ pub struct LaneSim {
 impl LaneSim {
     /// # Panics
     ///
-    /// Panics if the capacities do not cover `cfg.hops` nodes, packet
-    /// mode is combined with GPS, or a capacity is not positive and
-    /// finite (via [`Node::new`]).
+    /// Panics if the capacities do not cover `cfg.hops` nodes, or (via
+    /// [`Node::with_mode`]) if packet mode is combined with GPS or a
+    /// capacity is not positive and finite.
     fn new(lane: &Lane, seed: u64) -> Result<Self, Error> {
         let cfg = lane.cfg;
         let uniform;
@@ -308,15 +308,8 @@ impl LaneSim {
             .as_ref()
             .map(|plan| FaultInjector::new(plan, cfg.hops, seed))
             .transpose()?;
-        let mode = if cfg.packet_size.is_some() {
-            assert!(
-                !matches!(cfg.scheduler, SchedulerKind::Gps { .. }),
-                "TandemSim: packet mode with GPS (packetized WFQ) is not modelled"
-            );
-            ServiceMode::NonPreemptive
-        } else {
-            ServiceMode::Fluid
-        };
+        let mode =
+            if cfg.packet_size.is_some() { ServiceMode::NonPreemptive } else { ServiceMode::Fluid };
         let nodes = capacities
             .iter()
             .map(|&c| Node::with_mode(c, cfg.scheduler.node_policy(), 2, mode))
