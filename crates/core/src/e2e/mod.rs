@@ -22,15 +22,14 @@ pub mod closed_forms;
 pub mod deterministic;
 mod gamma;
 pub mod hetero;
+mod mmoo_tandem;
 pub mod netbound;
 pub mod optimizer;
-pub mod source_tandem;
 
 use crate::delta::PathScheduler;
-use crate::Error;
+pub use mmoo_tandem::{MmooDelayBound, MmooTandem};
 use nc_telemetry as tel;
-use nc_traffic::{Ebb, Mmoo};
-pub use source_tandem::{SourceDelayBound, SourceTandem};
+use nc_traffic::Ebb;
 
 static DELAY_BOUND_CALLS: tel::Counter = tel::Counter::new("core_delay_bound_calls_total");
 static DELAY_BOUND_SECONDS: tel::Timing = tel::Timing::new("core_delay_bound_seconds");
@@ -315,129 +314,11 @@ impl TandemPath {
     }
 }
 
-/// A tandem path whose through and cross aggregates are built from the
-/// paper's MMOO sources, with the outer optimization over the
-/// effective-bandwidth moment parameter `s`.
-///
-/// This is the object that regenerates the paper's figures: utilization
-/// is `U = (n_through + n_cross)·mean_rate/C` per the Section V
-/// convention.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MmooTandem {
-    /// The per-flow MMOO source.
-    pub source: Mmoo,
-    /// Number of through flows `N_0`.
-    pub n_through: usize,
-    /// Number of cross flows per node `N_c`.
-    pub n_cross: usize,
-    /// Link capacity `C`.
-    pub capacity: f64,
-    /// Path length `H`.
-    pub hops: usize,
-    /// Scheduler at every node.
-    pub scheduler: PathScheduler,
-}
-
-/// An end-to-end bound annotated with the moment parameter that
-/// achieved it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MmooDelayBound {
-    /// The optimized bound.
-    pub bound: E2eDelayBound,
-    /// The moment parameter `s` at which it was found.
-    pub s: f64,
-}
-
-impl MmooTandem {
-    /// The source-generic view of this tandem (both aggregates share
-    /// the MMOO model); all computations delegate to it.
-    pub fn as_source_tandem(&self) -> SourceTandem<'_> {
-        SourceTandem {
-            through_source: &self.source,
-            n_through: self.n_through,
-            cross_source: &self.source,
-            n_cross: self.n_cross,
-            capacity: self.capacity,
-            hops: self.hops,
-            scheduler: self.scheduler,
-        }
-    }
-
-    /// The tandem path at a fixed moment parameter `s`, or `None` if the
-    /// EBB rates at this `s` exceed capacity.
-    pub fn path_at(&self, s: f64) -> Option<TandemPath> {
-        self.as_source_tandem().path_at(s)
-    }
-
-    /// Total utilization `(N_0 + N_c)·mean/C`.
-    pub fn utilization(&self) -> f64 {
-        (self.n_through + self.n_cross) as f64 * self.source.mean_rate() / self.capacity
-    }
-
-    /// The end-to-end delay bound, optimized over both `s` and `γ`
-    /// (see [`SourceTandem::delay_bound`]: a branch-and-bound over a
-    /// log grid of `s` with local refinement; `γ` handled inside
-    /// [`TandemPath::delay_bound`]).
-    ///
-    /// Returns `None` if the path is unstable at every `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epsilon` is not in `(0, 1)`.
-    pub fn delay_bound(&self, epsilon: f64) -> Option<MmooDelayBound> {
-        self.as_source_tandem()
-            .delay_bound(epsilon)
-            .map(|b| MmooDelayBound { bound: b.bound, s: b.s })
-    }
-
-    /// Guard-railed variant of [`MmooTandem::delay_bound`]: reports a
-    /// bad `epsilon` as [`Error::InvalidInput`] instead of panicking,
-    /// a tandem unstable at every `s` as [`Error::Infeasible`], and a
-    /// NaN/∞ bound as [`Error::NonFinite`] — so callers (the scenario
-    /// engine, the CLI) can map each cause onto a distinct exit code.
-    pub fn try_delay_bound(&self, epsilon: f64) -> Result<MmooDelayBound, Error> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(Error::InvalidInput(format!(
-                "delay_bound: epsilon must be in (0, 1), got {epsilon}"
-            )));
-        }
-        match self.delay_bound(epsilon) {
-            Some(b) if b.bound.delay.is_finite() => Ok(b),
-            Some(b) => Err(Error::NonFinite(format!(
-                "delay bound evaluated to {} (U = {:.3})",
-                b.bound.delay,
-                self.utilization()
-            ))),
-            None => Err(Error::Infeasible),
-        }
-    }
-
-    /// EDF fixed-point bound (see
-    /// [`TandemPath::edf_delay_bound_fixed_point`]), optimized over `s`
-    /// by the branch-and-bound of
-    /// [`SourceTandem::edf_delay_bound_fixed_point`]. Returns the bound,
-    /// the achieving `s`, and the converged per-node through deadline
-    /// `d*_0`.
-    pub fn edf_delay_bound_fixed_point(
-        &self,
-        epsilon: f64,
-        cross_over_through: f64,
-    ) -> Option<(MmooDelayBound, f64)> {
-        self.as_source_tandem()
-            .edf_delay_bound_fixed_point(epsilon, cross_over_through)
-            .map(|(b, d0)| (MmooDelayBound { bound: b.bound, s: b.s }, d0))
-    }
-
-    /// The additive node-by-node BMUX baseline of Example 3, optimized
-    /// over `s` (and internally over `γ`).
-    pub fn additive_bmux_delay(&self, epsilon: f64) -> Option<f64> {
-        self.as_source_tandem().additive_bmux_delay(epsilon)
-    }
-}
-
 #[cfg(test)]
 mod try_bound_tests {
     use super::*;
+    use crate::Error;
+    use nc_traffic::Mmoo;
 
     fn tandem(n_flows: usize) -> MmooTandem {
         MmooTandem {
@@ -488,6 +369,7 @@ mod try_bound_tests {
 #[cfg(test)]
 mod edf_fixed_point_tests {
     use super::*;
+    use nc_traffic::Mmoo;
     use proptest::strategy::Strategy;
 
     const EPS: f64 = 1e-9;

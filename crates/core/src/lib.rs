@@ -55,7 +55,6 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod admission;
 mod delta;
 pub mod e2e;
 mod error;
@@ -68,9 +67,7 @@ mod single_node;
 pub use delta::{DeltaScheduler, PathScheduler};
 pub use e2e::deterministic::{deterministic_delay_bound, LeakyBucket};
 pub use e2e::hetero::{HeteroNode, HeteroPath};
-pub use e2e::{
-    E2eDelayBound, MmooDelayBound, MmooTandem, SourceDelayBound, SourceTandem, TandemPath,
-};
+pub use e2e::{E2eDelayBound, MmooDelayBound, MmooTandem, TandemPath};
 pub use error::Error;
 pub use packet::{packetization_penalty, packetize_service, packetized_delay_bound};
 pub use schedulability::{

@@ -14,8 +14,8 @@
 //!   nodes, with fresh cross traffic entering at every node and leaving
 //!   after one hop; one simulation can serve the same arrivals to
 //!   several lanes (schedulers, capacities, fault plans) at once,
-//! * Markov-modulated sources matching `nc-traffic`'s MMOO and MMP
-//!   models,
+//! * Markov-modulated on-off sources matching `nc-traffic`'s MMOO
+//!   model, per flow and as ON-count aggregates,
 //! * single-node trace replay ([`replay_single_node`]), which executes
 //!   the adversarial scenarios of Theorem 2,
 //! * delay statistics: exact empirical quantiles and binomial
@@ -66,6 +66,6 @@ pub use montecarlo::{MonteCarlo, MonteCarloReport, DEFAULT_RESERVOIR};
 pub use node::{Chunk, Node, NodeCounters, NodePolicy, ServiceMode};
 pub use pool::{effective_threads, run_indexed};
 pub use scheduler::SchedulerKind;
-pub use source::{MmooAggregate, MmooState, MmpAggregate, MmpState};
+pub use source::{MmooAggregate, MmooState};
 pub use stats::DelayStats;
 pub use tandem::{replay_single_node, Lane, LaneSim, SimConfig, TandemSim};

@@ -1,7 +1,7 @@
 //! Slotted traffic sources.
 
 use crate::binomial::Binomial;
-use nc_traffic::{Mmoo, Mmp};
+use nc_traffic::Mmoo;
 use rand::{Rng, RngExt};
 
 /// Simulation state of one MMOO flow (see
@@ -126,111 +126,6 @@ impl MmooAggregate {
     }
 }
 
-/// Draws a state from the stationary distribution `pi` by inversion
-/// (one uniform draw).
-fn stationary_state<R: Rng + ?Sized>(pi: &[f64], rng: &mut R) -> usize {
-    let u = rng.random::<f64>();
-    let mut acc = 0.0;
-    for (i, &p) in pi.iter().enumerate() {
-        acc += p;
-        if u < acc {
-            return i;
-        }
-    }
-    pi.len() - 1
-}
-
-/// One slot of an MMP flow in `state`: returns the state's rate, then
-/// moves to the next state by inversion on the transition row (one
-/// uniform draw; the state is kept if rounding leaves `u` above the
-/// row's running sum).
-fn mmp_step<R: Rng + ?Sized>(model: &Mmp, state: &mut usize, rng: &mut R) -> f64 {
-    let emitted = model.rates()[*state];
-    let u = rng.random::<f64>();
-    let mut acc = 0.0;
-    for (j, &p) in model.transition()[*state].iter().enumerate() {
-        acc += p;
-        if u < acc {
-            *state = j;
-            break;
-        }
-    }
-    emitted
-}
-
-/// Simulation state of one general Markov-modulated flow (see
-/// [`nc_traffic::Mmp`] for the analytical model).
-#[derive(Debug, Clone)]
-pub struct MmpState {
-    model: Mmp,
-    state: usize,
-}
-
-impl MmpState {
-    /// Creates a flow in a fixed initial state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn with_state(model: Mmp, state: usize) -> Self {
-        assert!(state < model.states(), "MmpState: state out of range");
-        MmpState { model, state }
-    }
-
-    /// Creates a flow whose initial state is drawn from the stationary
-    /// distribution.
-    pub fn stationary<R: Rng + ?Sized>(model: Mmp, rng: &mut R) -> Self {
-        let state = stationary_state(&model.stationary(), rng);
-        MmpState { model, state }
-    }
-
-    /// Current modulation state.
-    pub fn state(&self) -> usize {
-        self.state
-    }
-
-    /// Advances one slot: emits the current state's rate, then performs
-    /// the state transition.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        mmp_step(&self.model, &mut self.state, rng)
-    }
-}
-
-/// An aggregate of independent general Markov-modulated flows: one
-/// shared model and one state index per flow, stepped in flow order
-/// with the same draws as a [`MmpState`] per flow.
-#[derive(Debug, Clone)]
-pub struct MmpAggregate {
-    model: Mmp,
-    states: Vec<usize>,
-}
-
-impl MmpAggregate {
-    /// `n` i.i.d. stationary flows of the given model.
-    pub fn stationary<R: Rng + ?Sized>(model: &Mmp, n: usize, rng: &mut R) -> Self {
-        let pi = model.stationary();
-        let states = (0..n).map(|_| stationary_state(&pi, rng)).collect();
-        MmpAggregate { model: model.clone(), states }
-    }
-
-    /// Number of flows in the aggregate.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Whether the aggregate is empty.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Advances one slot: returns the flows' summed rates (left to
-    /// right), then performs every flow's state transition.
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        let model = &self.model;
-        self.states.iter_mut().map(|state| mmp_step(model, state, rng)).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,42 +163,5 @@ mod tests {
         }
         let frac = on_slots as f64 / (slots * 100) as f64;
         assert!((frac - model.stationary_on()).abs() < 0.01);
-    }
-
-    #[test]
-    fn mmp_two_state_matches_mmoo_statistics() {
-        let mmoo = Mmoo::paper_source();
-        let mmp = Mmp::from_mmoo(&mmoo);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut agg = MmpAggregate::stationary(&mmp, 50, &mut rng);
-        let slots = 100_000usize;
-        let mut total = 0.0;
-        for _ in 0..slots {
-            total += agg.step(&mut rng);
-        }
-        let per_flow = total / (slots as f64 * 50.0);
-        assert!(
-            (per_flow - mmoo.mean_rate()).abs() / mmoo.mean_rate() < 0.05,
-            "MMP empirical rate {per_flow} vs MMOO mean {}",
-            mmoo.mean_rate()
-        );
-    }
-
-    #[test]
-    fn mmp_three_state_long_run_rate() {
-        let video = Mmp::new(
-            vec![vec![0.90, 0.10, 0.00], vec![0.05, 0.90, 0.05], vec![0.00, 0.20, 0.80]],
-            vec![0.0, 1.0, 3.0],
-        );
-        let want = video.mean_rate();
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut agg = MmpAggregate::stationary(&video, 20, &mut rng);
-        let slots = 200_000usize;
-        let mut total = 0.0;
-        for _ in 0..slots {
-            total += agg.step(&mut rng);
-        }
-        let per_flow = total / (slots as f64 * 20.0);
-        assert!((per_flow - want).abs() / want < 0.05, "empirical {per_flow} vs analytical {want}");
     }
 }

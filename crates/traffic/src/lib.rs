@@ -47,14 +47,8 @@ mod bounding;
 mod ebb;
 mod envelope;
 mod mmoo;
-mod mmp;
-mod models;
-mod source_trait;
 
 pub use bounding::ExpBound;
 pub use ebb::Ebb;
 pub use envelope::{DetEnvelope, StatEnvelope};
 pub use mmoo::Mmoo;
-pub use mmp::Mmp;
-pub use models::{leaky_bucket_stat, CbrSource, PoissonBatch};
-pub use source_trait::TrafficSource;

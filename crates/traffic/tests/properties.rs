@@ -1,6 +1,6 @@
 //! Property-based and empirical tests for the traffic models.
 
-use nc_traffic::{Ebb, ExpBound, Mmoo, PoissonBatch};
+use nc_traffic::{Ebb, ExpBound, Mmoo};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -54,12 +54,6 @@ proptest! {
         let e = Ebb::new(1.0, rho, alpha).sample_path_envelope(gamma);
         prop_assert!((e.rate() - (rho + gamma)).abs() < 1e-9);
         prop_assert!(e.bound().prefactor() >= 1.0);
-    }
-
-    #[test]
-    fn poisson_eb_above_mean(lambda in 0.01f64..5.0, batch in 0.1f64..5.0, s in 0.01f64..3.0) {
-        let p = PoissonBatch::new(lambda, batch);
-        prop_assert!(p.effective_bandwidth(s) >= p.mean_rate() - 1e-9);
     }
 }
 
