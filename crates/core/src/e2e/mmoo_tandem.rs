@@ -87,18 +87,19 @@ impl MmooTandem {
         if !(s * self.source.peak()).exp().is_finite() {
             return None;
         }
-        let through = self.aggregate(s, self.n_through);
-        let cross = self.aggregate(s, self.n_cross);
+        let (through, cross) = self.aggregates(s);
         let path = TandemPath::new(self.capacity, self.hops, through, cross, self.scheduler);
         path.is_stable().then_some(path)
     }
 
-    fn aggregate(&self, s: f64, n: usize) -> Ebb {
-        if n == 0 {
-            Ebb::new(1.0, 0.0, s)
-        } else {
-            self.source.ebb(s, n)
-        }
+    /// The through and cross aggregates at `s`, from one evaluation of
+    /// the source's effective bandwidth (`n` flows are
+    /// [`Mmoo::ebb`]`(s, n)`).
+    fn aggregates(&self, s: f64) -> (Ebb, Ebb) {
+        let eb = self.source.effective_bandwidth(s);
+        let aggregate =
+            |n: usize| if n == 0 { Ebb::new(1.0, 0.0, s) } else { Ebb::new(1.0, n as f64 * eb, s) };
+        (aggregate(self.n_through), aggregate(self.n_cross))
     }
 
     /// Total utilization `(N_0 + N_c)·mean/C`.
@@ -112,8 +113,8 @@ impl MmooTandem {
     fn s_upper(&self) -> f64 {
         let cap = (600.0 / self.source.peak_rate()).min(100.0);
         let total = |s: f64| {
-            self.n_through as f64 * self.source.effective_bandwidth(s)
-                + self.n_cross as f64 * self.source.effective_bandwidth(s)
+            let eb = self.source.effective_bandwidth(s);
+            self.n_through as f64 * eb + self.n_cross as f64 * eb
         };
         let mut lo = 1e-4_f64.min(cap / 2.0);
         let mut hi = lo;
@@ -300,8 +301,7 @@ impl MmooTandem {
         let _span = tel::span("core.source_tandem.additive_bmux");
         let mut best: Option<f64> = None;
         for s in self.s_grid() {
-            let through = self.aggregate(s, self.n_through);
-            let cross = self.aggregate(s, self.n_cross);
+            let (through, cross) = self.aggregates(s);
             if let Some(b) =
                 additive::additive_bmux_delay(self.capacity, self.hops, &through, &cross, epsilon)
             {

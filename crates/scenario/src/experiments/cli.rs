@@ -108,8 +108,7 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
     // Replication i runs under the i-th seed derived from the master
     // seed, so the merge is bitwise-identical for every thread count.
     let lane = opts.lane(cfg).capacities(p.capacities.clone());
-    let mut stats =
-        simulate_cell(&opts.monte_carlo(), &["simulate".into()], &[lane])?.remove(0).merged;
+    let stats = simulate_cell(&opts.monte_carlo(), &["simulate".into()], &[lane])?.remove(0).merged;
     if stats.is_empty() {
         return Err(Error::Runtime("no samples recorded (all within warm-up?)".into()));
     }

@@ -69,12 +69,12 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
         // The row's clean and faulted runs share one arrival stream. One
         // plan per row, not one for the whole table: ten lanes of deep
         // faulted queues stepped together ran slower than five plans of
-        // two (EXPERIMENTS.md) and kept every row's reservoirs at once.
-        let faulted = opts.lane(cfg).streaming(bound.as_slice());
+        // two (EXPERIMENTS.md).
+        let faulted = opts.lane(cfg);
         let cells = [format!("clean-{}", case.label), format!("faulted-{}", case.label)];
         let lanes = [faulted.clone().faults(None), faulted];
         let mut reports = simulate_cell(&opts.monte_carlo(), &cells, &lanes)?.into_iter();
-        let (Some(clean), Some(mut faulted)) = (reports.next(), reports.next()) else {
+        let (Some(clean), Some(faulted)) = (reports.next(), reports.next()) else {
             unreachable!("two lanes per row");
         };
         let q_fault = faulted.merged.quantile(1.0 - p.epsilon).unwrap_or(f64::NAN);

@@ -63,10 +63,10 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error>
             rows.push((case, sim_sched.delta().is_none(), bound));
             cells.push(format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label));
             let cfg = cfg(capacity, hops, n_through, n_cross, sim_sched, source);
-            lanes.push(opts.lane(cfg).streaming(bound.as_slice()));
+            lanes.push(opts.lane(cfg));
         }
         let reports = simulate_cell(&opts.monte_carlo(), &cells, &lanes)?;
-        for ((case, fair, bound), mut report) in rows.into_iter().zip(reports) {
+        for ((case, fair, bound), report) in rows.into_iter().zip(reports) {
             let q = report.merged.quantile(1.0 - eps).unwrap_or(f64::NAN);
             let q_spread = report.quantile_spread(1.0 - eps);
             // A fair row is checked on its quantile alone.

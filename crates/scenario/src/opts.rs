@@ -155,8 +155,7 @@ impl RunOpts {
             .collect_metrics(self.wants_metrics())
     }
 
-    /// A lane simulating `cfg` under these options' fault plan, with
-    /// exact statistics (see [`Lane::streaming`] for bounded memory).
+    /// A lane simulating `cfg` under these options' fault plan.
     pub fn lane(&self, cfg: SimConfig) -> Lane {
         Lane::new(cfg).faults(self.faults.clone())
     }

@@ -1,6 +1,6 @@
 //! The engine invariant behind every figure overlay: running the same
-//! scenario with the same seed must produce bitwise-identical merged
-//! delay statistics regardless of how many worker threads the Monte
+//! scenario with the same seed must produce the same merged delay
+//! histogram regardless of how many worker threads the Monte
 //! Carlo engine fans the replications across.
 
 use nc_scenario::{Engine, Scenario};
@@ -32,17 +32,10 @@ fn merged_stats_are_bitwise_identical_across_thread_counts() {
     let reference = run_with_threads(1);
     assert!(!reference.is_empty(), "probe scenario must record samples");
     for threads in [2, 8] {
-        let other = run_with_threads(threads);
         assert_eq!(
-            reference.len(),
-            other.len(),
-            "sample count changed between 1 and {threads} threads"
+            reference,
+            run_with_threads(threads),
+            "merged delay histogram changed between 1 and {threads} threads"
         );
-        let same = reference
-            .samples()
-            .iter()
-            .zip(other.samples())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "delay samples are not bitwise identical at {threads} threads");
     }
 }

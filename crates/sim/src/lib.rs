@@ -18,8 +18,9 @@
 //!   model, per flow and as ON-count aggregates,
 //! * single-node trace replay ([`replay_single_node`]), which executes
 //!   the adversarial scenarios of Theorem 2,
-//! * delay statistics: exact empirical quantiles and binomial
-//!   confidence envelopes for bound validation,
+//! * delay statistics for bound validation: an exact histogram of
+//!   whole-slot delays with nearest-rank quantiles and violation
+//!   fractions, merged across replications by adding counts,
 //! * [`run_indexed`], the one worker loop behind both the Monte Carlo
 //!   engine ([`MonteCarlo`]) and `nc-scenario`'s analytical sweeps.
 //!
@@ -40,7 +41,7 @@
 //!     ..SimConfig::default()
 //! };
 //! let mut sim = TandemSim::new(cfg, 42);
-//! let mut stats = sim.run(20_000);
+//! let stats = sim.run(20_000);
 //! assert!(stats.quantile(0.999).unwrap() >= stats.quantile(0.5).unwrap());
 //! ```
 
@@ -62,10 +63,11 @@ mod tandem;
 
 pub use error::Error;
 pub use faults::{FaultCounters, FaultInjector, FaultModel, FaultPlan};
-pub use montecarlo::{MonteCarlo, MonteCarloReport, DEFAULT_RESERVOIR};
+pub use montecarlo::{MonteCarlo, MonteCarloReport};
 pub use node::{Chunk, Node, NodeCounters, NodePolicy, ServiceMode};
 pub use pool::{effective_threads, run_indexed};
 pub use scheduler::SchedulerKind;
 pub use source::{MmooAggregate, MmooState};
-pub use stats::DelayStats;
+#[allow(deprecated)]
+pub use stats::{DelayStats, DEFAULT_RESERVOIR};
 pub use tandem::{replay_single_node, Lane, LaneSim, SimConfig, TandemSim};

@@ -18,9 +18,10 @@
 //!   load balancing), but results come back **by index** and are
 //!   merged in index order — the merged statistics are therefore
 //!   bitwise-identical for any thread count, including 1;
-//! * lanes built with [`Lane::streaming`] collect into bounded-memory
-//!   streaming stats, so multi-million-slot runs do not hold every
-//!   sample in memory.
+//! * a lane's statistics are an exact histogram of whole-slot delays
+//!   ([`DelayStats`]), one counter per slot up to the largest delay, so
+//!   a multi-million-slot run keeps every replication's statistics at
+//!   little memory cost, and merging them is adding counts.
 //!
 //! # Example
 //!
@@ -38,8 +39,8 @@
 //! };
 //! let bmux = SimConfig { scheduler: SchedulerKind::Bmux, ..cfg };
 //! let mc = MonteCarlo::new(4, 5_000, 42);
-//! let mut reports = mc.run(&[Lane::new(cfg), Lane::new(bmux)]).expect("no fault plan to mismatch");
-//! let fifo = &mut reports[0];
+//! let reports = mc.run(&[Lane::new(cfg), Lane::new(bmux)]).expect("no fault plan to mismatch");
+//! let fifo = &reports[0];
 //! assert_eq!(fifo.per_rep.len(), 4);
 //! assert!(fifo.merged.len() > 10_000);
 //! let (lo, hi) = fifo.quantile_spread(0.99).unwrap();
@@ -56,12 +57,7 @@ use nc_telemetry::{Histogram, MetricSet};
 use rand::splitmix64;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
-
-/// Default reservoir capacity per replication for streaming runs:
-/// large enough that the merged reservoir still resolves the 10⁻³
-/// quantile tail with a few percent relative rank error.
-pub const DEFAULT_RESERVOIR: usize = 65_536;
+use std::time::{Duration, Instant};
 
 /// One replication's outcome: each lane's statistics and telemetry
 /// shard in lane order, or the lanes that panicked, in ascending order.
@@ -167,14 +163,14 @@ impl MonteCarlo {
                 plan.check_hops(lane.cfg.hops)?;
             }
         }
-        self.run_with(lanes, |seed| self.replicate(lanes, seed))
+        self.run_with(lanes.len(), |seed| self.replicate(lanes, seed))
     }
 
-    /// [`MonteCarlo::run`] after its checks, with the replication body
-    /// (`seed` → [`Replication`]) as a parameter.
+    /// [`MonteCarlo::run`] of `lanes` lanes after its checks, with the
+    /// replication body (`seed` → [`Replication`]) as a parameter.
     fn run_with(
         &self,
-        lanes: &[Lane],
+        lanes: usize,
         replicate: impl Fn(u64) -> Replication + Sync,
     ) -> Result<Vec<MonteCarloReport>, Error> {
         let t0 = Instant::now();
@@ -182,9 +178,8 @@ impl MonteCarlo {
         let done = AtomicUsize::new(0);
         let finished = AtomicBool::new(false);
         let (outcomes, busy) = std::thread::scope(|scope| {
-            if self.progress {
-                scope.spawn(|| self.report_progress(&done, &finished));
-            }
+            let progress =
+                self.progress.then(|| scope.spawn(|| self.report_progress(&done, &finished)));
             let out = run_indexed(self.threads, self.reps, |i| {
                 let start = Instant::now();
                 let outcome = replicate(seeds[i]);
@@ -192,6 +187,11 @@ impl MonteCarlo {
                 (outcome, start.elapsed().as_secs_f64())
             });
             finished.store(true, Ordering::Release);
+            // Wake the progress loop now rather than at its next tick,
+            // which the scope would otherwise wait for.
+            if let Some(handle) = progress {
+                handle.thread().unpark();
+            }
             out
         });
         let wall = t0.elapsed().as_secs_f64();
@@ -222,19 +222,18 @@ impl MonteCarlo {
     /// replications it panicked in.
     fn fold(
         &self,
-        lanes: &[Lane],
+        lanes: usize,
         outcomes: Vec<(Replication, f64)>,
     ) -> Result<(Vec<MonteCarloReport>, Histogram), Error> {
-        let mut reports: Vec<MonteCarloReport> = lanes
-            .iter()
-            .map(|lane| MonteCarloReport {
+        let mut reports: Vec<MonteCarloReport> = (0..lanes)
+            .map(|_| MonteCarloReport {
                 per_rep: Vec::with_capacity(self.reps),
-                merged: lane.collector(),
+                merged: DelayStats::new(),
                 metrics: MetricSet::new(),
             })
             .collect();
         let mut rep_seconds = Histogram::new();
-        let mut panicked = vec![0; lanes.len()];
+        let mut panicked = vec![0; lanes];
         for (outcome, secs) in outcomes {
             // Replication order: merged metrics are deterministic in
             // structure regardless of which thread ran which rep.
@@ -297,9 +296,8 @@ impl MonteCarlo {
     }
 
     /// Simulates `lanes` on the arrival stream of `seed`. Returns each
-    /// lane's statistics (spare capacity released, since the report
-    /// keeps them) and telemetry shard, or the position in `lanes` of
-    /// the lane a panic happened in.
+    /// lane's statistics and telemetry shard, or the position in `lanes`
+    /// of the lane a panic happened in.
     fn simulate(&self, lanes: &[&Lane], seed: u64) -> Result<Vec<(DelayStats, MetricSet)>, usize> {
         let mut sim = None;
         let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -321,9 +319,7 @@ impl MonteCarlo {
             .into_iter()
             .map(|mut lane| {
                 let metrics = if self.collect_metrics { lane.metrics() } else { MetricSet::new() };
-                let mut stats = lane.take_stats();
-                stats.shrink_to_fit();
-                (stats, metrics)
+                (lane.take_stats(), metrics)
             })
             .collect();
         Ok(results)
@@ -333,12 +329,12 @@ impl MonteCarlo {
     /// prints `completed/total` from the shared counter — exact even
     /// when `reps` is not a multiple of the worker count — plus
     /// throughput and ETA, every 200 ms until all replications finish
-    /// (or the worker loop has returned).
+    /// (or the worker loop has returned and unparked this thread).
     fn report_progress(&self, done: &AtomicUsize, finished: &AtomicBool) {
         use std::io::Write;
         let t0 = Instant::now();
         loop {
-            std::thread::sleep(std::time::Duration::from_millis(200));
+            std::thread::park_timeout(Duration::from_millis(200));
             let d = done.load(Ordering::Relaxed);
             let elapsed = t0.elapsed().as_secs_f64();
             let mut line = format!("\r[mc] {d}/{} reps", self.reps);
@@ -383,10 +379,10 @@ impl MonteCarloReport {
     /// The spread `(min, max)` of the per-replication `q`-quantiles —
     /// an across-replication confidence envelope for the merged
     /// quantile. `None` if every replication is empty.
-    pub fn quantile_spread(&mut self, q: f64) -> Option<(f64, f64)> {
+    pub fn quantile_spread(&self, q: f64) -> Option<(f64, f64)> {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for rep in &mut self.per_rep {
+        for rep in &self.per_rep {
             if let Some(v) = rep.quantile(q) {
                 lo = lo.min(v);
                 hi = hi.max(v);
@@ -453,30 +449,20 @@ mod tests {
     #[test]
     fn merged_equals_manual_merge_of_reps() {
         let mc = MonteCarlo::new(3, 2_000, 7).threads(2);
-        let mut report = run_one(&mc, Lane::new(cfg()));
+        let report = run_one(&mc, Lane::new(cfg()));
         let mut manual = DelayStats::new();
         for rep in &report.per_rep {
             manual.merge(rep);
         }
-        assert_eq!(report.merged.len(), manual.len());
-        assert_eq!(report.merged.mean(), manual.mean());
-        assert_eq!(report.merged.quantile(0.9), manual.quantile(0.9));
+        assert_eq!(report.merged, manual);
     }
 
     #[test]
     fn thread_count_does_not_change_results() {
         let run = |threads: usize| {
             let mc = MonteCarlo::new(6, 2_000, 99).threads(threads);
-            let mut r = run_one(&mc, Lane::new(cfg()).streaming(&[5.0]));
-            (
-                r.merged.len(),
-                r.merged.mean().unwrap().to_bits(),
-                r.merged.variance().unwrap().to_bits(),
-                r.merged.max().unwrap().to_bits(),
-                r.merged.quantile(0.999).unwrap().to_bits(),
-                r.merged.violation_fraction(5.0).to_bits(),
-                r.merged.samples().to_vec(),
-            )
+            let r = run_one(&mc, Lane::new(cfg()));
+            (r.per_rep, r.merged)
         };
         let one = run(1);
         assert_eq!(one, run(2));
@@ -492,7 +478,7 @@ mod tests {
 
     #[test]
     fn spreads_bracket_merged_point_estimates() {
-        let mut report = run_one(&MonteCarlo::new(5, 4_000, 11), Lane::new(cfg()));
+        let report = run_one(&MonteCarlo::new(5, 4_000, 11), Lane::new(cfg()));
         let q = 0.99;
         let (lo, hi) = report.quantile_spread(q).unwrap();
         let merged_q = report.merged.quantile(q).unwrap();
@@ -504,23 +490,20 @@ mod tests {
     }
 
     /// Each lane's report is the report of a run of that lane alone,
-    /// bit for bit, with per-lane collectors and fault plans.
+    /// bit for bit, with per-lane schedulers and fault plans.
     #[test]
     fn every_lane_reports_what_it_reports_alone() {
         let lanes = [
-            Lane::new(cfg()).streaming(&[5.0]),
-            Lane::new(SimConfig { scheduler: SchedulerKind::Bmux, ..cfg() }).streaming(&[9.0]),
+            Lane::new(cfg()),
+            Lane::new(SimConfig { scheduler: SchedulerKind::Bmux, ..cfg() }),
             Lane::new(cfg()).faults(Some(fault_plan())),
         ];
         let mc = MonteCarlo::new(3, 3_000, 17).threads(2);
         let together = mc.run(&lanes).unwrap();
         for (k, lane) in lanes.iter().enumerate() {
             let alone = run_one(&mc, lane.clone());
-            let fingerprint = |r: &MonteCarloReport| {
-                let reps: Vec<Vec<f64>> = r.per_rep.iter().map(|s| s.samples().to_vec()).collect();
-                (reps, r.merged.samples().to_vec(), r.merged.thresholds(), r.merged.len())
-            };
-            assert_eq!(fingerprint(&together[k]), fingerprint(&alone), "lane {k}");
+            assert_eq!(together[k].per_rep, alone.per_rep, "lane {k}");
+            assert_eq!(together[k].merged, alone.merged, "lane {k}");
         }
     }
 
@@ -557,8 +540,17 @@ mod tests {
     fn progress_reporting_does_not_disturb_results() {
         let quiet = run_one(&MonteCarlo::new(3, 1_000, 21), Lane::new(cfg()));
         let chatty = run_one(&MonteCarlo::new(3, 1_000, 21).progress(true), Lane::new(cfg()));
-        assert_eq!(quiet.merged.len(), chatty.merged.len());
-        assert_eq!(quiet.merged.mean(), chatty.merged.mean());
+        assert_eq!(quiet.merged, chatty.merged);
+    }
+
+    #[test]
+    fn progress_reporting_does_not_outlive_the_workers() {
+        // The progress loop ticks every 200 ms; a run that ends sooner
+        // must wake it rather than wait for its next tick.
+        let t0 = Instant::now();
+        run_one(&MonteCarlo::new(1, 100, 3).threads(1).progress(true), Lane::new(cfg()));
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(150), "a tiny plan took {took:?}");
     }
 
     fn fault_plan() -> FaultPlan {
@@ -608,10 +600,9 @@ mod tests {
         for threads in [1, 2] {
             let mc = MonteCarlo::new(4, 500, 5).threads(threads);
             let poisoned = mc.seeds()[2];
-            let lanes = [packet_lane(), panicking_lane()];
             let finished = AtomicUsize::new(0);
             let err = mc
-                .run_with(&lanes, |seed| {
+                .run_with(2, |seed| {
                     let second = if seed == poisoned { panicking_lane() } else { packet_lane() };
                     let outcome = mc.replicate(&[packet_lane(), second], seed);
                     if outcome.is_ok() {
@@ -643,10 +634,9 @@ mod tests {
     #[test]
     fn fold_counts_the_panics_of_the_lowest_panicked_lane() {
         let mc = MonteCarlo::new(4, 0, 5);
-        let lanes = [Lane::new(cfg()), Lane::new(cfg()), Lane::new(cfg())];
         let ok = || Ok(vec![(DelayStats::new(), MetricSet::new()); 3]);
         let fold = |outcomes: Vec<Replication>| {
-            mc.fold(&lanes, outcomes.into_iter().map(|o| (o, 0.0)).collect()).map(|(r, _)| r)
+            mc.fold(3, outcomes.into_iter().map(|o| (o, 0.0)).collect()).map(|(r, _)| r)
         };
         let err = fold(vec![ok(), Err(vec![1]), ok(), ok()]).unwrap_err();
         assert!(
@@ -667,7 +657,7 @@ mod tests {
     fn per_node_capacities_apply_to_every_replication() {
         let caps = vec![cfg().capacity; cfg().hops];
         let mc = MonteCarlo::new(2, 2_000, 9);
-        let run = |lane: Lane| run_one(&mc, lane).merged.samples().to_vec();
+        let run = |lane: Lane| run_one(&mc, lane).merged;
         let uniform = run(Lane::new(cfg()));
         assert_eq!(uniform, run(Lane::new(cfg()).capacities(Some(caps))));
         let slower = run(Lane::new(cfg()).capacities(Some(vec![8.0, 8.0])));
@@ -678,13 +668,7 @@ mod tests {
     fn faulted_runs_are_thread_count_invariant() {
         let run = |threads: usize| {
             let mc = MonteCarlo::new(5, 2_000, 77).threads(threads);
-            let mut r = run_one(&mc, Lane::new(cfg()).streaming(&[5.0]).faults(Some(fault_plan())));
-            (
-                r.merged.len(),
-                r.merged.mean().unwrap().to_bits(),
-                r.merged.quantile(0.99).unwrap().to_bits(),
-                r.merged.violation_fraction(5.0).to_bits(),
-            )
+            run_one(&mc, Lane::new(cfg()).faults(Some(fault_plan()))).merged
         };
         let one = run(1);
         assert_eq!(one, run(2));

@@ -12,7 +12,6 @@
 
 use crate::error::Error;
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan};
-use crate::montecarlo::DEFAULT_RESERVOIR;
 use crate::node::{Chunk, Node, NodePolicy, ServiceMode};
 use crate::scheduler::SchedulerKind;
 use crate::source::MmooAggregate;
@@ -118,8 +117,7 @@ impl SimConfig {
 }
 
 /// What one lane of a [`TandemSim`] runs: the configuration's scheduler
-/// and warm-up, per-node capacities, an optional fault plan, and the
-/// empty collector its delay samples go into.
+/// and warm-up, per-node capacities and an optional fault plan.
 ///
 /// The lanes of one simulation share its arrival stream, so their
 /// configurations must agree on hops, flow counts, source and packet
@@ -134,15 +132,12 @@ pub struct Lane {
     pub capacities: Option<Vec<f64>>,
     /// Faults injected at every node; `None` is clean links.
     pub faults: Option<FaultPlan>,
-    /// Empty collector the lane starts from (exact unless
-    /// [`Lane::streaming`] was called).
-    collector: DelayStats,
 }
 
 impl Lane {
-    /// A clean, uniform-capacity lane with exact statistics.
+    /// A clean, uniform-capacity lane.
     pub fn new(cfg: SimConfig) -> Self {
-        Lane { cfg, capacities: None, faults: None, collector: DelayStats::new() }
+        Lane { cfg, capacities: None, faults: None }
     }
 
     /// Sets (or clears) per-node capacities.
@@ -155,19 +150,6 @@ impl Lane {
     pub fn faults(mut self, plan: Option<FaultPlan>) -> Self {
         self.faults = plan;
         self
-    }
-
-    /// Switches to bounded-memory streaming collection with the default
-    /// reservoir and exact tracking of the given thresholds.
-    pub fn streaming(mut self, thresholds: &[f64]) -> Self {
-        self.collector = DelayStats::streaming_with_thresholds(DEFAULT_RESERVOIR, thresholds);
-        self
-    }
-
-    /// An empty collector of this lane's kind (mode, reservoir
-    /// capacity, tracked thresholds).
-    pub(crate) fn collector(&self) -> DelayStats {
-        self.collector.fresh()
     }
 }
 
@@ -320,7 +302,7 @@ impl LaneSim {
             outstanding: VecDeque::new(),
             forwarded: Vec::new(),
             departures: Vec::new(),
-            stats: lane.collector(),
+            stats: DelayStats::new(),
             telemetry: None,
             faults,
             lost_emissions: 0,
@@ -479,10 +461,9 @@ impl LaneSim {
     }
 
     /// Moves the accumulated statistics out; the lane goes on
-    /// collecting into an empty collector of the same kind.
+    /// collecting from empty.
     pub(crate) fn take_stats(&mut self) -> DelayStats {
-        let fresh = self.stats.fresh();
-        std::mem::replace(&mut self.stats, fresh)
+        std::mem::take(&mut self.stats)
     }
 
     /// Total backlog across the lane's nodes.
@@ -667,7 +648,7 @@ impl TandemSim {
 
     /// Runs `slots` slots and moves the first lane's accumulated
     /// statistics out — the result of a one-lane simulation. The lane
-    /// goes on collecting into an empty collector of the same kind.
+    /// goes on collecting from empty.
     pub fn run(&mut self, slots: u64) -> DelayStats {
         self.advance(slots);
         self.lanes[0].take_stats()
@@ -784,7 +765,7 @@ mod tests {
             ..SimConfig::default()
         };
         let mut sim = TandemSim::new(cfg, 1);
-        let mut stats = sim.run(5_000);
+        let stats = sim.run(5_000);
         assert!(!stats.is_empty());
         assert_eq!(stats.max(), Some(0.0));
         assert_eq!(stats.quantile(1.0), Some(0.0));
@@ -839,7 +820,7 @@ mod tests {
         let plain = TandemSim::new(cfg, 21).run(20_000);
         let plan = FaultPlan::uniform(vec![]).unwrap();
         let faulted = faulted(cfg, &plan, 21).unwrap().run(20_000);
-        assert_eq!(plain.samples(), faulted.samples(), "empty plan must not perturb traffic");
+        assert_eq!(plain, faulted, "empty plan must not perturb traffic");
     }
 
     #[test]
@@ -852,9 +833,9 @@ mod tests {
         .unwrap();
         let a = faulted(cfg, &plan, 77).unwrap().run(20_000);
         let b = faulted(cfg, &plan, 77).unwrap().run(20_000);
-        assert_eq!(a.samples(), b.samples());
+        assert_eq!(a, b);
         let c = faulted(cfg, &plan, 78).unwrap().run(20_000);
-        assert_ne!(a.samples(), c.samples(), "different seeds must diverge");
+        assert_ne!(a, c, "different seeds must diverge");
     }
 
     #[test]
@@ -913,10 +894,10 @@ mod tests {
         // 10 units/slot arrive for 10 slots into a 5-capacity node:
         // backlog builds, then drains; last chunk waits ~10 slots.
         let trace = vec![vec![10.0; 10]];
-        let stats = &mut replay_single_node(5.0, NodePolicy::Fifo, &trace)[0];
+        let stats = &replay_single_node(5.0, NodePolicy::Fifo, &trace)[0];
         assert_eq!(stats.len(), 10);
         assert!(stats.max().unwrap() >= 9.0);
-        assert!(stats.samples()[0] >= 1.0); // first slot already overloads
+        assert!(stats.quantile(0.0).unwrap() >= 1.0); // first slot already overloads
     }
 
     #[test]
@@ -924,8 +905,8 @@ mod tests {
         // Class 1 has priority; class 0's chunk waits for it.
         let traces = vec![vec![5.0], vec![5.0]];
         let stats = replay_single_node(5.0, NodePolicy::StaticPriority(vec![1, 0]), &traces);
-        assert_eq!(stats[1].samples(), &[0.0]);
-        assert_eq!(stats[0].samples(), &[1.0]);
+        assert_eq!((stats[1].len(), stats[1].max()), (1, Some(0.0)));
+        assert_eq!((stats[0].len(), stats[0].max()), (1, Some(1.0)));
     }
 
     #[test]
@@ -949,7 +930,7 @@ mod tests {
         let instrumented = sim.run(20_000);
         assert_eq!(plain.len(), instrumented.len());
         assert_eq!(plain.mean(), instrumented.mean());
-        assert_eq!(plain.samples(), instrumented.samples());
+        assert_eq!(plain, instrumented);
     }
 
     #[cfg(feature = "telemetry")]

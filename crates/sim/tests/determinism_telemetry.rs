@@ -7,7 +7,7 @@
 //! `linksched run examples/scenarios/validate.json` between default and
 //! `--no-default-features` builds.
 
-use nc_sim::{Lane, MonteCarlo, SchedulerKind, SimConfig};
+use nc_sim::{DelayStats, Lane, MonteCarlo, SchedulerKind, SimConfig};
 use nc_traffic::Mmoo;
 
 fn cfg() -> SimConfig {
@@ -23,23 +23,11 @@ fn cfg() -> SimConfig {
     }
 }
 
-/// Everything observable about the merged statistics, with floats
-/// captured bit-for-bit: sample count, reservoir bits, mean bits,
-/// q(0.999) bits, and (threshold, violation-count) pairs.
-type Fingerprint = (usize, Vec<u64>, Option<u64>, Option<u64>, Vec<(u64, u64)>);
-
-fn fingerprint(plan: MonteCarlo) -> Fingerprint {
-    let mut report = plan.run(&[Lane::new(cfg()).streaming(&[12.0])]).unwrap().remove(0);
-    let m = &mut report.merged;
-    let samples: Vec<u64> = m.samples().iter().map(|s| s.to_bits()).collect();
-    let quantile = m.quantile(0.999).map(f64::to_bits);
-    (
-        m.len(),
-        samples,
-        m.mean().map(f64::to_bits),
-        quantile,
-        m.thresholds().iter().map(|&(t, c)| (t.to_bits(), c)).collect(),
-    )
+/// The merged statistics of a one-lane run: an exact histogram, so
+/// equality covers the count, mean, max, every quantile and every
+/// violation fraction.
+fn merged(plan: MonteCarlo) -> DelayStats {
+    plan.run(&[Lane::new(cfg())]).unwrap().remove(0).merged
 }
 
 #[test]
@@ -50,11 +38,11 @@ fn delay_stats_identical_across_telemetry_and_thread_count() {
             .collect_metrics(telemetry)
             .progress(false)
     };
-    let reference = fingerprint(plan(1, false));
-    assert!(reference.0 > 0, "workload produced no delay samples");
+    let reference = merged(plan(1, false));
+    assert!(!reference.is_empty(), "workload produced no delay samples");
     for threads in [1usize, 8] {
         for telemetry in [false, true] {
-            let run = fingerprint(plan(threads, telemetry));
+            let run = merged(plan(threads, telemetry));
             assert_eq!(
                 run, reference,
                 "DelayStats diverged at threads={threads}, telemetry={telemetry}"

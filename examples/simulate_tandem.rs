@@ -38,7 +38,7 @@ fn main() {
             warmup: 10_000,
             packet_size: None,
         };
-        let mut stats = TandemSim::new(cfg, 2024).run(1_000_000);
+        let stats = TandemSim::new(cfg, 2024).run(1_000_000);
         println!("{name}: {} delay samples", stats.len());
         println!("{:>10} {:>14} {:>14} {:>10}", "eps", "sim q(1-eps)", "bound", "margin");
         for eps in [1e-1, 1e-2, 1e-3, 1e-4] {

@@ -7,7 +7,7 @@
 //! empirical violation fraction with a one-sided confidence margin.
 
 use linksched::core::{MmooTandem, PathScheduler};
-use linksched::sim::{DelayStats, SchedulerKind, SimConfig, TandemSim};
+use linksched::sim::{SchedulerKind, SimConfig, TandemSim};
 use linksched::traffic::Mmoo;
 
 /// Scaled-down paper setup: C = 20 kb/ms so moderate flow counts load
@@ -120,7 +120,7 @@ fn scfq_tracks_gps_within_packet_granularity() {
     // a few packet times; the simulated delay quantiles must be close.
     let (_, sim) = setup(2, 40, 60);
     let q = |k: SchedulerKind| {
-        let mut stats = TandemSim::new(SimConfig { scheduler: k, ..sim }, 123).run(300_000);
+        let stats = TandemSim::new(SimConfig { scheduler: k, ..sim }, 123).run(300_000);
         stats.quantile(0.999).unwrap()
     };
     let gps = q(SchedulerKind::Gps { w_through: 1.0, w_cross: 1.0 });
@@ -163,19 +163,20 @@ fn backlog_bound_dominates_simulation() {
     let (_, sim_cfg) = setup(1, n_through, n_cross);
     let mut sim = TandemSim::new(sim_cfg, 91);
     // The through-class backlog at the node after each post-warm-up
-    // slot's service.
-    let mut stats = DelayStats::new();
+    // slot's service, counted against the bound.
+    let (mut samples, mut over) = (0u64, 0u64);
     for _ in 0..300_000 {
         let t = sim.slot();
         sim.step();
         if t >= sim_cfg.warmup {
-            stats.record(sim.lane(0).node(0).class_backlog(0));
+            samples += 1;
+            over += u64::from(sim.lane(0).node(0).class_backlog(0) > bound);
         }
     }
-    assert!(stats.len() > 100_000);
-    let emp = stats.violation_fraction(bound);
+    assert!(samples > 100_000);
+    let emp = over as f64 / samples as f64;
     assert!(
-        emp <= eps * 3.0 + 30.0 / stats.len() as f64,
+        emp <= eps * 3.0 + 30.0 / samples as f64,
         "backlog: empirical P(B > {bound:.1}) = {emp:.2e} exceeds ε = {eps:.0e}"
     );
 }
@@ -203,7 +204,7 @@ fn analytical_ordering_matches_simulated_ordering() {
     assert!(a_edf <= a_fifo && a_fifo <= a_bmux);
 
     let q = |k: SchedulerKind, seed: u64| {
-        let mut stats = TandemSim::new(SimConfig { scheduler: k, ..sim }, seed).run(slots);
+        let stats = TandemSim::new(SimConfig { scheduler: k, ..sim }, seed).run(slots);
         stats.quantile(0.999).unwrap()
     };
     let s_fifo = q(SchedulerKind::Fifo, 7);

@@ -73,8 +73,8 @@ fn packet_mode_close_to_fluid_mode_for_small_packets() {
     // The paper's justification for the fluid model: with packets small
     // relative to C, the two modes agree closely in distribution.
     let fluid_cfg = SimConfig { packet_size: None, ..cfg(2, SchedulerKind::Fifo) };
-    let mut fluid = TandemSim::new(fluid_cfg, 99).run(200_000);
-    let mut packet = TandemSim::new(cfg(2, SchedulerKind::Fifo), 99).run(200_000);
+    let fluid = TandemSim::new(fluid_cfg, 99).run(200_000);
+    let packet = TandemSim::new(cfg(2, SchedulerKind::Fifo), 99).run(200_000);
     let qf = fluid.quantile(0.99).unwrap();
     let qp = packet.quantile(0.99).unwrap();
     // Within the 2·L/C non-preemption slack plus a slot of quantization.

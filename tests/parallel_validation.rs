@@ -1,8 +1,8 @@
 //! Tier-1 checks of the parallel Monte Carlo validation engine:
 //!
-//! * the merged statistics of a run are bitwise-identical for 1, 2,
-//!   and 8 worker threads (seeds derive from the master seed, merges
-//!   happen in replication order);
+//! * the merged statistics of a run are identical for 1, 2, and 8
+//!   worker threads (seeds derive from the master seed, and merging
+//!   exact histograms adds counts);
 //! * a fast multi-replication smoke validation: simulated FIFO and
 //!   static-priority delay quantiles respect the analytical bounds at
 //!   a loose ε.
@@ -11,7 +11,7 @@
 //! `bound_validation.rs`; this file exercises the engine path.
 
 use linksched::core::{MmooTandem, PathScheduler};
-use linksched::sim::{Lane, MonteCarlo, SchedulerKind, SimConfig};
+use linksched::sim::{DelayStats, Lane, MonteCarlo, SchedulerKind, SimConfig};
 use linksched::traffic::Mmoo;
 
 /// Scaled-down paper setup (C = 20 kb/ms), as in `bound_validation.rs`.
@@ -32,30 +32,20 @@ fn setup(scheduler: PathScheduler, kind: SchedulerKind) -> (MmooTandem, SimConfi
     (analysis, sim)
 }
 
-/// Everything observable about a merged run, down to the bit level.
-type Fingerprint = (usize, Option<u64>, Option<u64>, Option<u64>, Option<u64>, u64, Vec<u64>);
-
-fn fingerprint(threads: usize) -> Fingerprint {
+/// A merged run's exact delay histogram: equality covers every count,
+/// quantile and violation fraction.
+fn merged(threads: usize) -> DelayStats {
     let (_, cfg) = setup(PathScheduler::Fifo, SchedulerKind::Fifo);
     let mc = MonteCarlo::new(8, 10_000, 0xD5_EED).threads(threads);
-    let mut r = mc.run(&[Lane::new(cfg).streaming(&[25.0])]).unwrap().remove(0);
-    (
-        r.merged.len(),
-        r.merged.mean().map(f64::to_bits),
-        r.merged.variance().map(f64::to_bits),
-        r.merged.max().map(f64::to_bits),
-        r.merged.quantile(0.999).map(f64::to_bits),
-        r.merged.violation_fraction(25.0).to_bits(),
-        r.merged.samples().iter().map(|s| s.to_bits()).collect(),
-    )
+    mc.run(&[Lane::new(cfg)]).unwrap().remove(0).merged
 }
 
 #[test]
 fn merged_stats_bitwise_identical_across_thread_counts() {
-    let one = fingerprint(1);
-    assert!(one.0 > 10_000, "too few samples for a meaningful check");
-    assert_eq!(one, fingerprint(2), "1 vs 2 worker threads");
-    assert_eq!(one, fingerprint(8), "1 vs 8 worker threads");
+    let one = merged(1);
+    assert!(one.len() > 10_000, "too few samples for a meaningful check");
+    assert_eq!(one, merged(2), "1 vs 2 worker threads");
+    assert_eq!(one, merged(8), "1 vs 8 worker threads");
 }
 
 /// Multi-replication bound check at a loose ε — the engine-path
@@ -69,7 +59,7 @@ fn assert_bound_holds_parallel(scheduler: PathScheduler, kind: SchedulerKind, la
         .bound
         .delay;
     let mc = MonteCarlo::new(4, 50_000, 0xA11_0C8);
-    let mut report = mc.run(&[Lane::new(cfg).streaming(&[bound])]).unwrap().remove(0);
+    let report = mc.run(&[Lane::new(cfg)]).unwrap().remove(0);
     let n = report.merged.len();
     assert!(n > 50_000, "{label}: too few samples ({n})");
     let q = report.merged.quantile(1.0 - eps).unwrap();

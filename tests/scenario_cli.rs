@@ -203,8 +203,8 @@ fn ablation_matches_golden_modulo_timings() {
 /// Strips the nondeterministic wall-clock fields from the ablation
 /// output: the two trailing `t(...)[µs]` columns of the ablation-1
 /// rows and every digit of the ablation-4 timing/speedup line. All
-/// other numbers (bounds, σ values, grid losses, the streaming-vs-
-/// exact comparison) are deterministic and compared exactly.
+/// other numbers (bounds, σ values, grid losses) are deterministic and
+/// compared exactly.
 fn mask_timings(text: &str) -> String {
     let mut out = Vec::new();
     let mut in_optimizer_table = false;

@@ -35,7 +35,7 @@ fn faults() -> Option<FaultPlan> {
 
 /// Lanes covering every scheduler the mode allows (packetized GPS is
 /// not modelled), clean and faulted links, uniform and heterogeneous
-/// capacities, exact and streaming collectors.
+/// capacities.
 fn lanes(packet_size: Option<f64>) -> Vec<Lane> {
     let base = cfg(packet_size);
     let gps = SchedulerKind::Gps { w_through: 1.0, w_cross: 1.0 };
@@ -58,35 +58,20 @@ fn lanes(packet_size: Option<f64>) -> Vec<Lane> {
     lanes
         .into_iter()
         .filter(|(scheduler, ..)| packet_size.is_none() || *scheduler != gps)
-        .enumerate()
-        .map(|(k, (scheduler, capacities, faults))| {
-            let lane =
-                Lane::new(SimConfig { scheduler, ..base }).capacities(capacities).faults(faults);
-            if k % 2 == 0 {
-                lane
-            } else {
-                lane.streaming(&[2.0, 8.0])
-            }
+        .map(|(scheduler, capacities, faults)| {
+            Lane::new(SimConfig { scheduler, ..base }).capacities(capacities).faults(faults)
         })
         .collect()
 }
 
-/// Everything a lane measured, with floats compared bit for bit.
+/// Everything a lane measured: its exact delay histogram, losses,
+/// fault counters and telemetry.
 fn fingerprint(sim: &TandemSim, k: usize) -> impl PartialEq + std::fmt::Debug {
     let lane = sim.lane(k);
-    let stats = lane.stats();
     let counters = lane
         .fault_counters()
         .map(|fc| (fc.degraded_slots.clone(), fc.outage_slots.clone(), fc.dropped_chunks.clone()));
-    (
-        stats.len(),
-        stats.samples().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-        stats.mean().map(f64::to_bits),
-        stats.thresholds(),
-        lane.lost_emissions(),
-        counters,
-        lane.metrics(),
-    )
+    (lane.stats().clone(), lane.lost_emissions(), counters, lane.metrics())
 }
 
 fn assert_lanes_match_single_runs(packet_size: Option<f64>) {
@@ -137,6 +122,6 @@ fn run_moves_the_first_lanes_statistics_out() {
     }
     let mut run = TandemSim::new(cfg(None), SEED);
     let stats = run.run(SLOTS);
-    assert_eq!(stats.samples(), stepped.lane(0).stats().samples());
+    assert_eq!(&stats, stepped.lane(0).stats());
     assert!(run.lane(0).stats().is_empty(), "the collector starts over");
 }

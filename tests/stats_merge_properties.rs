@@ -1,20 +1,22 @@
-//! Property-based tests for `DelayStats::merge`: merging any split of
-//! a sample stream must equal collecting it in a single pass.
-//!
-//! Exact mode: everything (count, mean, max, quantiles, violation
-//! fractions) agrees up to floating-point tolerance. Streaming mode:
-//! moments, max, and registered-threshold violation counts are exact
-//! by construction; quantiles agree whenever the reservoir is large
-//! enough to retain every sample.
+//! Property-based tests for `DelayStats`, the exact histogram of
+//! whole-slot delays, against a sorted-vector reference: the count,
+//! mean, max, nearest-rank quantiles and violation fractions equal the
+//! reference's, and any split of a sample stream, merged back, equals
+//! collecting it in one pass.
 
 use linksched::sim::DelayStats;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+
+/// Whole-slot samples: `raw` folded into `0..width`, so a narrow width
+/// gives many ties.
+fn slots(raw: &[u32], width: u32) -> Vec<f64> {
+    raw.iter().map(|&x| (x % width) as f64).collect()
+}
 
 /// Collects `data` in one pass.
-fn single_pass(data: &[f64], make: impl Fn() -> DelayStats) -> DelayStats {
-    let mut s = make();
+fn single_pass(data: &[f64]) -> DelayStats {
+    let mut s = DelayStats::new();
     for &d in data {
         s.record(d);
     }
@@ -23,114 +25,85 @@ fn single_pass(data: &[f64], make: impl Fn() -> DelayStats) -> DelayStats {
 
 /// Collects `data` split at `cuts` (interpreted modulo the length) and
 /// merges the pieces in order.
-fn split_merge(data: &[f64], cuts: &[usize], make: impl Fn() -> DelayStats) -> DelayStats {
+fn split_merge(data: &[f64], cuts: &[usize]) -> DelayStats {
     let mut points: Vec<usize> = cuts.iter().map(|&c| c % (data.len() + 1)).collect();
     points.sort_unstable();
-    points.dedup();
-    let mut merged = make();
+    let mut merged = DelayStats::new();
     let mut start = 0;
     for &p in points.iter().chain(std::iter::once(&data.len())) {
-        let mut part = make();
-        for &d in &data[start..p.max(start)] {
-            part.record(d);
-        }
-        merged.merge(&part);
-        start = p.max(start);
+        merged.merge(&single_pass(&data[start..p]));
+        start = p;
     }
     merged
 }
 
-fn assert_equivalent(
-    mut a: DelayStats,
-    mut b: DelayStats,
-    quantiles_exact: bool,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.len(), b.len());
-    prop_assert_eq!(a.max(), b.max());
-    let (am, bm) = (a.mean().unwrap(), b.mean().unwrap());
-    prop_assert!((am - bm).abs() <= 1e-9 * (1.0 + am.abs()), "mean {} vs {}", am, bm);
-    if let (Some(av), Some(bv)) = (a.variance(), b.variance()) {
-        prop_assert!((av - bv).abs() <= 1e-6 * (1.0 + av.abs()), "variance {} vs {}", av, bv);
-    }
-    if quantiles_exact {
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert_eq!(a.quantile(q), b.quantile(q), "quantile {}", q);
-        }
-    }
-    Ok(())
+/// The nearest-rank `q`-quantile of sorted samples: the `⌈q·n⌉`-th
+/// smallest, at least the first.
+fn reference_quantile(sorted: &[f64], q: f64) -> f64 {
+    let n = sorted.len();
+    sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1]
+}
+
+/// The fraction of samples strictly above `d`.
+fn reference_violation(data: &[f64], d: f64) -> f64 {
+    data.iter().filter(|&&x| x > d).count() as f64 / data.len() as f64
 }
 
 proptest! {
     #[test]
+    fn histogram_matches_the_sorted_reference(
+        raw in vec(0u32..100_000, 1..300),
+        width in 1u32..400,
+        q in 0.0f64..=1.0,
+        d_whole in 0u32..420,
+        d_frac in -1.0f64..420.0,
+    ) {
+        let data = slots(&raw, width);
+        let mut sorted = data.clone();
+        sorted.sort_by(f64::total_cmp);
+        let s = single_pass(&data);
+        prop_assert_eq!(s.len(), data.len());
+        prop_assert_eq!(s.max(), sorted.last().copied());
+        // The running sum of whole numbers is exact, so the means agree
+        // to the bit.
+        let mean = data.iter().sum::<f64>() / data.len() as f64;
+        prop_assert_eq!(s.mean().map(f64::to_bits), Some(mean.to_bits()));
+        for q in [q, 0.0, 0.5, 0.9, 0.999, 1.0] {
+            prop_assert_eq!(s.quantile(q), Some(reference_quantile(&sorted, q)), "q = {}", q);
+        }
+        for d in [d_whole as f64, d_frac] {
+            prop_assert_eq!(s.violation_fraction(d), reference_violation(&data, d), "d = {}", d);
+        }
+    }
+
+    #[test]
     fn exact_two_way_split_equals_single_pass(
-        data in vec(0.0f64..1000.0, 1..200),
+        raw in vec(0u32..100_000, 1..200),
+        width in 1u32..1000,
         cut in 0usize..200,
     ) {
-        let single = single_pass(&data, DelayStats::new);
-        let merged = split_merge(&data, &[cut], DelayStats::new);
-        assert_equivalent(merged.clone(), single.clone(), true)?;
-        for d in [0.0, 100.0, 500.0, 999.0] {
-            prop_assert_eq!(merged.violation_fraction(d), single.violation_fraction(d));
-        }
+        let data = slots(&raw, width);
+        prop_assert_eq!(split_merge(&data, &[cut]), single_pass(&data));
     }
 
     #[test]
     fn exact_multi_way_split_equals_single_pass(
-        data in vec(0.0f64..1000.0, 1..200),
+        raw in vec(0u32..100_000, 1..200),
+        width in 1u32..1000,
         cuts in vec(0usize..200, 0..5),
     ) {
-        let single = single_pass(&data, DelayStats::new);
-        let merged = split_merge(&data, &cuts, DelayStats::new);
-        assert_equivalent(merged, single, true)?;
+        let data = slots(&raw, width);
+        prop_assert_eq!(split_merge(&data, &cuts), single_pass(&data));
     }
 
     #[test]
-    fn streaming_split_equals_single_pass(
-        data in vec(0.0f64..1000.0, 1..200),
-        cut in 0usize..200,
-    ) {
-        // Reservoir larger than any generated stream: quantiles exact.
-        let make = || DelayStats::streaming_with_thresholds(256, &[250.0, 750.0]);
-        let single = single_pass(&data, make);
-        let merged = split_merge(&data, &[cut], make);
-        // Retained samples may be reordered by the merge; compare sorted.
-        prop_assert_eq!(merged.samples().len(), single.samples().len());
-        assert_equivalent(merged.clone(), single.clone(), true)?;
-        for d in [250.0, 750.0] {
-            prop_assert_eq!(merged.violation_fraction(d), single.violation_fraction(d));
-        }
-    }
-
-    #[test]
-    fn streaming_subsampled_moments_stay_exact(
-        data in vec(0.0f64..1000.0, 40..200),
-        cut in 0usize..200,
-    ) {
-        // Reservoir smaller than the stream: quantiles are estimates,
-        // but moments, max, and thresholds must stay exact.
-        let make = || DelayStats::streaming_with_thresholds(16, &[500.0]);
-        let single = single_pass(&data, make);
-        let merged = split_merge(&data, &[cut], make);
-        assert_equivalent(merged.clone(), single.clone(), false)?;
-        prop_assert_eq!(merged.violation_fraction(500.0), single.violation_fraction(500.0));
-        prop_assert_eq!(merged.samples().len(), 16);
-    }
-
-    #[test]
-    fn merging_empty_is_identity(data in vec(0.0f64..1000.0, 1..100)) {
-        let mut s = single_pass(&data, DelayStats::new);
-        let before_samples = s.samples().to_vec();
-        let before = (s.len(), s.mean(), s.variance(), s.max());
-        s.merge(&DelayStats::new());
-        prop_assert_eq!((s.len(), s.mean(), s.variance(), s.max()), before);
-        prop_assert_eq!(s.samples(), &before_samples[..]);
-
-        let mut stream = single_pass(&data, || DelayStats::streaming(64));
-        let before = (stream.len(), stream.mean(), stream.max(), stream.samples().to_vec());
-        stream.merge(&DelayStats::streaming(64));
-        prop_assert_eq!(
-            (stream.len(), stream.mean(), stream.max(), stream.samples().to_vec()),
-            before
-        );
+    fn merging_empty_is_identity(raw in vec(0u32..100_000, 1..100), width in 1u32..1000) {
+        let s = single_pass(&slots(&raw, width));
+        let mut merged = s.clone();
+        merged.merge(&DelayStats::new());
+        prop_assert_eq!(&merged, &s);
+        let mut empty = DelayStats::new();
+        empty.merge(&s);
+        prop_assert_eq!(&empty, &s);
     }
 }
