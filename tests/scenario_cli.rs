@@ -99,8 +99,9 @@ fn small_faulted_tandem_matches_golden() {
     );
 }
 
-/// Packetized FIFO, SP, EDF and SCFQ and fluid SCFQ run paths no
-/// figure golden reaches. Their stdout and their per-node scheduler
+/// Packetized FIFO, SP, EDF, SCFQ and BMUX, fluid SCFQ, a zero EDF
+/// deadline and both signs of `delta:<v>`: run paths no figure golden
+/// reaches. Their stdout and their per-node scheduler
 /// counters are pinned here.
 #[test]
 fn simulate_schedulers_match_golden() {
@@ -119,13 +120,17 @@ fn simulate_schedulers_match_golden() {
         "--reps",
         "2",
     ];
-    const RUNS: [&[&str]; 6] = [
+    const RUNS: [&[&str]; 10] = [
         &["--sched", "fifo", "--packet", "1.5"],
         &["--sched", "sp", "--packet", "1.5"],
         &["--sched", "edf:10,40", "--packet", "1.5"],
         &["--sched", "scfq:1,2", "--packet", "1.5"],
         &["--sched", "scfq:1,2"],
         &["--sched", "scfq:2,1"],
+        &["--sched", "bmux", "--packet", "1.5"],
+        &["--sched", "edf:0,5"],
+        &["--sched", "delta:30"],
+        &["--sched", "delta:-30", "--packet", "1.5"],
     ];
     let scratch = Scratch::new("simulate-schedulers");
     let metrics = scratch.path("m.prom");
