@@ -18,6 +18,7 @@ use crate::sweep::SweepEngine;
 use crate::{flows_for_utilization, tandem};
 use nc_core::PathScheduler;
 use nc_minplus::{Curve, SampledCurve};
+use nc_sim::SchedulerKind;
 use nc_telemetry::{self as tel, json};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -415,21 +416,26 @@ fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
             tel::merge_global(&sim.lane(0).metrics());
         }),
     });
-    let lanes: Vec<nc_sim::Lane> = ["fifo", "bmux", "sp", "edf:10,40", "gps:1,1"]
-        .iter()
-        .map(|spec| {
-            let (_, scheduler) = crate::parse_sched(spec).expect("valid scheduler spec");
-            nc_sim::Lane::new(nc_sim::SimConfig {
-                capacity: 20.0,
-                hops: 2,
-                n_through: 40,
-                n_cross: 60,
-                scheduler,
-                warmup: 200,
-                ..nc_sim::SimConfig::default()
-            })
+    let lanes: Vec<nc_sim::Lane> = [
+        SchedulerKind::Fifo,
+        SchedulerKind::Bmux,
+        SchedulerKind::ThroughPriority,
+        SchedulerKind::Edf { d_through: 10.0, d_cross: 40.0 },
+        SchedulerKind::Gps { w_through: 1.0, w_cross: 1.0 },
+    ]
+    .into_iter()
+    .map(|scheduler| {
+        nc_sim::Lane::new(nc_sim::SimConfig {
+            capacity: 20.0,
+            hops: 2,
+            n_through: 40,
+            n_cross: 60,
+            scheduler,
+            warmup: 200,
+            ..nc_sim::SimConfig::default()
         })
-        .collect();
+    })
+    .collect();
     ws.push(Workload {
         name: "sim/tandem-five-lanes".into(),
         kind: "simulator",

@@ -6,14 +6,14 @@ use super::simulate_cell;
 use crate::error::Error;
 use crate::model::{Bound, CrossSweep, Simulate};
 use crate::opts::RunOpts;
-use crate::parse_sched;
+use crate::sched::path_scheduler;
 use nc_core::MmooTandem;
 use nc_core::PathScheduler;
 use nc_sim::{DelayStats, SimConfig};
 use nc_traffic::Mmoo;
 
 pub(crate) fn bound(p: &Bound) -> Result<(), Error> {
-    let (sched, _) = parse_sched(&p.sched).map_err(Error::Runtime)?;
+    let sched = path_scheduler(p.sched);
     let t = MmooTandem {
         source: Mmoo::paper_source(),
         n_through: p.through,
@@ -76,14 +76,13 @@ pub(crate) fn cross_sweep(p: &CrossSweep, opts: &RunOpts) {
 }
 
 pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error> {
-    let (_, sim_sched) = parse_sched(&p.sched).map_err(Error::Runtime)?;
     let cfg = SimConfig {
         capacity: p.capacity,
         hops: p.hops,
         n_through: p.through,
         n_cross: p.cross,
         source: Mmoo::paper_source(),
-        scheduler: sim_sched,
+        scheduler: p.sched,
         warmup: (opts.slots / 100).max(1_000),
         packet_size: p.packet,
     };
@@ -100,7 +99,7 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
         p.hops,
         p.through,
         p.cross,
-        sim_sched,
+        p.sched,
         p.packet.map(|l| format!(", packets of {l} kb")).unwrap_or_default(),
         if opts.reps > 1 { format!(", {} reps", opts.reps) } else { String::new() },
         if opts.faults.is_some() { ", faulted links" } else { "" }

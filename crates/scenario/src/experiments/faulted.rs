@@ -14,11 +14,12 @@
 
 use super::simulate_cell;
 use crate::error::Error;
+use crate::fmt;
 use crate::model::Faulted;
 use crate::opts::RunOpts;
-use crate::{fmt, parse_sched};
+use crate::sched::path_scheduler;
 use nc_core::MmooTandem;
-use nc_sim::SimConfig;
+use nc_sim::{SchedulerKind, SimConfig};
 use nc_traffic::Mmoo;
 
 /// `Scenario::check` guarantees `opts.faults` holds a non-empty plan
@@ -44,15 +45,14 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
         "scheduler", "bound", "clean P(W>d)", "fault P(W>d)", "fault q(1-eps)", "note"
     );
     for case in &p.schedulers {
-        let (analysis_sched, sim_sched) = parse_sched(&case.sched).map_err(Error::Runtime)?;
-        let fair = sim_sched.delta().is_none();
+        let fair = matches!(case.sched, SchedulerKind::Gps { .. } | SchedulerKind::Scfq { .. });
         let bound = MmooTandem {
             source,
             n_through: p.through,
             n_cross: p.cross,
             capacity: p.capacity,
             hops: p.hops,
-            scheduler: analysis_sched,
+            scheduler: path_scheduler(case.sched),
         }
         .delay_bound(p.epsilon)
         .map(|b| b.bound.delay);
@@ -62,7 +62,7 @@ pub(crate) fn run(p: &Faulted, opts: &RunOpts) -> Result<(), Error> {
             n_through: p.through,
             n_cross: p.cross,
             source,
-            scheduler: sim_sched,
+            scheduler: case.sched,
             warmup: super::TANDEM_WARMUP,
             packet_size: None,
         };

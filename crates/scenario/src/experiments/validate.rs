@@ -12,9 +12,10 @@
 
 use super::simulate_cell;
 use crate::error::Error;
+use crate::fmt;
 use crate::model::Validate;
 use crate::opts::RunOpts;
-use crate::{fmt, parse_sched};
+use crate::sched::path_scheduler;
 use nc_core::{deterministic_delay_bound, LeakyBucket, MmooTandem, PathScheduler};
 use nc_minplus::Curve;
 use nc_sim::{SchedulerKind, SimConfig};
@@ -48,21 +49,21 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error>
         let mut lanes = Vec::with_capacity(p.schedulers.len());
         for case in &p.schedulers {
             // Fair-queueing rows have no Δ-scheduler bound of their own:
-            // parse_sched gives them the BMUX envelope.
-            let (analysis_sched, sim_sched) = parse_sched(&case.sched).map_err(Error::Runtime)?;
+            // path_scheduler gives them the BMUX envelope.
             let bound = MmooTandem {
                 source,
                 n_through,
                 n_cross,
                 capacity,
                 hops,
-                scheduler: analysis_sched,
+                scheduler: path_scheduler(case.sched),
             }
             .delay_bound(eps)
             .map(|b| b.bound.delay);
-            rows.push((case, sim_sched.delta().is_none(), bound));
+            let fair = matches!(case.sched, SchedulerKind::Gps { .. } | SchedulerKind::Scfq { .. });
+            rows.push((case, fair, bound));
             cells.push(format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label));
-            let cfg = cfg(capacity, hops, n_through, n_cross, sim_sched, source);
+            let cfg = cfg(capacity, hops, n_through, n_cross, case.sched, source);
             lanes.push(opts.lane(cfg));
         }
         let reports = simulate_cell(&opts.monte_carlo(), &cells, &lanes)?;

@@ -10,8 +10,9 @@
 //! `linksched run` executes shipped scenario files
 //! (`examples/scenarios/*.json`, one per figure) through the engine;
 //! this crate is also the single home for the shared helpers
-//! ([`tandem`], [`flows_for_utilization`], [`parse_sched`],
-//! [`RunOpts`]).
+//! ([`tandem`], [`flows_for_utilization`], [`RunOpts`]) and for the
+//! scheduler syntax, which a scenario parses once into an
+//! [`nc_sim::SchedulerKind`].
 //!
 //! # Quickstart
 //!
@@ -54,7 +55,6 @@ pub use model::{
     UtilizationSweep, Validate, ValidateCase,
 };
 pub use opts::{RunOpts, USAGE};
-pub use sched::parse_sched;
 pub use sweep::SweepEngine;
 
 use nc_core::{MmooTandem, PathScheduler};

@@ -6,6 +6,7 @@
 //! uses the zero-dependency JSON reader in [`nc_telemetry::json`].
 
 use crate::error::Error;
+use crate::sched::parse_sched;
 use nc_sim::{FaultModel, FaultPlan, SchedulerKind};
 use nc_telemetry::json::{self, Json};
 
@@ -143,8 +144,8 @@ pub struct PathSweep {
 pub struct ValidateCase {
     /// Row label, e.g. `"EDF(10,40)"`.
     pub label: String,
-    /// Scheduler specification in [`crate::parse_sched`] syntax.
-    pub sched: String,
+    /// The scheduler, parsed from the case's `sched` specification.
+    pub sched: SchedulerKind,
 }
 
 /// Parameters of a bound-vs-simulation validation run.
@@ -177,8 +178,8 @@ pub struct Bound {
     pub capacity: f64,
     /// Violation probability ε.
     pub epsilon: f64,
-    /// Scheduler specification.
-    pub sched: String,
+    /// The scheduler, parsed from `params.sched`.
+    pub sched: SchedulerKind,
     /// Non-preemptive packet size in kb, if any.
     pub packet: Option<f64>,
 }
@@ -212,8 +213,8 @@ pub struct Simulate {
     /// Per-node capacities overriding `capacity` (length must equal
     /// `hops`).
     pub capacities: Option<Vec<f64>>,
-    /// Scheduler specification.
-    pub sched: String,
+    /// The scheduler, parsed from `params.sched`.
+    pub sched: SchedulerKind,
     /// Non-preemptive packet size in kb, if any.
     pub packet: Option<f64>,
 }
@@ -350,7 +351,7 @@ impl Scenario {
                 cross: usize_field_or(params, "cross", 0)?,
                 capacity: f64_field_or(params, "capacity", 100.0)?,
                 epsilon: f64_field_or(params, "epsilon", 1e-9)?,
-                sched: str_field_or(params, "sched", "fifo")?,
+                sched: sched_field(params, Some("fifo"))??,
                 packet: opt_f64(params, "packet")?,
             }),
             "cross_sweep" => Experiment::CrossSweep(CrossSweep {
@@ -366,7 +367,7 @@ impl Scenario {
                 cross: usize_field_or(params, "cross", 0)?,
                 capacity: f64_field_or(params, "capacity", 100.0)?,
                 capacities: opt_f64_list(params, "capacities")?,
-                sched: str_field_or(params, "sched", "fifo")?,
+                sched: sched_field(params, Some("fifo"))??,
                 packet: opt_f64(params, "packet")?,
             }),
             "faulted" => Experiment::Faulted(parse_faulted(params)?),
@@ -466,10 +467,6 @@ impl Scenario {
                 if p.schedulers.is_empty() {
                     return Err("`params.schedulers` must list at least one case".into());
                 }
-                for c in &p.schedulers {
-                    crate::parse_sched(&c.sched)
-                        .map_err(|e| format!("scheduler `{}`: {e}", c.label))?;
-                }
                 if p.minplus_hops == 0 {
                     return Err("`params.minplus_hops` must be >= 1".into());
                 }
@@ -480,7 +477,6 @@ impl Scenario {
                 if !eps_ok(p.epsilon) {
                     return Err("`params.epsilon` must lie in (0, 1)".into());
                 }
-                crate::parse_sched(&p.sched)?;
                 check_packet(p.packet)?;
             }
             Experiment::CrossSweep(p) => {
@@ -497,10 +493,6 @@ impl Scenario {
                 if p.schedulers.is_empty() {
                     return Err("`params.schedulers` must list at least one case".into());
                 }
-                for c in &p.schedulers {
-                    crate::parse_sched(&c.sched)
-                        .map_err(|e| format!("scheduler `{}`: {e}", c.label))?;
-                }
                 match &self.faults {
                     Some(plan) if !plan.is_empty() => {
                         plan.check_hops(p.hops).map_err(|e| e.to_string())?;
@@ -515,9 +507,8 @@ impl Scenario {
             }
             Experiment::Simulate(p) => {
                 check_point(p.hops, p.through, p.capacity)?;
-                let (_, kind) = crate::parse_sched(&p.sched)?;
                 check_packet(p.packet)?;
-                if p.packet.is_some() && matches!(kind, SchedulerKind::Gps { .. }) {
+                if p.packet.is_some() && matches!(p.sched, SchedulerKind::Gps { .. }) {
                     return Err("`params.packet` cannot be combined with a gps scheduler: \
                                 packetized GPS is not modelled (scfq is)"
                         .into());
@@ -577,17 +568,7 @@ fn parse_validate(params: &Json) -> Result<Validate, String> {
         let cross = usize_field(s, "cross").map_err(|e| format!("sections[{i}]: {e}"))?;
         sections.push((hops, through, cross));
     }
-    let cases_raw = params
-        .get("schedulers")
-        .and_then(Json::as_array)
-        .ok_or("`params.schedulers` must be an array")?;
-    let mut schedulers = Vec::new();
-    for (i, c) in cases_raw.iter().enumerate() {
-        schedulers.push(ValidateCase {
-            label: req_str(c, "label").map_err(|e| format!("schedulers[{i}]: {e}"))?,
-            sched: req_str(c, "sched").map_err(|e| format!("schedulers[{i}]: {e}"))?,
-        });
-    }
+    let schedulers = parse_cases(params)?;
     Ok(Validate {
         capacity: f64_field(params, "capacity")?,
         epsilon: f64_field(params, "epsilon")?,
@@ -597,18 +578,25 @@ fn parse_validate(params: &Json) -> Result<Validate, String> {
     })
 }
 
-fn parse_faulted(params: &Json) -> Result<Faulted, String> {
+/// The `params.schedulers` rows of a `validate` or `faulted` scenario.
+fn parse_cases(params: &Json) -> Result<Vec<ValidateCase>, String> {
     let cases_raw = params
         .get("schedulers")
         .and_then(Json::as_array)
         .ok_or("`params.schedulers` must be an array")?;
     let mut schedulers = Vec::new();
     for (i, c) in cases_raw.iter().enumerate() {
-        schedulers.push(ValidateCase {
-            label: req_str(c, "label").map_err(|e| format!("schedulers[{i}]: {e}"))?,
-            sched: req_str(c, "sched").map_err(|e| format!("schedulers[{i}]: {e}"))?,
-        });
+        let label = req_str(c, "label").map_err(|e| format!("schedulers[{i}]: {e}"))?;
+        let sched = sched_field(c, None)
+            .map_err(|e| format!("schedulers[{i}]: {e}"))?
+            .map_err(|e| format!("scheduler `{label}`: {e}"))?;
+        schedulers.push(ValidateCase { label, sched });
     }
+    Ok(schedulers)
+}
+
+fn parse_faulted(params: &Json) -> Result<Faulted, String> {
+    let schedulers = parse_cases(params)?;
     Ok(Faulted {
         capacity: f64_field_or(params, "capacity", 20.0)?,
         epsilon: f64_field_or(params, "epsilon", 1e-3)?,
@@ -725,6 +713,17 @@ fn str_field_or(obj: &Json, key: &str, default: &str) -> Result<String, String> 
         None => Ok(default.to_string()),
         Some(v) => v.as_str().map(str::to_string).ok_or(format!("`{key}` must be a string")),
     }
+}
+
+/// Reads the `sched` field of `obj` (`default` when absent, if given)
+/// and parses it, once per scenario. The outer error is a missing or
+/// non-string field, the inner one a bad specification.
+fn sched_field(obj: &Json, default: Option<&str>) -> Result<Result<SchedulerKind, String>, String> {
+    let spec = match default {
+        Some(d) => str_field_or(obj, "sched", d)?,
+        None => req_str(obj, "sched")?,
+    };
+    Ok(parse_sched(&spec))
 }
 
 fn f64_field(obj: &Json, key: &str) -> Result<f64, String> {
@@ -849,7 +848,10 @@ mod tests {
             Experiment::Validate(p) => {
                 assert_eq!(p.sections, vec![(1, 40, 60)]);
                 assert_eq!(p.schedulers.len(), 2);
-                assert_eq!(p.schedulers[1].sched, "gps:1,1");
+                assert_eq!(
+                    p.schedulers[1].sched,
+                    SchedulerKind::Gps { w_through: 1.0, w_cross: 1.0 }
+                );
             }
             other => panic!("wrong experiment {other:?}"),
         }
@@ -866,7 +868,7 @@ mod tests {
             Experiment::Bound(p) => {
                 assert_eq!(p.capacity, 100.0);
                 assert_eq!(p.epsilon, 1e-9);
-                assert_eq!(p.sched, "fifo");
+                assert_eq!(p.sched, SchedulerKind::Fifo);
                 assert_eq!(p.packet, None);
             }
             other => panic!("wrong experiment {other:?}"),

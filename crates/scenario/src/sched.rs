@@ -5,15 +5,9 @@
 use nc_core::PathScheduler;
 use nc_sim::SchedulerKind;
 
-/// Parses a scheduler specification into its analytical
-/// ([`PathScheduler`]) and simulated ([`SchedulerKind`]) forms.
-///
-/// GPS/SCFQ are not Δ-schedulers: the only valid analytical bound is
-/// the blind-multiplexing envelope, which dominates every
-/// work-conserving locally-FIFO discipline, so they map to
-/// [`PathScheduler::Bmux`] on the analysis side. A `delta:<v>` offset
-/// maps onto EDF deadlines with the same gap on the simulation side.
-pub fn parse_sched(s: &str) -> Result<(PathScheduler, SchedulerKind), String> {
+/// Parses a scheduler specification. A scenario parses each of its
+/// specifications once, when it is built.
+pub(crate) fn parse_sched(s: &str) -> Result<SchedulerKind, String> {
     if let Some(rest) = s.strip_prefix("edf:") {
         let (d0, dc) =
             rest.split_once(',').ok_or_else(|| format!("edf needs `edf:<d0>,<dc>`, got `{s}`"))?;
@@ -22,10 +16,7 @@ pub fn parse_sched(s: &str) -> Result<(PathScheduler, SchedulerKind), String> {
         if !(d0.is_finite() && dc.is_finite() && d0 >= 0.0 && dc >= 0.0) {
             return Err(format!("edf deadlines must be finite and non-negative, got `{s}`"));
         }
-        return Ok((
-            PathScheduler::Edf { d_through: d0, d_cross: dc },
-            SchedulerKind::Edf { d_through: d0, d_cross: dc },
-        ));
+        return Ok(SchedulerKind::Edf { d_through: d0, d_cross: dc });
     }
     if let Some(rest) = s.strip_prefix("gps:").or_else(|| s.strip_prefix("scfq:")) {
         let (w0, wc) = rest.split_once(',').ok_or_else(|| {
@@ -36,28 +27,41 @@ pub fn parse_sched(s: &str) -> Result<(PathScheduler, SchedulerKind), String> {
         if !(w0 > 0.0 && wc > 0.0 && w0.is_finite() && wc.is_finite()) {
             return Err("fair-queueing weights must be positive".into());
         }
-        let kind = if s.starts_with("gps:") {
+        return Ok(if s.starts_with("gps:") {
             SchedulerKind::Gps { w_through: w0, w_cross: wc }
         } else {
             SchedulerKind::Scfq { w_through: w0, w_cross: wc }
-        };
-        return Ok((PathScheduler::Bmux, kind));
+        });
     }
     if let Some(v) = s.strip_prefix("delta:") {
         let v: f64 = parse(v, "delta")?;
         if !v.is_finite() {
             return Err(format!("delta offset must be finite, got `{s}`"));
         }
-        // The simulator needs a concrete mechanism; a Δ offset maps onto
-        // EDF deadlines with the same gap.
-        let (d0, dc) = if v >= 0.0 { (v, 0.0) } else { (0.0, -v) };
-        return Ok((PathScheduler::Delta(v), SchedulerKind::Edf { d_through: d0, d_cross: dc }));
+        return Ok(SchedulerKind::Delta(v));
     }
     match s {
-        "fifo" => Ok((PathScheduler::Fifo, SchedulerKind::Fifo)),
-        "bmux" => Ok((PathScheduler::Bmux, SchedulerKind::Bmux)),
-        "sp" => Ok((PathScheduler::ThroughPriority, SchedulerKind::ThroughPriority)),
+        "fifo" => Ok(SchedulerKind::Fifo),
+        "bmux" => Ok(SchedulerKind::Bmux),
+        "sp" => Ok(SchedulerKind::ThroughPriority),
         other => Err(format!("unknown scheduler `{other}`")),
+    }
+}
+
+/// The analytical scheduler whose bound covers `kind`: a Δ-scheduler
+/// is its own. GPS and SCFQ are not Δ-schedulers, and their only valid
+/// bound is the blind-multiplexing envelope, which dominates every
+/// work-conserving locally-FIFO discipline, so they map to
+/// [`PathScheduler::Bmux`].
+pub(crate) fn path_scheduler(kind: SchedulerKind) -> PathScheduler {
+    match kind {
+        SchedulerKind::Fifo => PathScheduler::Fifo,
+        SchedulerKind::Bmux | SchedulerKind::Gps { .. } | SchedulerKind::Scfq { .. } => {
+            PathScheduler::Bmux
+        }
+        SchedulerKind::ThroughPriority => PathScheduler::ThroughPriority,
+        SchedulerKind::Edf { d_through, d_cross } => PathScheduler::Edf { d_through, d_cross },
+        SchedulerKind::Delta(v) => PathScheduler::Delta(v),
     }
 }
 
@@ -71,28 +75,27 @@ mod tests {
 
     #[test]
     fn parses_every_syntax() {
-        assert!(matches!(parse_sched("fifo"), Ok((PathScheduler::Fifo, SchedulerKind::Fifo))));
-        assert!(matches!(parse_sched("bmux"), Ok((PathScheduler::Bmux, SchedulerKind::Bmux))));
-        assert!(matches!(parse_sched("sp"), Ok((PathScheduler::ThroughPriority, _))));
-        let (p, k) = parse_sched("edf:10,40").unwrap();
-        assert_eq!(p, PathScheduler::Edf { d_through: 10.0, d_cross: 40.0 });
-        assert!(matches!(k, SchedulerKind::Edf { .. }));
-        assert!(matches!(parse_sched("gps:1,2"), Ok((PathScheduler::Bmux, _))));
-        assert!(matches!(parse_sched("scfq:1,2"), Ok((PathScheduler::Bmux, _))));
-        assert_eq!(parse_sched("delta:-5").unwrap().0, PathScheduler::Delta(-5.0));
+        let kind = |s| parse_sched(s).unwrap();
+        let edf = SchedulerKind::Edf { d_through: 10.0, d_cross: 40.0 };
+        assert_eq!(kind("fifo"), SchedulerKind::Fifo);
+        assert_eq!(kind("bmux"), SchedulerKind::Bmux);
+        assert_eq!(kind("sp"), SchedulerKind::ThroughPriority);
+        assert_eq!(kind("edf:10,40"), edf);
+        assert_eq!(kind("delta:-5"), SchedulerKind::Delta(-5.0));
+        assert_eq!(kind("gps:1,2"), SchedulerKind::Gps { w_through: 1.0, w_cross: 2.0 });
+        assert_eq!(kind("scfq:1,2"), SchedulerKind::Scfq { w_through: 1.0, w_cross: 2.0 });
     }
 
     #[test]
-    fn negative_delta_maps_to_valid_edf_deadlines() {
-        // delta:-5 favours the cross class; the simulated EDF deadlines
-        // must stay non-negative so the node accepts them.
-        let (_, k) = parse_sched("delta:-5").unwrap();
-        match k {
-            SchedulerKind::Edf { d_through, d_cross } => {
-                assert_eq!((d_through, d_cross), (0.0, 5.0));
-            }
-            other => panic!("unexpected kind {other:?}"),
-        }
+    fn maps_to_the_analytical_scheduler() {
+        let path = |s| path_scheduler(parse_sched(s).unwrap());
+        assert_eq!(path("fifo"), PathScheduler::Fifo);
+        assert_eq!(path("bmux"), PathScheduler::Bmux);
+        assert_eq!(path("sp"), PathScheduler::ThroughPriority);
+        assert_eq!(path("edf:10,40"), PathScheduler::Edf { d_through: 10.0, d_cross: 40.0 });
+        assert_eq!(path("delta:-5"), PathScheduler::Delta(-5.0));
+        assert_eq!(path("gps:1,2"), PathScheduler::Bmux);
+        assert_eq!(path("scfq:1,2"), PathScheduler::Bmux);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! checked against an actual packet/fluid system:
 //!
 //! * a slotted time model (the paper's `T = 1 ms` discrete time),
-//! * real schedulers: FIFO, static priority, EDF — the Δ-schedulers —
-//!   plus GPS, which is *not* a Δ-scheduler and exercises the boundary
-//!   of the paper's class,
+//! * real schedulers: FIFO, static priority, BMUX, EDF and any constant
+//!   `Δ` — the Δ-schedulers, one per-class offset rule
+//!   ([`NodePolicy::Delta`]) — plus GPS and its packet approximation
+//!   SCFQ, which are *not* Δ-schedulers and exercise the boundary of
+//!   the paper's class,
 //! * the tandem topology of Fig. 1: a through aggregate crossing `H`
 //!   nodes, with fresh cross traffic entering at every node and leaving
 //!   after one hop; one simulation can serve the same arrivals to

@@ -3,17 +3,17 @@
 //! Every policy but GPS is a class-selection rule: [`Node`] picks the
 //! class whose head chunk comes first and serves that head, whole or as
 //! a fragment the size of the slot's remaining budget. FIFO, static
-//! priority and EDF are Δ-schedulers, so one precedence key (head
-//! arrival plus a per-class offset) orders them all; SCFQ orders by its
-//! virtual-finish tags. One loop serves fluid slots and one serves
-//! non-preemptive slots for all of them; GPS water-fills each slot
-//! across the backlogged classes instead. The serve path appends
-//! departures into a caller-owned buffer, so a steady-state slot
-//! performs no allocation.
+//! priority, BMUX and EDF are Δ-schedulers, one offset rule
+//! ([`NodePolicy::Delta`]): the precedence key is the head's arrival
+//! plus a per-class offset. SCFQ orders by its virtual-finish tags. One
+//! loop serves fluid slots and one serves non-preemptive slots for all
+//! of them; GPS water-fills each slot across the backlogged classes
+//! instead. The serve path appends departures into a caller-owned
+//! buffer, so a steady-state slot performs no allocation.
 //!
 //! Precedence comparisons use [`f64::total_cmp`], so a NaN key can never
-//! silently corrupt queue order; construction rejects non-finite policy
-//! parameters outright (see [`NodePolicy::validate`]).
+//! silently corrupt queue order; construction rejects NaN and negative
+//! offsets and non-positive or non-finite weights outright.
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -37,20 +37,19 @@ pub struct Chunk {
 
 /// The scheduling policy of a node over `n` traffic classes.
 ///
-/// FIFO, static priority, and EDF are Δ-schedulers (Definition 1 of the
-/// paper); GPS is not — its precedence horizon depends on the random
-/// backlog — and is included to exercise that boundary.
+/// Every Δ-scheduler (Definition 1 of the paper) is one
+/// [`NodePolicy::Delta`] offset vector; GPS and SCFQ are not
+/// Δ-schedulers — their precedence horizon depends on the random
+/// backlog — and are included to exercise that boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodePolicy {
-    /// Serve in order of arrival at the node; ties between classes are
-    /// broken by class index (through traffic first).
-    Fifo,
-    /// Serve strictly by priority level (smaller = higher priority),
-    /// FIFO within a level.
-    StaticPriority(Vec<u32>),
-    /// Earliest deadline first with per-class relative deadlines in
-    /// slots; FIFO within a class.
-    Edf(Vec<f64>),
+    /// A Δ-scheduler given by per-class offsets `o` in slots: a chunk's
+    /// precedence key is its node arrival plus `o[class]`, smaller
+    /// first, with ties broken by arrival and then class index. So
+    /// `Δ_{j,k} = o_j − o_k`: FIFO is `[0, 0]`, through priority
+    /// `[0, +∞]`, BMUX `[+∞, 0]` and EDF the relative deadlines.
+    /// Offsets must be non-negative; `+∞` is allowed.
+    Delta(Vec<f64>),
     /// Generalized processor sharing with per-class weights: backlogged
     /// classes share each slot's capacity in proportion to their
     /// weights (fluid water-filling).
@@ -61,50 +60,6 @@ pub enum NodePolicy {
     /// served in tag order. A practical packet approximation of GPS —
     /// and, like GPS, *not* a Δ-scheduler.
     Scfq(Vec<f64>),
-}
-
-impl NodePolicy {
-    /// Length of the per-class parameter vector, if the policy has one.
-    pub(crate) fn param_len(&self) -> Option<usize> {
-        match self {
-            NodePolicy::Fifo => None,
-            NodePolicy::StaticPriority(v) => Some(v.len()),
-            NodePolicy::Edf(v) => Some(v.len()),
-            NodePolicy::Gps(v) => Some(v.len()),
-            NodePolicy::Scfq(v) => Some(v.len()),
-        }
-    }
-
-    /// Checks the numeric policy parameters: EDF deadlines must be
-    /// finite and non-negative, GPS/SCFQ weights positive and finite.
-    /// A NaN or infinite parameter would otherwise sit inside every
-    /// precedence comparison of the serve path.
-    pub fn validate(&self) -> Result<(), String> {
-        match self {
-            NodePolicy::Fifo | NodePolicy::StaticPriority(_) => Ok(()),
-            NodePolicy::Edf(deadlines) => {
-                if deadlines.iter().all(|&d| d.is_finite() && d >= 0.0) {
-                    Ok(())
-                } else {
-                    Err("EDF deadlines must be finite and non-negative".to_string())
-                }
-            }
-            NodePolicy::Gps(weights) => {
-                if weights.iter().all(|&w| w > 0.0 && w.is_finite()) {
-                    Ok(())
-                } else {
-                    Err("GPS weights must be positive and finite".to_string())
-                }
-            }
-            NodePolicy::Scfq(weights) => {
-                if weights.iter().all(|&w| w > 0.0 && w.is_finite()) {
-                    Ok(())
-                } else {
-                    Err("SCFQ weights must be positive and finite".to_string())
-                }
-            }
-        }
-    }
 }
 
 /// Whether a chunk in service can be interrupted.
@@ -139,9 +94,13 @@ pub struct NodeCounters {
     pub completed_chunks: u64,
     /// Chunk fragmentations at slot-budget or GPS-share boundaries.
     pub chunk_splits: u64,
-    /// EDF completions after the chunk's absolute deadline
-    /// (`completion slot − node arrival > relative deadline`); always
-    /// zero for non-EDF policies.
+    /// Δ-policy completions after the chunk's absolute deadline
+    /// (`completion slot − node arrival > offset`). A Δ-policy counts
+    /// them only if at least one offset is finite and positive; its
+    /// finite offsets are then relative deadlines. So EDF and
+    /// `delta:<v>` with `v ≠ 0` count, while FIFO, static priority,
+    /// BMUX and all-zero offsets (`edf:0,0`, `delta:0`) stay zero, as
+    /// do GPS and SCFQ.
     pub deadline_misses: u64,
 }
 
@@ -156,9 +115,10 @@ struct Key {
 
 impl Key {
     /// Strict "serves before" — a total order via [`f64::total_cmp`].
-    /// Keys are non-negative in this simulator (arrival slots, priority
-    /// levels, validated deadlines, SCFQ tags), so this matches the
-    /// naive `<` on every reachable input while staying robust to NaN.
+    /// Keys are non-negative in this simulator (arrival slots plus
+    /// validated offsets, possibly `+∞`, and SCFQ tags), so this
+    /// matches the naive `<` on every reachable input while staying
+    /// robust to NaN. Two `+∞` keys tie, and arrival then class decide.
     fn precedes(&self, other: &Key) -> bool {
         match self.primary.total_cmp(&other.primary) {
             Ordering::Less => true,
@@ -193,7 +153,7 @@ fn first_by<T>(queues: &[VecDeque<T>], key: impl Fn(usize, &T) -> Key) -> Option
 /// use nc_sim::{Node, Chunk};
 /// use nc_sim::NodePolicy;
 ///
-/// let mut node = Node::new(10.0, NodePolicy::Fifo, 2);
+/// let mut node = Node::new(10.0, NodePolicy::Delta(vec![0.0, 0.0]), 2); // FIFO
 /// node.enqueue(Chunk { class: 0, bits: 4.0, entry: 0, node_arrival: 0 });
 /// node.enqueue(Chunk { class: 1, bits: 8.0, entry: 0, node_arrival: 0 });
 /// let mut out = Vec::new();
@@ -219,6 +179,9 @@ pub struct Node {
     last_finish: Vec<f64>,
     /// SCFQ virtual time: the tag of the chunk most recently picked.
     vtime: f64,
+    /// Whether completions are checked against the Δ offsets as
+    /// relative deadlines (see [`NodeCounters::deadline_misses`]).
+    deadlines: bool,
     /// Telemetry event counters (all-zero in uninstrumented builds).
     counters: NodeCounters,
 }
@@ -231,7 +194,9 @@ impl Node {
     ///
     /// Panics if `capacity` is not positive/finite, `classes` is zero,
     /// the policy's per-class parameter length differs from `classes`,
-    /// or the policy's parameters fail [`NodePolicy::validate`].
+    /// a Δ offset is negative or NaN, or a GPS/SCFQ weight is not
+    /// positive and finite (such a parameter would sit inside every
+    /// precedence comparison of the serve path).
     pub fn new(capacity: f64, policy: NodePolicy, classes: usize) -> Self {
         Self::with_mode(capacity, policy, classes, ServiceMode::Fluid)
     }
@@ -241,23 +206,29 @@ impl Node {
     /// # Panics
     ///
     /// As for [`Node::new`]; additionally panics for the combination of
-    /// GPS with non-preemptive service (packetized fair queueing needs
-    /// a virtual-time scheduler, which this simulator does not model).
+    /// GPS with non-preemptive service (packetized fair queueing is
+    /// modelled by [`NodePolicy::Scfq`], a virtual-time scheduler).
     pub fn with_mode(capacity: f64, policy: NodePolicy, classes: usize, mode: ServiceMode) -> Self {
         assert!(capacity > 0.0 && capacity.is_finite(), "Node: capacity must be positive");
         assert!(classes > 0, "Node: need at least one class");
-        if let Some(n) = policy.param_len() {
-            assert_eq!(n, classes, "Node: policy parameters must cover every class");
-        }
+        let positive = |w: &[f64]| w.iter().all(|&w| w > 0.0 && w.is_finite());
+        let (params, ok, what) = match &policy {
+            NodePolicy::Delta(o) => {
+                (o, o.iter().all(|&o| o >= 0.0), "Δ offsets must be non-negative (+∞ allowed)")
+            }
+            NodePolicy::Gps(w) => (w, positive(w), "GPS weights must be positive and finite"),
+            NodePolicy::Scfq(w) => (w, positive(w), "SCFQ weights must be positive and finite"),
+        };
+        assert_eq!(params.len(), classes, "Node: policy parameters must cover every class");
+        assert!(ok, "Node: {what}");
         if mode == ServiceMode::NonPreemptive {
             assert!(
                 !matches!(policy, NodePolicy::Gps(_)),
                 "Node: non-preemptive GPS (packetized WFQ) is not modelled; use Scfq"
             );
         }
-        if let Err(e) = policy.validate() {
-            panic!("Node: {e}");
-        }
+        let deadlines = matches!(&policy, NodePolicy::Delta(o)
+            if o.iter().any(|&o| o.is_finite() && o > 0.0));
         let scfq_classes = if matches!(policy, NodePolicy::Scfq(_)) { classes } else { 0 };
         Node {
             capacity,
@@ -268,6 +239,7 @@ impl Node {
             tags: vec![VecDeque::new(); scfq_classes],
             last_finish: vec![0.0; scfq_classes],
             vtime: 0.0,
+            deadlines,
             counters: NodeCounters::default(),
         }
     }
@@ -375,8 +347,8 @@ impl Node {
     }
 
     /// The backlogged class to serve next, counted as one scheduling
-    /// decision. FIFO, SP and EDF compare the head chunks' precedence
-    /// keys; SCFQ compares head tags (ties go to the lower class) and
+    /// decision. A Δ-policy compares the head chunks' precedence keys;
+    /// SCFQ compares head tags (ties go to the lower class) and
     /// advances its virtual time to the picked tag.
     ///
     /// `pick`, `pop_head`, `serve_head` and `first_by` are forced
@@ -385,18 +357,8 @@ impl Node {
     #[inline(always)]
     fn pick(&mut self) -> Option<usize> {
         let class = match &self.policy {
-            NodePolicy::Fifo => first_by(&self.queues, |class, c| Key {
-                primary: c.node_arrival as f64,
-                arrival: c.node_arrival,
-                class,
-            }),
-            NodePolicy::StaticPriority(levels) => first_by(&self.queues, |class, c| Key {
-                primary: levels[class] as f64,
-                arrival: c.node_arrival,
-                class,
-            }),
-            NodePolicy::Edf(deadlines) => first_by(&self.queues, |class, c| Key {
-                primary: c.node_arrival as f64 + deadlines[class],
+            NodePolicy::Delta(offsets) => first_by(&self.queues, |class, c| Key {
+                primary: c.node_arrival as f64 + offsets[class],
                 arrival: c.node_arrival,
                 class,
             }),
@@ -535,13 +497,13 @@ impl Node {
     }
 
     /// Telemetry bookkeeping for a chunk whose last bit departed at
-    /// `slot`, with an EDF deadline check; erased from uninstrumented
-    /// builds.
+    /// `slot`, with a deadline check where the offsets are deadlines;
+    /// erased from uninstrumented builds.
     #[inline]
     fn note_completion(&mut self, c: &Chunk, slot: u64) {
         if cfg!(feature = "telemetry") {
             self.counters.completed_chunks += 1;
-            if let NodePolicy::Edf(ds) = &self.policy {
+            if let (true, NodePolicy::Delta(ds)) = (self.deadlines, &self.policy) {
                 if (slot.saturating_sub(c.node_arrival)) as f64 > ds[c.class] {
                     self.counters.deadline_misses += 1;
                 }
@@ -570,13 +532,20 @@ impl Node {
 mod tests {
     use super::*;
 
+    const INF: f64 = f64::INFINITY;
+
     fn chunk(class: usize, bits: f64, arrival: u64) -> Chunk {
         Chunk { class, bits, entry: arrival, node_arrival: arrival }
     }
 
+    /// FIFO over `classes` classes: all offsets zero.
+    fn fifo(classes: usize) -> NodePolicy {
+        NodePolicy::Delta(vec![0.0; classes])
+    }
+
     #[test]
     fn fifo_serves_in_arrival_order() {
-        let mut n = Node::new(10.0, NodePolicy::Fifo, 2);
+        let mut n = Node::new(10.0, fifo(2), 2);
         n.enqueue(chunk(1, 5.0, 0));
         n.enqueue(chunk(0, 5.0, 1));
         n.enqueue(chunk(1, 5.0, 2));
@@ -589,7 +558,7 @@ mod tests {
 
     #[test]
     fn fifo_tie_break_prefers_lower_class() {
-        let mut n = Node::new(4.0, NodePolicy::Fifo, 2);
+        let mut n = Node::new(4.0, fifo(2), 2);
         n.enqueue(chunk(1, 4.0, 0));
         n.enqueue(chunk(0, 4.0, 0));
         let out = n.serve_slot_vec(0);
@@ -599,7 +568,7 @@ mod tests {
 
     #[test]
     fn chunk_splitting_preserves_bits() {
-        let mut n = Node::new(3.0, NodePolicy::Fifo, 1);
+        let mut n = Node::new(3.0, fifo(1), 1);
         n.enqueue(chunk(0, 10.0, 0));
         let out1 = n.serve_slot_vec(0);
         assert_eq!(out1.len(), 1);
@@ -611,7 +580,7 @@ mod tests {
 
     #[test]
     fn serve_slot_appends_without_clearing() {
-        let mut n = Node::new(3.0, NodePolicy::Fifo, 1);
+        let mut n = Node::new(3.0, fifo(1), 1);
         n.enqueue(chunk(0, 6.0, 0));
         let mut out = Vec::new();
         n.serve_slot(0, &mut out);
@@ -622,7 +591,7 @@ mod tests {
 
     #[test]
     fn static_priority_preempts_in_key_order() {
-        let mut n = Node::new(5.0, NodePolicy::StaticPriority(vec![1, 0]), 2);
+        let mut n = Node::new(5.0, NodePolicy::Delta(vec![INF, 0.0]), 2);
         n.enqueue(chunk(0, 5.0, 0)); // low priority, arrived first
         n.enqueue(chunk(1, 5.0, 3)); // high priority, arrived later
         let out = n.serve_slot_vec(3);
@@ -634,14 +603,14 @@ mod tests {
     fn edf_orders_by_absolute_deadline() {
         // Class 0 deadline 10, class 1 deadline 2: a class-1 arrival at
         // t=5 (deadline 7) beats a class-0 arrival at t=0 (deadline 10).
-        let mut n = Node::new(5.0, NodePolicy::Edf(vec![10.0, 2.0]), 2);
+        let mut n = Node::new(5.0, NodePolicy::Delta(vec![10.0, 2.0]), 2);
         n.enqueue(chunk(0, 5.0, 0));
         n.enqueue(chunk(1, 5.0, 5));
         let out = n.serve_slot_vec(5);
         assert_eq!(out[0].class, 1);
         // And the other way: class-1 at t=9 (deadline 11) loses to
         // class-0 at t=0 (deadline 10).
-        let mut n = Node::new(5.0, NodePolicy::Edf(vec![10.0, 2.0]), 2);
+        let mut n = Node::new(5.0, NodePolicy::Delta(vec![10.0, 2.0]), 2);
         n.enqueue(chunk(0, 5.0, 0));
         n.enqueue(chunk(1, 5.0, 9));
         let out = n.serve_slot_vec(9);
@@ -674,9 +643,9 @@ mod tests {
     fn work_conservation() {
         // Any policy serves min(capacity, backlog) per slot.
         for policy in [
-            NodePolicy::Fifo,
-            NodePolicy::StaticPriority(vec![0, 1]),
-            NodePolicy::Edf(vec![3.0, 7.0]),
+            fifo(2),
+            NodePolicy::Delta(vec![0.0, INF]),
+            NodePolicy::Delta(vec![3.0, 7.0]),
             NodePolicy::Gps(vec![1.0, 2.0]),
         ] {
             let mut n = Node::new(5.0, policy.clone(), 2);
@@ -692,19 +661,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "policy parameters must cover every class")]
     fn rejects_mismatched_policy() {
-        let _ = Node::new(1.0, NodePolicy::Edf(vec![1.0]), 2);
+        let _ = Node::new(1.0, NodePolicy::Delta(vec![1.0]), 2);
     }
 
     #[test]
-    #[should_panic(expected = "EDF deadlines must be finite")]
-    fn rejects_nan_deadline() {
-        let _ = Node::new(1.0, NodePolicy::Edf(vec![f64::NAN, 1.0]), 2);
+    #[should_panic(expected = "offsets must be non-negative")]
+    fn rejects_nan_offset() {
+        let _ = Node::new(1.0, NodePolicy::Delta(vec![f64::NAN, 1.0]), 2);
     }
 
     #[test]
-    #[should_panic(expected = "EDF deadlines must be finite")]
-    fn rejects_infinite_deadline() {
-        let _ = Node::new(1.0, NodePolicy::Edf(vec![f64::INFINITY, 1.0]), 2);
+    #[should_panic(expected = "offsets must be non-negative")]
+    fn rejects_negative_offset() {
+        let _ = Node::new(1.0, NodePolicy::Delta(vec![-1.0, 1.0]), 2);
+    }
+
+    #[test]
+    fn infinite_offsets_tie_by_arrival_then_class() {
+        // Both classes at +∞ (one static-priority level): FIFO between
+        // them, the lower class first on equal arrival.
+        let mut n = Node::new(4.0, NodePolicy::Delta(vec![INF, INF]), 2);
+        n.enqueue(chunk(0, 4.0, 1));
+        n.enqueue(chunk(1, 4.0, 0));
+        n.enqueue(chunk(0, 4.0, 2));
+        n.enqueue(chunk(1, 4.0, 2));
+        let order: Vec<_> = (2..6).flat_map(|t| n.serve_slot_vec(t)).map(|c| c.class).collect();
+        assert_eq!(order, [1, 0, 0, 1]);
     }
 
     #[test]
@@ -714,24 +696,17 @@ mod tests {
     }
 
     #[test]
-    fn validate_flags_bad_parameters() {
-        assert!(NodePolicy::Fifo.validate().is_ok());
-        assert!(NodePolicy::Edf(vec![0.0, 3.5]).validate().is_ok());
-        assert!(NodePolicy::Edf(vec![-1.0]).validate().is_err());
-        assert!(NodePolicy::Gps(vec![1.0, f64::INFINITY]).validate().is_err());
-        assert!(NodePolicy::Scfq(vec![1.0, 0.0]).validate().is_err());
+    #[should_panic(expected = "GPS weights must be positive")]
+    fn rejects_infinite_gps_weight() {
+        let _ = Node::new(1.0, NodePolicy::Gps(vec![1.0, INF]), 2);
     }
 
     #[test]
     fn nonpreemptive_blocks_higher_priority_by_one_chunk() {
         // Low-priority packet (class 0, level 1) starts service; a
         // high-priority packet arriving mid-transmission must wait for it.
-        let mut n = Node::with_mode(
-            4.0,
-            NodePolicy::StaticPriority(vec![1, 0]),
-            2,
-            ServiceMode::NonPreemptive,
-        );
+        let mut n =
+            Node::with_mode(4.0, NodePolicy::Delta(vec![INF, 0.0]), 2, ServiceMode::NonPreemptive);
         n.enqueue(chunk(0, 8.0, 0)); // needs 2 slots
         let out0 = n.serve_slot_vec(0);
         assert!(out0.is_empty(), "packet still on the wire");
@@ -748,7 +723,7 @@ mod tests {
 
     #[test]
     fn nonpreemptive_departures_are_whole_chunks() {
-        let mut n = Node::with_mode(3.0, NodePolicy::Fifo, 1, ServiceMode::NonPreemptive);
+        let mut n = Node::with_mode(3.0, fifo(1), 1, ServiceMode::NonPreemptive);
         n.enqueue(chunk(0, 10.0, 0));
         assert!(n.serve_slot_vec(0).is_empty());
         assert!(n.serve_slot_vec(1).is_empty());
@@ -761,7 +736,7 @@ mod tests {
 
     #[test]
     fn nonpreemptive_work_conservation() {
-        let mut n = Node::with_mode(5.0, NodePolicy::Fifo, 2, ServiceMode::NonPreemptive);
+        let mut n = Node::with_mode(5.0, fifo(2), 2, ServiceMode::NonPreemptive);
         n.enqueue(chunk(0, 3.0, 0));
         n.enqueue(chunk(1, 3.0, 0));
         // Slot 0 serves 5 bits of work (chunk 0 fully, chunk 1 partly).
@@ -856,7 +831,7 @@ mod tests {
 
     #[test]
     fn queue_len_counts_chunks_and_in_service() {
-        let mut n = Node::with_mode(3.0, NodePolicy::Fifo, 2, ServiceMode::NonPreemptive);
+        let mut n = Node::with_mode(3.0, fifo(2), 2, ServiceMode::NonPreemptive);
         assert_eq!(n.queue_len(), 0);
         n.enqueue(chunk(0, 10.0, 0));
         n.enqueue(chunk(1, 1.0, 0));
@@ -868,7 +843,7 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn counters_track_decisions_completions_and_edf_misses() {
-        let mut n = Node::new(2.0, NodePolicy::Edf(vec![1.0, 1.0]), 2);
+        let mut n = Node::new(2.0, NodePolicy::Delta(vec![1.0, 1.0]), 2);
         n.enqueue(chunk(0, 6.0, 0)); // needs 3 slots against deadline 1
         for t in 0..3 {
             let _ = n.serve_slot_vec(t);
@@ -883,17 +858,46 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn counters_edf_on_time_completion_is_not_a_miss() {
-        let mut n = Node::new(10.0, NodePolicy::Edf(vec![5.0, 5.0]), 2);
+        let mut n = Node::new(10.0, NodePolicy::Delta(vec![5.0, 5.0]), 2);
         n.enqueue(chunk(0, 10.0, 0));
         let _ = n.serve_slot_vec(0);
         let c = n.counters();
         assert_eq!((c.completed_chunks, c.deadline_misses), (1, 0));
     }
 
+    /// One 3-slot chunk per class, both arriving at slot 0, served
+    /// under `offsets`: (completions, deadline misses).
+    #[cfg(feature = "telemetry")]
+    fn late_misses(offsets: [f64; 2]) -> (u64, u64) {
+        let mut n = Node::new(1.0, NodePolicy::Delta(offsets.to_vec()), 2);
+        n.enqueue(chunk(0, 3.0, 0));
+        n.enqueue(chunk(1, 3.0, 0));
+        for t in 0..6 {
+            let _ = n.serve_slot_vec(t);
+        }
+        let c = n.counters();
+        (c.completed_chunks, c.deadline_misses)
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn finite_offsets_are_deadlines_only_beside_a_positive_one() {
+        // A positive finite offset makes every finite offset a relative
+        // deadline: EDF, and `delta:30` as [30, 0] (its class 1 has
+        // deadline 0 and misses).
+        assert_eq!(late_misses([1.0, 1.0]), (2, 2));
+        assert_eq!(late_misses([30.0, 0.0]), (2, 1));
+        // FIFO and all-zero offsets (`edf:0,0`, `delta:0`), through
+        // priority and BMUX count no misses.
+        assert_eq!(late_misses([0.0, 0.0]), (2, 0));
+        assert_eq!(late_misses([0.0, INF]), (2, 0));
+        assert_eq!(late_misses([INF, 0.0]), (2, 0));
+    }
+
     #[cfg(not(feature = "telemetry"))]
     #[test]
     fn counters_stay_zero_without_the_feature() {
-        let mut n = Node::new(2.0, NodePolicy::Fifo, 1);
+        let mut n = Node::new(2.0, fifo(1), 1);
         n.enqueue(chunk(0, 6.0, 0));
         for t in 0..3 {
             let _ = n.serve_slot_vec(t);

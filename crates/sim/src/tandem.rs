@@ -894,7 +894,7 @@ mod tests {
         // 10 units/slot arrive for 10 slots into a 5-capacity node:
         // backlog builds, then drains; last chunk waits ~10 slots.
         let trace = vec![vec![10.0; 10]];
-        let stats = &replay_single_node(5.0, NodePolicy::Fifo, &trace)[0];
+        let stats = &replay_single_node(5.0, NodePolicy::Delta(vec![0.0]), &trace)[0];
         assert_eq!(stats.len(), 10);
         assert!(stats.max().unwrap() >= 9.0);
         assert!(stats.quantile(0.0).unwrap() >= 1.0); // first slot already overloads
@@ -904,7 +904,7 @@ mod tests {
     fn replay_two_classes_priority() {
         // Class 1 has priority; class 0's chunk waits for it.
         let traces = vec![vec![5.0], vec![5.0]];
-        let stats = replay_single_node(5.0, NodePolicy::StaticPriority(vec![1, 0]), &traces);
+        let stats = replay_single_node(5.0, NodePolicy::Delta(vec![f64::INFINITY, 0.0]), &traces);
         assert_eq!((stats[1].len(), stats[1].max()), (1, Some(0.0)));
         assert_eq!((stats[0].len(), stats[0].max()), (1, Some(1.0)));
     }

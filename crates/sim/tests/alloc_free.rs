@@ -94,9 +94,9 @@ fn assert_steady_state_alloc_free(policy: NodePolicy, mode: ServiceMode, label: 
 #[test]
 fn fluid_serve_loop_is_allocation_free_for_every_policy() {
     for (policy, label) in [
-        (NodePolicy::Fifo, "fifo"),
-        (NodePolicy::StaticPriority(vec![0, 1]), "sp"),
-        (NodePolicy::Edf(vec![10.0, 40.0]), "edf"),
+        (NodePolicy::Delta(vec![0.0, 0.0]), "fifo"),
+        (NodePolicy::Delta(vec![0.0, f64::INFINITY]), "sp"),
+        (NodePolicy::Delta(vec![10.0, 40.0]), "edf"),
         (NodePolicy::Gps(vec![1.0, 1.0]), "gps"),
         (NodePolicy::Scfq(vec![1.0, 1.0]), "scfq"),
     ] {
@@ -109,9 +109,9 @@ fn nonpreemptive_serve_loop_is_allocation_free_for_every_policy() {
     // Non-preemptive GPS (packetized WFQ) is rejected at construction;
     // SCFQ is its packet-mode stand-in.
     for (policy, label) in [
-        (NodePolicy::Fifo, "fifo"),
-        (NodePolicy::StaticPriority(vec![0, 1]), "sp"),
-        (NodePolicy::Edf(vec![10.0, 40.0]), "edf"),
+        (NodePolicy::Delta(vec![0.0, 0.0]), "fifo"),
+        (NodePolicy::Delta(vec![0.0, f64::INFINITY]), "sp"),
+        (NodePolicy::Delta(vec![10.0, 40.0]), "edf"),
         (NodePolicy::Scfq(vec![1.0, 1.0]), "scfq"),
     ] {
         assert_steady_state_alloc_free(policy, ServiceMode::NonPreemptive, label);

@@ -7,20 +7,22 @@ use nc_sim::{
 };
 use proptest::prelude::*;
 
-fn any_policy() -> impl Strategy<Value = NodePolicy> {
-    prop_oneof![
-        Just(NodePolicy::Fifo),
-        (0u32..3, 0u32..3).prop_map(|(a, b)| NodePolicy::StaticPriority(vec![a, b])),
-        (0.5f64..30.0, 0.5f64..30.0).prop_map(|(a, b)| NodePolicy::Edf(vec![a, b])),
-        (0.1f64..5.0, 0.1f64..5.0).prop_map(|(a, b)| NodePolicy::Gps(vec![a, b])),
-    ]
+/// A Δ offset: zero, a small whole number of slots, or `+∞` (a
+/// static-priority level below every finite one).
+fn offset() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), (1u32..30).prop_map(f64::from), Just(f64::INFINITY)]
 }
 
-fn nongps_policy() -> impl Strategy<Value = NodePolicy> {
+/// Any two-class Δ-scheduler: FIFO, static priority, BMUX, EDF and
+/// every `delta:<v>` are offset pairs.
+fn delta_policy() -> impl Strategy<Value = NodePolicy> {
+    (offset(), offset()).prop_map(|(a, b)| NodePolicy::Delta(vec![a, b]))
+}
+
+fn any_policy() -> impl Strategy<Value = NodePolicy> {
     prop_oneof![
-        Just(NodePolicy::Fifo),
-        (0u32..3, 0u32..3).prop_map(|(a, b)| NodePolicy::StaticPriority(vec![a, b])),
-        (0.5f64..30.0, 0.5f64..30.0).prop_map(|(a, b)| NodePolicy::Edf(vec![a, b])),
+        delta_policy(),
+        (0.1f64..5.0, 0.1f64..5.0).prop_map(|(a, b)| NodePolicy::Gps(vec![a, b])),
     ]
 }
 
@@ -80,7 +82,7 @@ proptest! {
     /// chunks.
     #[test]
     fn nonpreemptive_conserves_and_departs_whole(
-        policy in nongps_policy(),
+        policy in delta_policy(),
         arr in arrivals(),
         cap in 1.0f64..20.0,
     ) {
@@ -109,6 +111,42 @@ proptest! {
         b.sort_by(|x, y| x.partial_cmp(y).unwrap());
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x - y).abs() < 1e-9, "chunk departed with altered size");
+        }
+    }
+
+    /// Only `Δ = o0 − o1` matters (the paper's Definition 1): shifting
+    /// both offsets by the same whole number of slots leaves every
+    /// departure unchanged, fluid and non-preemptive alike. Whole
+    /// numbers keep the f64 keys exact.
+    #[test]
+    fn shifting_every_offset_keeps_the_departures(
+        o0 in offset(),
+        o1 in offset(),
+        c in 1u32..50,
+        arr in arrivals(),
+        cap in 1.0f64..20.0,
+    ) {
+        let c = f64::from(c);
+        for mode in [ServiceMode::Fluid, ServiceMode::NonPreemptive] {
+            let mut a = Node::with_mode(cap, NodePolicy::Delta(vec![o0, o1]), 2, mode);
+            let mut b = Node::with_mode(cap, NodePolicy::Delta(vec![o0 + c, o1 + c]), 2, mode);
+            let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+            let mut t = 0u64;
+            for &(gap, class, bits) in &arr {
+                t += gap;
+                let chunk = Chunk { class, bits, entry: t, node_arrival: t };
+                a.enqueue(chunk);
+                b.enqueue(chunk);
+                a.serve_slot(t, &mut out_a);
+                b.serve_slot(t, &mut out_b);
+                t += 1;
+            }
+            while a.backlog() > 1e-9 {
+                a.serve_slot(t, &mut out_a);
+                b.serve_slot(t, &mut out_b);
+                t += 1;
+            }
+            prop_assert_eq!(&out_a, &out_b, "{:?}: departures depend on more than Δ", mode);
         }
     }
 

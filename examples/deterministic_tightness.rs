@@ -29,10 +29,9 @@ fn main() {
 
     // Simulator classes are permuted tagged-last so that same-instant
     // ties resolve against the tagged flow (the adversary's choice).
-    let _policy = NodePolicy::Edf(vec![deadlines[1], deadlines[2], deadlines[0]]);
     let dt = 0.125;
     let fine_policy =
-        NodePolicy::Edf(vec![deadlines[1] / dt, deadlines[2] / dt, deadlines[0] / dt]);
+        NodePolicy::Delta(vec![deadlines[1] / dt, deadlines[2] / dt, deadlines[0] / dt]);
 
     // (a) Greedy arrivals respect the bound.
     let horizon = 200.0;

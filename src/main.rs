@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! linksched bound    --hops 5 --through 100 --cross 200 [--capacity 100]
-//!                    [--eps 1e-9] [--sched fifo|bmux|sp|edf:<d0>,<dc>|delta:<v>]
+//!                    [--eps 1e-9] [--sched fifo|bmux|sp|edf:<d0>,<dc>|delta:<v>
+//!                                         |gps:<w0>,<wc>|scfq:<w0>,<wc>]
 //! linksched sweep    --hops 5 --through 100 [--cross-max 500] …
 //! linksched simulate --hops 3 --through 40 --cross 60 [--slots 1000000]
 //!                    [--seed 1] [--reps 1] [--packet <kb>] [--sched …]

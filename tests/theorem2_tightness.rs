@@ -30,22 +30,19 @@ fn leaky_envs() -> Vec<DetEnvelope> {
 /// EDF deadlines in analysis order (tagged flow tightest).
 const EDF_DEADLINES: [f64; 3] = [4.0, 12.0, 20.0];
 
-/// Analysis scheduler / simulator policy pairs describing the *same*
-/// link discipline, with the simulator classes permuted to
-/// `[flow1, flow2, tagged]` (tagged last — worst tie-break).
-fn schedulers() -> Vec<(&'static str, DeltaScheduler, NodePolicy)> {
+/// Analysis schedulers and the simulator's Δ offsets
+/// ([`NodePolicy::Delta`]) describing the *same* link discipline, with
+/// the simulator classes permuted to `[flow1, flow2, tagged]` (tagged
+/// last — worst tie-break).
+fn schedulers() -> Vec<(&'static str, DeltaScheduler, Vec<f64>)> {
     vec![
-        ("fifo", DeltaScheduler::fifo(3), NodePolicy::Fifo),
-        (
-            "sp",
-            DeltaScheduler::bmux(3, 0),
-            // Simulator order [flow1, flow2, tagged]: tagged lowest priority.
-            NodePolicy::StaticPriority(vec![0, 0, 1]),
-        ),
+        ("fifo", DeltaScheduler::fifo(3), vec![0.0; 3]),
+        // Simulator order [flow1, flow2, tagged]: tagged lowest priority.
+        ("sp", DeltaScheduler::bmux(3, 0), vec![0.0, 0.0, f64::INFINITY]),
         (
             "edf",
             DeltaScheduler::edf(&EDF_DEADLINES),
-            NodePolicy::Edf(vec![EDF_DEADLINES[1], EDF_DEADLINES[2], EDF_DEADLINES[0]]),
+            vec![EDF_DEADLINES[1], EDF_DEADLINES[2], EDF_DEADLINES[0]],
         ),
     ]
 }
@@ -71,7 +68,7 @@ fn greedy_traces(envs: &[DetEnvelope], horizon: usize) -> Vec<Vec<f64>> {
 
 #[test]
 fn sufficiency_greedy_traffic_respects_feasible_bound() {
-    for (kind, sched, policy) in schedulers() {
+    for (kind, sched, offsets) in schedulers() {
         let envs = leaky_envs();
         let d = min_feasible_delay(C, &sched, &envs, 0)
             .unwrap_or_else(|| panic!("{kind}: no feasible delay"));
@@ -80,7 +77,7 @@ fn sufficiency_greedy_traffic_respects_feasible_bound() {
         // flow; its delay must stay within d plus discretization slack
         // (slotting front-loads each slot's envelope growth).
         let traces = permute_tagged_last(greedy_traces(&envs, 400));
-        let stats = &replay_single_node(C, policy.clone(), &traces)[2];
+        let stats = &replay_single_node(C, NodePolicy::Delta(offsets.clone()), &traces)[2];
         let worst = stats.max().unwrap();
         assert!(worst <= d.ceil() + 1.0, "{kind}: greedy delay {worst} exceeds feasible bound {d}");
     }
@@ -92,7 +89,7 @@ fn necessity_adversarial_scenario_violates_infeasible_bound() {
     // slot, so the replay runs on a refined grid of step `dt` (capacity
     // and deadlines rescaled accordingly; measured delays scaled back).
     let dt = 0.125;
-    for (kind, sched, policy) in schedulers() {
+    for (kind, sched, offsets) in schedulers() {
         let envs = leaky_envs();
         let d_tight = min_feasible_delay(C, &sched, &envs, 0).unwrap();
         // Claim a bound 40% below the tight one: Theorem 2 says some
@@ -103,10 +100,8 @@ fn necessity_adversarial_scenario_violates_infeasible_bound() {
         assert!(scenario.excess > 0.0);
         let horizon = scenario.t_star + d_tight + 50.0;
         let traces = permute_tagged_last(scenario.slotted_arrivals(dt, horizon));
-        let fine_policy = match &policy {
-            NodePolicy::Edf(ds) => NodePolicy::Edf(ds.iter().map(|d| d / dt).collect()),
-            other => other.clone(),
-        };
+        // Offsets in fine slots (∞/dt stays ∞).
+        let fine_policy = NodePolicy::Delta(offsets.iter().map(|o| o / dt).collect());
         let stats = &replay_single_node(C * dt, fine_policy, &traces)[2];
         let worst = stats.max().unwrap() * dt;
         assert!(
@@ -121,12 +116,12 @@ fn necessity_adversarial_scenario_violates_infeasible_bound() {
 fn feasible_bound_not_violated_even_by_adversarial_ordering() {
     // Claiming a bound *above* the tight one must survive the same
     // greedy replay that breaks infeasible claims.
-    for (kind, sched, policy) in schedulers() {
+    for (kind, sched, offsets) in schedulers() {
         let envs = leaky_envs();
         let d_tight = min_feasible_delay(C, &sched, &envs, 0).unwrap();
         let d_claim = 1.2 * d_tight + 2.0; // +2 slots of discretization slack
         let traces = permute_tagged_last(greedy_traces(&envs, 400));
-        let stats = &replay_single_node(C, policy.clone(), &traces)[2];
+        let stats = &replay_single_node(C, NodePolicy::Delta(offsets.clone()), &traces)[2];
         assert!(
             stats.max().unwrap() <= d_claim,
             "{kind}: feasible bound violated by greedy replay"
@@ -142,7 +137,7 @@ fn tight_bound_is_actually_attained_by_greedy_traffic() {
     let envs = leaky_envs();
     let d_tight = min_feasible_delay(C, &sched, &envs, 0).unwrap();
     let traces = permute_tagged_last(greedy_traces(&envs, 400));
-    let stats = &replay_single_node(C, NodePolicy::Fifo, &traces)[2];
+    let stats = &replay_single_node(C, NodePolicy::Delta(vec![0.0; 3]), &traces)[2];
     let worst = stats.max().unwrap();
     assert!(
         worst >= d_tight - 2.0,
