@@ -2,11 +2,15 @@
 //!
 //! Instead of composing a network service curve, this analysis bounds
 //! the delay at each node separately and sums the per-node bounds,
-//! propagating the through traffic's envelope across nodes by min-plus
-//! deconvolution. This is the discrete-time version of the node-by-node
-//! analysis the paper compares against in Example 3; its delay bounds
-//! grow like `O(H³ log H)`, against `Θ(H log H)` for the network
-//! service curve — the gap Fig. 4 illustrates.
+//! propagating the through traffic's EBB envelope across nodes: at each
+//! node the envelope's bounding function and the cross traffic's are
+//! combined by the Eq. (33) infimal convolution
+//! ([`ExpBound::inf_convolution`]), and the next node's sample-path
+//! envelope costs one more union bound over slots
+//! ([`ExpBound::geometric_sum`]). This is the discrete-time version of
+//! the node-by-node analysis the paper compares against in Example 3;
+//! its delay bounds grow like `O(H³ log H)`, against `Θ(H log H)` for
+//! the network service curve — the gap Fig. 4 illustrates.
 //!
 //! The baseline is formulated for blind multiplexing: at each node the
 //! through flow receives the leftover service
@@ -69,9 +73,9 @@ pub fn additive_bmux_delay_at_gamma(
         let combined = ExpBound::inf_convolution(&[env_bound, cross_bound]);
         let sigma_h = combined.sigma_for(eps_node).unwrap_or(0.0);
         per_node.push(sigma_h / service_rate);
-        // Output of this node: same rate (interval bound by deconvolution
-        // against the leftover service), combined bound; the next node's
-        // sample-path envelope costs one more union bound over slots.
+        // Output of this node: same rate, with the Eq. (33) combination of
+        // the through and cross bounds; the next node's sample-path
+        // envelope costs one more union bound over slots.
         env_bound = combined.geometric_sum(gamma);
         env_rate += gamma;
     }

@@ -92,26 +92,6 @@ impl Curve {
         }
         Some(best.max(0.0))
     }
-
-    /// The smallest `d ≥ 0` with `f(t) + σ ≤ g(t + d)` for all `t ≥ 0`
-    /// (Eq. (20) of the paper), i.e. the horizontal deviation between the
-    /// shifted envelope `f + σ` and the service curve `g`.
-    ///
-    /// Returns `None` when no finite `d` works.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or NaN.
-    pub fn delay_bound_with_slack(&self, g: &Curve, sigma: f64) -> Option<f64> {
-        assert!(
-            sigma >= 0.0 && !sigma.is_nan(),
-            "delay_bound_with_slack: sigma must be non-negative"
-        );
-        if sigma == 0.0 {
-            return self.h_deviation(g);
-        }
-        self.add_constant(sigma).h_deviation(g)
-    }
 }
 
 #[cfg(test)]
@@ -166,18 +146,6 @@ mod tests {
         let f = Curve::token_bucket(1.0, 1.0);
         let g = Curve::zero();
         assert_eq!(f.h_deviation(&g), None);
-    }
-
-    #[test]
-    fn slack_increases_delay() {
-        let f = Curve::token_bucket(1.0, 5.0);
-        let g = Curve::rate_latency(4.0, 2.0);
-        let d0 = f.delay_bound_with_slack(&g, 0.0).unwrap();
-        let d1 = f.delay_bound_with_slack(&g, 4.0).unwrap();
-        assert!((d0 - 3.25).abs() < 1e-9);
-        // (5 + 4)/4 + 2 = 4.25.
-        assert!((d1 - 4.25).abs() < 1e-9);
-        assert!(d1 > d0);
     }
 
     #[test]

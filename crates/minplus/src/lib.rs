@@ -1,9 +1,13 @@
 //! Min-plus (tropical) algebra for the network calculus.
 //!
 //! This crate provides the deterministic substrate used by the
-//! `nc-core` end-to-end delay analysis: wide-sense increasing
-//! piecewise-linear curves together with the min-plus operations of the
-//! network calculus (Le Boudec & Thiran; Chang).
+//! `nc-core` analysis: wide-sense increasing piecewise-linear curves
+//! together with the min-plus operations of the network calculus
+//! (Le Boudec & Thiran; Chang) that the analysis and its cross-checks
+//! run. It serves Theorem 1's leftover service curves, the single-node
+//! delay and backlog deviations, and the deterministic γ = 0
+//! cross-check of the end-to-end bound against a convolved network
+//! service curve.
 //!
 //! # Concepts
 //!
@@ -16,9 +20,11 @@
 //! The central operators are
 //!
 //! * min-plus convolution `(f ∗ g)(t) = inf_{0≤s≤t} f(s) + g(t−s)`,
-//! * min-plus deconvolution `(f ⊘ g)(t) = sup_{u≥0} f(t+u) − g(u)`,
+//!   exact for every pair of piecewise-linear curves,
 //! * the horizontal deviation (delay bound) and vertical deviation
-//!   (backlog bound) between an envelope and a service curve.
+//!   (backlog bound) between an envelope and a service curve,
+//! * the pointwise minimum, sum, `I(t > θ)` gate and the clamped
+//!   difference `[f − g]₊` with its non-decreasing lower closure.
 //!
 //! # Example
 //!
@@ -40,9 +46,10 @@
 //!
 //! [`Curve`] stores a left-continuous piecewise-linear function as a
 //! sorted list of segments; values may be `+∞` (used by the burst-delay
-//! function `δ_d`). [`SampledCurve`] is a dense uniform-grid
-//! representation used as a general fallback for operations that have no
-//! efficient exact form on arbitrary piecewise-linear inputs.
+//! function `δ_d`). Curves are built from the constructors
+//! ([`Curve::rate`], [`Curve::token_bucket`], [`Curve::rate_latency`],
+//! [`Curve::delta`], [`Curve::zero`]) and the operators above, so every
+//! curve satisfies the representation's invariants by construction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +59,5 @@
 mod curve;
 mod deviation;
 mod ops;
-mod sampled;
 
 pub use curve::{Curve, CurveError, Segment};
-pub use sampled::SampledCurve;

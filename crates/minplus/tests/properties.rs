@@ -3,9 +3,10 @@
 //! These exercise the algebraic laws that the network calculus relies on:
 //! commutativity/associativity of ∗, distribution over min, monotonicity,
 //! and the semiring identities with δ₀ (neutral) and the zero curve
-//! (absorbing).
+//! (absorbing), and check every route of the convolution against a
+//! brute-force infimum.
 
-use nc_minplus::{Curve, SampledCurve};
+use nc_minplus::Curve;
 use proptest::prelude::*;
 
 /// Strategy: a random rate-latency curve (convex).
@@ -15,8 +16,12 @@ fn rate_latency() -> impl Strategy<Value = Curve> {
 
 /// Strategy: a random concave envelope (min of up to 3 token buckets).
 fn concave() -> impl Strategy<Value = Curve> {
-    prop::collection::vec((0.01f64..50.0, 0.0f64..100.0), 1..4)
-        .prop_map(|v| Curve::concave_from_token_buckets(&v).unwrap())
+    prop::collection::vec((0.01f64..50.0, 0.0f64..100.0), 1..4).prop_map(|v| {
+        v.into_iter()
+            .map(|(r, b)| Curve::token_bucket(r, b))
+            .reduce(|acc, tb| acc.min(&tb))
+            .expect("at least one bucket")
+    })
 }
 
 /// Strategy: a random convex service curve (rate-latency or burst-delay).
@@ -24,9 +29,38 @@ fn convex() -> impl Strategy<Value = Curve> {
     prop_oneof![rate_latency(), (0.0f64..20.0).prop_map(Curve::delta), Just(Curve::zero()),]
 }
 
-/// Strategy: mixed curve shapes.
+/// Strategy: shapes that are in general neither concave nor convex,
+/// which only the segment merge convolves: a burst followed by convex
+/// growth, a rate-latency curve capped by an envelope (convex, then
+/// concave), and a gated envelope (flat, then an interior jump).
+fn mixed() -> impl Strategy<Value = Curve> {
+    prop_oneof![
+        (concave(), rate_latency()).prop_map(|(f, g)| f.add(&g)),
+        (rate_latency(), concave()).prop_map(|(f, g)| f.min(&g)),
+        (concave(), 0.0f64..20.0).prop_map(|(f, theta)| f.gate(theta)),
+    ]
+}
+
+/// Strategy: every curve shape.
 fn any_curve() -> impl Strategy<Value = Curve> {
-    prop_oneof![concave(), convex()]
+    prop_oneof![concave(), convex(), mixed()]
+}
+
+/// `inf_{0≤s≤t} f(s) + g(t−s)` by brute force over a uniform `s` grid of
+/// `steps` cells refined by every breakpoint `s = x` of `f` and
+/// `t − s = x` of `g`. Between these candidates `s ↦ f(s) + g(t−s)` is
+/// linear, and the left-continuous operands take their lower values at
+/// the candidates themselves, so the minimum over the candidates is the
+/// exact infimum. Each candidate is a split `(s, t − s)` evaluated as
+/// given, so a breakpoint of `g` is not moved across its jump by rounding.
+fn brute_convolve_at(f: &Curve, g: &Curve, t: f64, steps: usize) -> f64 {
+    let grid = (0..=steps).map(|k| t * k as f64 / steps as f64).map(|s| (s, t - s));
+    let f_breaks = f.segments().iter().filter(|s| s.x <= t).map(|s| (s.x, t - s.x));
+    let g_breaks = g.segments().iter().filter(|s| s.x <= t).map(|s| (t - s.x, s.x));
+    grid.chain(f_breaks)
+        .chain(g_breaks)
+        .map(|(s, u)| f.eval(s) + g.eval(u))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Points at which curves are compared.
@@ -101,14 +135,6 @@ proptest! {
     }
 
     #[test]
-    fn max_is_pointwise(a in any_curve(), b in any_curve()) {
-        let m = a.max(&b);
-        for t in PROBE {
-            assert_close(m.eval(t), a.eval(t).max(b.eval(t)), &format!("max value at t={t}"));
-        }
-    }
-
-    #[test]
     fn add_is_pointwise(a in concave(), b in concave()) {
         let s = a.add(&b);
         for t in PROBE {
@@ -121,7 +147,7 @@ proptest! {
         // The Theorem-1 shape [Ct − G(t)]₊ with C above the long-run rate.
         prop_assume!(g.long_run_rate() < c);
         let rate = Curve::rate(c).unwrap();
-        let s = rate.sub_clamped(&g).unwrap();
+        let s = rate.sub_clamped_closure(&g);
         for t in PROBE {
             assert_close(s.eval(t), (c * t - g.eval(t)).max(0.0), &format!("leftover at t={t}"));
         }
@@ -133,15 +159,6 @@ proptest! {
         for t in PROBE {
             let want = if t > theta { a.eval(t) } else { 0.0 };
             assert_close(gated.eval(t), want, &format!("gate at t={t}, θ={theta}"));
-        }
-    }
-
-    #[test]
-    fn pseudo_inverse_galois(a in concave(), y in 0.0f64..500.0) {
-        // f(t) ≥ y for every t strictly beyond the pseudo-inverse.
-        if let Some(t0) = a.pseudo_inverse(y) {
-            let t = t0 + 1e-6;
-            prop_assert!(a.eval(t) >= y - 1e-6 * (1.0 + y));
         }
     }
 
@@ -172,44 +189,19 @@ proptest! {
 
     #[test]
     fn convolution_agrees_with_grid(a in any_curve(), b in any_curve()) {
-        // The exact/sampled hybrid must agree with brute-force grid
-        // convolution wherever both are defined.
+        // Every route of `convolve` must return the brute-force infimum.
         let exact = a.convolve(&b);
         let dt = 0.25;
-        let n = 128;
-        let ga = SampledCurve::from_curve(&a, dt, n);
-        let gb = SampledCurve::from_curve(&b, dt, n);
-        let grid = ga.convolve(&gb);
-        for i in 0..n {
+        for i in 0..128 {
             let t = i as f64 * dt;
             let e = exact.eval(t);
-            let g = grid.eval(i);
-            if e.is_infinite() || g.is_infinite() {
-                continue; // jump position is grid-quantized
+            let brute = brute_convolve_at(&a, &b, t, 64);
+            if e.is_infinite() || brute.is_infinite() {
+                continue; // a jump to +∞ may sit within rounding of t
             }
-            // Grid search restricts the infimum to grid points: grid ≥ exact,
-            // within one cell of growth.
-            prop_assert!(g >= e - 1e-6 * (1.0 + e.abs()), "grid {g} < exact {e} at t={t}");
-        }
-    }
-
-    #[test]
-    fn deconvolve_is_sound(f in concave(), g in prop_oneof![rate_latency()]) {
-        // (f ⊘ g)(t − s) ≥ f(t) − g(s)… equivalently for all t, u:
-        // out(t) ≥ f(t + u) − g(u).
-        if let Ok(Some(out)) = f.deconvolve(&g) {
-            for t in PROBE {
-                for u in PROBE {
-                    let lhs = f.eval(t + u) - g.eval(u);
-                    // The curve convention pins out(0) = 0; the deconvolution
-                    // value at 0 lives in the right limit.
-                    let rhs = if t == 0.0 { out.eval_right(0.0) } else { out.eval(t) };
-                    prop_assert!(
-                        rhs >= lhs - 1e-5 * (1.0 + lhs.abs()),
-                        "deconv unsound at t={t}, u={u}: {rhs} < {lhs}"
-                    );
-                }
-            }
+            let tol = 1e-6 * (1.0 + e.abs().max(brute.abs()));
+            prop_assert!(e <= brute + tol, "exact {e} above brute force {brute} at t={t}");
+            prop_assert!(e >= brute - tol, "exact {e} below brute force {brute} at t={t}\nA={a:?}\nB={b:?}\nE={exact:?}");
         }
     }
 
@@ -221,26 +213,10 @@ proptest! {
     }
 
     #[test]
-    fn segment_merge_matches_convolve(a in any_curve(), b in any_curve()) {
-        // `convolve` dispatches to shape-specialized kernels where it
-        // can; the general segment-merge kernel must agree with every
-        // one of them on the shapes they cover.
-        let fast = a.convolve(&b);
-        let merge = a.convolve_segment_merge(&b);
-        for t in PROBE {
-            assert_close(
-                fast.eval(t),
-                merge.eval(t),
-                &format!("segment merge diverges from convolve at t={t}"),
-            );
-        }
-    }
-
-    #[test]
     fn convolution_is_monotone(a in any_curve(), b in any_curve(), c in 0.0f64..10.0) {
         // f ≤ f' pointwise ⇒ f ∗ g ≤ f' ∗ g, and lifting f by a
         // constant can lift the convolution by at most that constant.
-        let lifted = a.add_constant(c);
+        let lifted = a.add(&Curve::token_bucket(0.0, c));
         let low = a.convolve(&b);
         let high = lifted.convolve(&b);
         for t in PROBE {
@@ -252,41 +228,6 @@ proptest! {
             let tol = 1e-6 * (1.0 + lo.abs());
             prop_assert!(hi >= lo - tol, "monotonicity broken at t={}: {} < {}", t, hi, lo);
             prop_assert!(hi <= lo + c + tol, "lift exceeded constant at t={}: {} > {} + {}", t, hi, lo, c);
-        }
-    }
-
-    #[test]
-    fn grid_convolve_into_is_bitwise_identical(
-        a in any_curve(),
-        b in any_curve(),
-        n in 8usize..64,
-    ) {
-        let ga = SampledCurve::from_curve(&a, 0.5, n);
-        let gb = SampledCurve::from_curve(&b, 0.5, n);
-        let fresh = ga.convolve(&gb);
-        // A dirty, differently-sized buffer must not influence the result.
-        let mut out = vec![f64::NAN; n + 13];
-        ga.convolve_into(&gb, &mut out);
-        prop_assert_eq!(out.len(), fresh.len());
-        for (i, (x, y)) in out.iter().zip(fresh.values()).enumerate() {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "convolve_into differs at i={}", i);
-        }
-    }
-
-    #[test]
-    fn grid_deconvolve_into_is_bitwise_identical(
-        a in any_curve(),
-        b in any_curve(),
-        n in 8usize..64,
-    ) {
-        let ga = SampledCurve::from_curve(&a, 0.5, n);
-        let gb = SampledCurve::from_curve(&b, 0.5, n);
-        let fresh = ga.deconvolve(&gb).expect("full horizon");
-        let mut out = vec![f64::NAN; 3];
-        ga.deconvolve_into(&gb, &mut out).expect("full horizon");
-        prop_assert_eq!(out.len(), fresh.len());
-        for (i, (x, y)) in out.iter().zip(fresh.values()).enumerate() {
-            prop_assert_eq!(x.to_bits(), y.to_bits(), "deconvolve_into differs at i={}", i);
         }
     }
 }

@@ -3,31 +3,26 @@
 
 #![cfg(feature = "telemetry")]
 
-use nc_minplus::{Curve, SampledCurve};
+use nc_minplus::Curve;
 use nc_telemetry as tel;
 
 #[test]
-fn ops_record_counts_and_timings() {
+fn convolution_records_count_and_timing() {
     tel::reset_global();
     let tb = Curve::token_bucket(1.0, 5.0);
     let rl = Curve::rate_latency(4.0, 2.0);
-    let _ = tb.convolve(&rl);
-    let _ = tb.deconvolve(&rl).unwrap();
-    let sa = SampledCurve::from_curve(&tb, 0.5, 32);
-    let sb = SampledCurve::from_curve(&rl, 0.5, 32);
-    let _ = sa.convolve(&sb);
-    let _ = sa.deconvolve(&sb).unwrap();
+    let _ = tb.convolve(&rl); // segment merge
+    let _ = rl.convolve(&rl); // convex pair
+    let _ = Curve::delta(0.0).convolve(&rl); // shift
 
     let snap = tel::global_snapshot();
-    // Latency peeling may recurse, so convolution counts once per call.
-    assert!(snap.counter_value("minplus_convolution_total", &[]) >= 1);
-    assert_eq!(snap.counter_value("minplus_deconvolution_total", &[]), 1);
-    assert_eq!(snap.counter_value("minplus_grid_convolution_total", &[]), 1);
-    assert_eq!(snap.counter_value("minplus_grid_deconvolution_total", &[]), 1);
-    for name in ["minplus_convolution_seconds", "minplus_deconvolution_seconds"] {
-        assert!(
-            matches!(snap.get(name, &[]), Some(tel::MetricValue::Histogram(h)) if h.count() >= 1),
-            "missing timing histogram {name}"
-        );
-    }
+    // Every route counts once per call.
+    assert_eq!(snap.counter_value("minplus_convolution_total", &[]), 3);
+    assert!(
+        matches!(
+            snap.get("minplus_convolution_seconds", &[]),
+            Some(tel::MetricValue::Histogram(h)) if h.count() == 3
+        ),
+        "missing timing histogram minplus_convolution_seconds"
+    );
 }

@@ -17,7 +17,7 @@
 use crate::sweep::SweepEngine;
 use crate::{flows_for_utilization, tandem};
 use nc_core::PathScheduler;
-use nc_minplus::{Curve, SampledCurve};
+use nc_minplus::Curve;
 use nc_sim::SchedulerKind;
 use nc_telemetry::{self as tel, json};
 use std::collections::BTreeMap;
@@ -310,14 +310,6 @@ fn fig3_sweep_body(smoke: bool, threads: usize) -> Box<dyn Fn()> {
     })
 }
 
-/// Mixed-shape piecewise-linear curves with several convex runs each —
-/// the general segment-merge convolution path.
-fn mixed_curves() -> (Curve, Curve) {
-    let f = Curve::token_bucket(1.0, 6.0).min(&Curve::rate_latency(4.0, 2.0));
-    let g = Curve::rate_latency(3.0, 1.0).min(&Curve::token_bucket(0.5, 10.0));
-    (f, g)
-}
-
 /// Builds the pinned suite. `threads` is the resolved parallel-sweep
 /// worker count; `guard` restricts the suite to the analysis pair.
 fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
@@ -338,19 +330,6 @@ fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
     if guard {
         return ws;
     }
-    let k_merge = if smoke { 50 } else { 400 };
-    let (f, g) = mixed_curves();
-    ws.push(Workload {
-        name: "minplus/segment-merge-convolve".into(),
-        kind: "minplus-kernel",
-        threads: 1,
-        body: Box::new(move || {
-            for _ in 0..k_merge {
-                let h = f.convolve_segment_merge(&g);
-                assert!(h.eval(4.0).is_finite());
-            }
-        }),
-    });
     let k_convex = if smoke { 500 } else { 5_000 };
     let (a, b) = (Curve::rate_latency(4.0, 2.0), Curve::rate_latency(6.0, 3.0));
     ws.push(Workload {
@@ -362,35 +341,6 @@ fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
                 let h = a.convolve(&b);
                 assert!(h.eval(10.0).is_finite());
             }
-        }),
-    });
-    let n = if smoke { 128 } else { 512 };
-    let k_grid = if smoke { 5 } else { 20 };
-    let sa = SampledCurve::from_curve(&Curve::token_bucket(1.0, 5.0), 0.5, n);
-    let sb = SampledCurve::from_curve(&Curve::rate_latency(4.0, 2.0), 0.5, n);
-    let (ca, cb) = (sa.clone(), sb.clone());
-    ws.push(Workload {
-        name: "minplus/grid-convolve-into".into(),
-        kind: "minplus-kernel",
-        threads: 1,
-        body: Box::new(move || {
-            let mut out = Vec::new();
-            for _ in 0..k_grid {
-                ca.convolve_into(&cb, &mut out);
-            }
-            assert_eq!(out.len(), n);
-        }),
-    });
-    ws.push(Workload {
-        name: "minplus/grid-deconvolve-into".into(),
-        kind: "minplus-kernel",
-        threads: 1,
-        body: Box::new(move || {
-            let mut out = Vec::new();
-            for _ in 0..k_grid {
-                sa.deconvolve_into(&sb, &mut out).expect("full horizon");
-            }
-            assert_eq!(out.len(), n);
         }),
     });
     let slots = if smoke { 2_000 } else { 20_000 };

@@ -39,11 +39,9 @@ pub(crate) fn run(p: &UtilizationSweep, opts: &RunOpts) -> Result<(), Error> {
     let mut sections: Vec<Range<usize>> = Vec::new();
     for &hops in &p.hops {
         let start = cells.len();
-        let mut u = p.u_start;
-        while u <= p.u_stop {
+        for u in grid(p) {
             let n_total = flows_for_utilization(u);
             cells.push(Cell { hops, u, n_cross: n_total.saturating_sub(n_through) });
-            u += p.u_step;
         }
         sections.push(start..cells.len());
     }
@@ -97,4 +95,43 @@ pub(crate) fn run(p: &UtilizationSweep, opts: &RunOpts) -> Result<(), Error> {
         }
     }
     Ok(())
+}
+
+/// The utilizations `u_start + k·u_step`, `k = 0, 1, …`, up to `u_stop`.
+/// The relative tolerance on `u_stop` keeps a last point that lies on
+/// the grid but lands a rounding error above `u_stop`.
+fn grid(p: &UtilizationSweep) -> impl Iterator<Item = f64> + '_ {
+    let limit = p.u_stop * (1.0 + 1e-9);
+    (0..).map(|k| p.u_start + k as f64 * p.u_step).take_while(move |&u| u <= limit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sweep(u_start: f64, u_step: f64, u_stop: f64) -> UtilizationSweep {
+        UtilizationSweep {
+            hops: vec![2],
+            u_through: 0.15,
+            u_start,
+            u_step,
+            u_stop,
+            edf_cross_ratio: 10.0,
+            epsilon: 1e-9,
+        }
+    }
+
+    #[test]
+    fn grid_keeps_a_stop_that_lies_on_it() {
+        // 0.20 + 15 · 0.05 lands a rounding error away from 0.95.
+        let percents: Vec<f64> =
+            grid(&sweep(0.20, 0.05, 0.95)).map(|u| (u * 100.0).round()).collect();
+        assert_eq!(percents.len(), 16);
+        assert_eq!(percents.first(), Some(&20.0));
+        assert_eq!(percents.last(), Some(&95.0));
+        // Fig. 2's `u_stop: 0.951` gives the same grid.
+        assert_eq!(grid(&sweep(0.20, 0.05, 0.951)).count(), 16);
+        // A stop between two grid points ends at the point below it.
+        assert_eq!(grid(&sweep(0.30, 0.20, 0.69)).count(), 2);
+    }
 }

@@ -154,12 +154,18 @@ fn cfg(
     }
 }
 
+/// Through and cross leaky buckets (kb per slot, kb) of the
+/// deterministic min-plus cross-check. The tandem is stable only above
+/// their summed rate, so `Scenario::check` rejects a `validate` scenario
+/// whose capacity does not exceed it.
+pub(crate) const CROSS_CHECK_THROUGH: LeakyBucket = LeakyBucket { rate: 6.0, burst: 10.0 };
+pub(crate) const CROSS_CHECK_CROSS: LeakyBucket = LeakyBucket { rate: 9.0, burst: 15.0 };
+
 /// The γ = 0 BMUX optimizer bound and the classical min-plus pipeline
 /// bound for the same leaky-bucket tandem (they must agree; computing
 /// the pipeline also exercises the instrumented min-plus operators).
 fn minplus_cross_check(capacity: f64, hops: usize) -> (f64, f64) {
-    let through = LeakyBucket::new(6.0, 10.0);
-    let cross = LeakyBucket::new(9.0, 15.0);
+    let (through, cross) = (CROSS_CHECK_THROUGH, CROSS_CHECK_CROSS);
     let opt = deterministic_delay_bound(capacity, hops, through, cross, PathScheduler::Bmux)
         .expect("leaky-bucket tandem is stable");
     let leftover =

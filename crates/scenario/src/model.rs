@@ -6,6 +6,7 @@
 //! uses the zero-dependency JSON reader in [`nc_telemetry::json`].
 
 use crate::error::Error;
+use crate::experiments::validate::{CROSS_CHECK_CROSS, CROSS_CHECK_THROUGH};
 use crate::sched::parse_sched;
 use nc_sim::{FaultModel, FaultPlan, SchedulerKind};
 use nc_telemetry::json::{self, Json};
@@ -427,7 +428,11 @@ impl Scenario {
                 if !(p.u_total > 0.0 && p.u_total < 1.0) {
                     return Err("`params.u_total` must lie in (0, 1)".into());
                 }
-                if p.mix_step == 0 || p.mix_start == 0 || p.mix_stop >= 100 {
+                if p.mix_step == 0
+                    || p.mix_start == 0
+                    || p.mix_start > p.mix_stop
+                    || p.mix_stop >= 100
+                {
                     return Err("mix grid must satisfy 0 < mix_start <= mix_stop < 100, \
                                 mix_step > 0"
                         .into());
@@ -455,8 +460,13 @@ impl Scenario {
                 }
             }
             Experiment::Validate(p) => {
-                if !(p.capacity > 0.0 && p.capacity.is_finite()) {
-                    return Err("`params.capacity` must be positive".into());
+                let load = CROSS_CHECK_THROUGH.rate + CROSS_CHECK_CROSS.rate;
+                if !(p.capacity > load && p.capacity.is_finite()) {
+                    return Err(format!(
+                        "`params.capacity` must be finite and exceed {load} kb/slot, the summed \
+                         rate of the min-plus cross-check's leaky buckets, got {}",
+                        p.capacity
+                    ));
                 }
                 if !eps_ok(p.epsilon) {
                     return Err("`params.epsilon` must lie in (0, 1)".into());
@@ -935,6 +945,27 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("unknown scheduler"), "{err}");
+        // The cross-check's leaky buckets (6 + 9 kb/slot) are unstable
+        // at or below 15 kb/slot.
+        for capacity in ["12.0", "15.0"] {
+            let err = Scenario::from_json(&format!(
+                r#"{{"name": "v", "experiment": "validate",
+                    "params": {{"capacity": {capacity}, "epsilon": 1e-3,
+                               "sections": [{{"hops": 1, "through": 40, "cross": 60}}],
+                               "schedulers": [{{"label": "FIFO", "sched": "fifo"}}]}}}}"#
+            ))
+            .unwrap_err();
+            assert!(err.contains("cross-check"), "{capacity}: {err}");
+        }
+        // A reversed mix grid would print empty sections.
+        let err = Scenario::from_json(
+            r#"{"name": "m", "experiment": "mix_sweep",
+                "params": {"hops": [2], "u_total": 0.5, "mix_start": 60, "mix_stop": 20,
+                           "mix_step": 10, "edf_ratio_short": 1.0, "edf_ratio_long": 10.0,
+                           "epsilon": 1e-9}}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("mix_start <= mix_stop"), "{err}");
         // Zero-rep sims are meaningless.
         assert!(Scenario::from_json(
             r#"{"name": "b", "experiment": "bound",
