@@ -160,15 +160,11 @@ pub(crate) fn search(
         }
     };
     let n = 28usize;
-    {
-        let _grid = tel::span("core.path.gamma_grid");
-        for i in 1..n {
-            consider(gamma_max * i as f64 / n as f64, &mut best);
-        }
+    for i in 1..n {
+        consider(gamma_max * i as f64 / n as f64, &mut best);
     }
     let step0 = gamma_max / n as f64;
     if let Some(cur) = best {
-        let _refine = tel::span("core.path.gamma_refine");
         let mut lo = (cur.gamma - step0).max(gamma_max * 1e-9);
         let mut hi = (cur.gamma + step0).min(gamma_max * (1.0 - 1e-9));
         for _ in 0..3 {

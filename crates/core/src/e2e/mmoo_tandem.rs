@@ -9,6 +9,10 @@ use nc_traffic::{Ebb, Mmoo};
 
 static S_EVALS: tel::Counter = tel::Counter::new("core_s_evals_total");
 static S_PRUNED: tel::Counter = tel::Counter::new("core_s_pruned_total");
+/// Wall time of each `s` search, plain and EDF; the EDF fixed points
+/// and γ searches inside have timings of their own.
+static S_SEARCH_SECONDS: tel::Timing = tel::Timing::new("core_s_search_seconds");
+static ADDITIVE_SECONDS: tel::Timing = tel::Timing::new("core_additive_seconds");
 
 /// Relative margin by which a moment parameter's delay floor must
 /// exceed the best bound before the `s` search skips it; it absorbs
@@ -249,7 +253,7 @@ impl MmooTandem {
     ///
     /// Panics if `epsilon` is not in `(0, 1)`.
     pub fn delay_bound(&self, epsilon: f64) -> Option<MmooDelayBound> {
-        let _span = tel::span("core.source_tandem.delay_bound");
+        let _timer = S_SEARCH_SECONDS.start();
         self.optimize_over_s(epsilon, |path| path.delay_bound(epsilon).map(|b| (b, 0.0)))
             .map(|(bound, s, _)| MmooDelayBound { bound, s })
     }
@@ -288,7 +292,7 @@ impl MmooTandem {
         epsilon: f64,
         cross_over_through: f64,
     ) -> Option<(MmooDelayBound, f64)> {
-        let _span = tel::span("core.source_tandem.edf_fixed_point");
+        let _timer = S_SEARCH_SECONDS.start();
         self.optimize_over_s(epsilon, |path| {
             path.edf_delay_bound_fixed_point(epsilon, cross_over_through)
         })
@@ -298,7 +302,7 @@ impl MmooTandem {
     /// The additive node-by-node BMUX baseline of Example 3, optimized
     /// over the `s` grid (and internally over `γ`).
     pub fn additive_bmux_delay(&self, epsilon: f64) -> Option<f64> {
-        let _span = tel::span("core.source_tandem.additive_bmux");
+        let _timer = ADDITIVE_SECONDS.start();
         let mut best: Option<f64> = None;
         for s in self.s_grid() {
             let (through, cross) = self.aggregates(s);

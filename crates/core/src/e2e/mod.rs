@@ -35,6 +35,7 @@ static DELAY_BOUND_CALLS: tel::Counter = tel::Counter::new("core_delay_bound_cal
 static DELAY_BOUND_SECONDS: tel::Timing = tel::Timing::new("core_delay_bound_seconds");
 static EDF_ITERATIONS: tel::Counter = tel::Counter::new("core_edf_fixed_point_iterations_total");
 static EDF_NONCONVERGED: tel::Counter = tel::Counter::new("core_edf_nonconverged_total");
+static EDF_SECONDS: tel::Timing = tel::Timing::new("core_edf_fixed_point_seconds");
 
 /// Relative tolerance of the EDF deadline fixed point: the final
 /// bracket width (`ratio > 1`) or step (`ratio ≤ 1`) is at most
@@ -210,7 +211,6 @@ impl TandemPath {
     /// assert!(bound.delay > 0.0);
     /// ```
     pub fn delay_bound(&self, epsilon: f64) -> Option<E2eDelayBound> {
-        let _span = tel::span("core.path.delay_bound");
         let _timer = DELAY_BOUND_SECONDS.start();
         DELAY_BOUND_CALLS.add(1);
         gamma::search(&self.through, &self.segment(), self.gamma_max(), epsilon)
@@ -260,7 +260,7 @@ impl TandemPath {
         if !self.is_stable() {
             return None;
         }
-        let _span = tel::span("core.edf_fixed_point");
+        let _timer = EDF_SECONDS.start();
         let h = self.hops as f64;
         let t = |d: f64| {
             EDF_ITERATIONS.add(1);

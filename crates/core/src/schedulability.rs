@@ -102,7 +102,6 @@ pub fn min_feasible_delay(
     envelopes: &[DetEnvelope],
     j: usize,
 ) -> Option<f64> {
-    let _span = tel::span("core.schedulability.min_feasible_delay");
     let rate_sum: f64 =
         sched.interfering(j).into_iter().map(|k| envelopes[k].curve().long_run_rate()).sum();
     if rate_sum > capacity {

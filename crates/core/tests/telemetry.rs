@@ -1,7 +1,7 @@
 //! Solver instrumentation smoke test (runs with `--features telemetry`).
 //!
-//! All assertions live in one `#[test]` because the global registry and
-//! span buffer are process-wide.
+//! All assertions live in one `#[test]` because the global registry is
+//! process-wide.
 
 #![cfg(feature = "telemetry")]
 
@@ -9,10 +9,17 @@ use nc_core::{MmooTandem, PathScheduler};
 use nc_telemetry as tel;
 use nc_traffic::Mmoo;
 
+/// Observations of the timing `name`.
+fn timed(snap: &tel::MetricSet, name: &str) -> u64 {
+    match snap.get(name, &[]) {
+        Some(tel::MetricValue::Histogram(h)) => h.count(),
+        _ => 0,
+    }
+}
+
 #[test]
-fn delay_bound_records_counters_timings_and_nested_spans() {
+fn delay_bound_records_counters_and_layer_timings() {
     tel::reset_global();
-    tel::reset_spans();
     let tandem = MmooTandem {
         source: Mmoo::paper_source(),
         n_through: 40,
@@ -36,16 +43,18 @@ fn delay_bound_records_counters_timings_and_nested_spans() {
     assert!(counter("core_s_evals_total") > 0);
     // The solver is counted, never timed: no clock read per solve.
     assert!(snap.get("core_solver_seconds", &[]).is_none());
-    assert!(matches!(
-        snap.get("core_delay_bound_seconds", &[]),
-        Some(tel::MetricValue::Histogram(h)) if h.count() > 0
-    ));
+    // One s search, timed once; each γ search inside it, once each.
+    assert_eq!(timed(&snap, "core_s_search_seconds"), 1);
+    assert_eq!(timed(&snap, "core_delay_bound_seconds"), counter("core_delay_bound_calls_total"));
+    assert_eq!(timed(&snap, "core_edf_fixed_point_seconds"), 0);
+    assert_eq!(timed(&snap, "core_additive_seconds"), 0);
 
-    // Span nesting: source_tandem.delay_bound ⊃ path.delay_bound ⊃ γ search.
-    let spans = tel::spans_snapshot();
-    let max_depth = |name: &str| spans.iter().filter(|s| s.name == name).map(|s| s.depth).max();
-    assert_eq!(max_depth("core.source_tandem.delay_bound"), Some(0));
-    assert_eq!(max_depth("core.path.delay_bound"), Some(1));
-    assert_eq!(max_depth("core.path.gamma_grid"), Some(2));
-    assert_eq!(max_depth("core.path.gamma_refine"), Some(2));
+    // An EDF cell is one more s search, with a fixed point per s it
+    // runs; the additive baseline has a timing of its own.
+    tandem.edf_delay_bound_fixed_point(1e-3, 10.0).expect("stable tandem has an EDF bound");
+    tandem.additive_bmux_delay(1e-3).expect("stable tandem has an additive bound");
+    let snap = tel::global_snapshot();
+    assert_eq!(timed(&snap, "core_s_search_seconds"), 2);
+    assert!(timed(&snap, "core_edf_fixed_point_seconds") > 0);
+    assert_eq!(timed(&snap, "core_additive_seconds"), 1);
 }

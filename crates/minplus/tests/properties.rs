@@ -8,6 +8,7 @@
 
 use nc_minplus::Curve;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Strategy: a random rate-latency curve (convex).
 fn rate_latency() -> impl Strategy<Value = Curve> {
@@ -75,14 +76,156 @@ fn assert_close(a: f64, b: f64, ctx: &str) {
     }
 }
 
+// The properties below, as functions of their inputs, so that the
+// saved regression cases re-run through them by name.
+
+fn commutes(a: &Curve, b: &Curve) -> Result<(), TestCaseError> {
+    let ab = a.convolve(b);
+    let ba = b.convolve(a);
+    for t in PROBE {
+        assert_close(ab.eval(t), ba.eval(t), &format!("(a∗b)(t)≠(b∗a)(t) at t={t}"));
+    }
+    Ok(())
+}
+
+fn dominated_by_operands(a: &Curve, b: &Curve) -> Result<(), TestCaseError> {
+    // (f ∗ g)(t) ≤ min(f(t) + g(0⁺), f(0⁺) + g(t)) ≤ f(t) + g(t) additive…
+    // The simplest universal law: f ∗ g ≤ f (taking s = t) up to g(0) = 0,
+    // and f ∗ g ≤ g likewise.
+    let c = a.convolve(b);
+    for t in PROBE {
+        let v = c.eval(t);
+        prop_assert!(v <= a.eval(t) + 1e-6 * (1.0 + a.eval(t).abs()) || a.eval(t).is_infinite());
+        prop_assert!(v <= b.eval(t) + 1e-6 * (1.0 + b.eval(t).abs()) || b.eval(t).is_infinite());
+    }
+    Ok(())
+}
+
+fn min_commutes_and_lowers(a: &Curve, b: &Curve) -> Result<(), TestCaseError> {
+    let m = a.min(b);
+    let m2 = b.min(a);
+    for t in PROBE {
+        assert_close(m.eval(t), m2.eval(t), "min commutes");
+        assert_close(m.eval(t), a.eval(t).min(b.eval(t)), &format!("min value at t={t}"));
+    }
+    Ok(())
+}
+
+fn adds_pointwise(a: &Curve, b: &Curve) -> Result<(), TestCaseError> {
+    let s = a.add(b);
+    for t in PROBE {
+        assert_close(s.eval(t), a.eval(t) + b.eval(t), &format!("add value at t={t}"));
+    }
+    Ok(())
+}
+
+fn leftover_is_clamped_difference(c: f64, g: &Curve) -> Result<(), TestCaseError> {
+    // The Theorem-1 shape [Ct − G(t)]₊ with C above the long-run rate.
+    prop_assume!(g.long_run_rate() < c);
+    let rate = Curve::rate(c).unwrap();
+    let s = rate.sub_clamped_closure(g);
+    for t in PROBE {
+        assert_close(s.eval(t), (c * t - g.eval(t)).max(0.0), &format!("leftover at t={t}"));
+    }
+    Ok(())
+}
+
+fn agrees_with_grid(a: &Curve, b: &Curve) -> Result<(), TestCaseError> {
+    // Every route of `convolve` must return the brute-force infimum.
+    let exact = a.convolve(b);
+    let dt = 0.25;
+    for i in 0..128 {
+        let t = i as f64 * dt;
+        let e = exact.eval(t);
+        let brute = brute_convolve_at(a, b, t, 64);
+        if e.is_infinite() || brute.is_infinite() {
+            continue; // a jump to +∞ may sit within rounding of t
+        }
+        let tol = 1e-6 * (1.0 + e.abs().max(brute.abs()));
+        prop_assert!(e <= brute + tol, "exact {e} above brute force {brute} at t={t}");
+        prop_assert!(
+            e >= brute - tol,
+            "exact {e} below brute force {brute} at t={t}\nA={a:?}\nB={b:?}\nE={exact:?}"
+        );
+    }
+    Ok(())
+}
+
+fn long_run_rate_is_min(a: &Curve, b: &Curve) -> Result<(), TestCaseError> {
+    let c = a.convolve(b);
+    let want = a.long_run_rate().min(b.long_run_rate());
+    assert_close(c.long_run_rate(), want, "long-run rate of convolution");
+    Ok(())
+}
+
+/// Runs one saved case through a property: a rejected case fails too,
+/// since a saved case is there to be checked.
+fn replay(property: &str, outcome: Result<(), TestCaseError>) {
+    if let Err(e) = outcome {
+        panic!("{property}: {e:?}");
+    }
+}
+
+/// Every property of shape `(a, b)`.
+fn replay_pair(a: &Curve, b: &Curve) {
+    replay("commutes", commutes(a, b));
+    replay("dominated_by_operands", dominated_by_operands(a, b));
+    replay("min_commutes_and_lowers", min_commutes_and_lowers(a, b));
+    replay("adds_pointwise", adds_pointwise(a, b));
+    replay("agrees_with_grid", agrees_with_grid(a, b));
+    replay("long_run_rate_is_min", long_run_rate_is_min(a, b));
+}
+
+/// `min(token_bucket(r1, b1), token_bucket(r2, b2))` where the second
+/// bucket's line passes through `(x, y)`: the two-segment concave curve
+/// `[(0, b1, r1), (x, y, r2)]`, up to the rounding of the crossing.
+fn two_buckets(r1: f64, b1: f64, x: f64, y: f64, r2: f64) -> Curve {
+    Curve::token_bucket(r1, b1).min(&Curve::token_bucket(r2, y - r2 * x))
+}
+
+// Failure cases proptest once shrank to, kept as named tests.
+
+#[test]
+fn saved_case_bucket_against_pure_rate() {
+    let a = Curve::token_bucket(0.01, 12.501376466158089);
+    let b = Curve::rate(37.702691342599955).unwrap();
+    replay_pair(&a, &b);
+    replay_pair(&b, &a);
+}
+
+#[test]
+fn saved_case_bucket_against_two_buckets() {
+    let a = Curve::token_bucket(14.394153468180836, 5.717890315824628);
+    let b = two_buckets(
+        24.43514280093814,
+        33.10340256393754,
+        2.543829022957358,
+        95.26222800107153,
+        10.655120732764615,
+    );
+    assert_eq!(b.segments().len(), 2);
+    replay_pair(&a, &b);
+    replay_pair(&b, &a);
+}
+
+#[test]
+fn saved_case_leftover_of_two_buckets() {
+    let c = 97.1837087603537;
+    let g = two_buckets(
+        36.450681236408506,
+        78.0711557432863,
+        0.225701775893222,
+        86.29813923086144,
+        2.7702335418015163,
+    );
+    assert_eq!(g.segments().len(), 2);
+    replay("leftover_is_clamped_difference", leftover_is_clamped_difference(c, &g));
+}
+
 proptest! {
     #[test]
     fn convolution_commutes(a in any_curve(), b in any_curve()) {
-        let ab = a.convolve(&b);
-        let ba = b.convolve(&a);
-        for t in PROBE {
-            assert_close(ab.eval(t), ba.eval(t), &format!("(a∗b)(t)≠(b∗a)(t) at t={t}"));
-        }
+        commutes(&a, &b)?;
     }
 
     #[test]
@@ -96,15 +239,7 @@ proptest! {
 
     #[test]
     fn convolution_is_dominated_by_operands(a in any_curve(), b in any_curve()) {
-        // (f ∗ g)(t) ≤ min(f(t) + g(0⁺), f(0⁺) + g(t)) ≤ f(t) + g(t) additive…
-        // The simplest universal law: f ∗ g ≤ f (taking s = t) up to g(0) = 0,
-        // and f ∗ g ≤ g likewise.
-        let c = a.convolve(&b);
-        for t in PROBE {
-            let v = c.eval(t);
-            prop_assert!(v <= a.eval(t) + 1e-6 * (1.0 + a.eval(t).abs()) || a.eval(t).is_infinite());
-            prop_assert!(v <= b.eval(t) + 1e-6 * (1.0 + b.eval(t).abs()) || b.eval(t).is_infinite());
-        }
+        dominated_by_operands(&a, &b)?;
     }
 
     #[test]
@@ -126,31 +261,17 @@ proptest! {
 
     #[test]
     fn min_is_commutative_and_lower(a in any_curve(), b in any_curve()) {
-        let m = a.min(&b);
-        let m2 = b.min(&a);
-        for t in PROBE {
-            assert_close(m.eval(t), m2.eval(t), "min commutes");
-            assert_close(m.eval(t), a.eval(t).min(b.eval(t)), &format!("min value at t={t}"));
-        }
+        min_commutes_and_lowers(&a, &b)?;
     }
 
     #[test]
     fn add_is_pointwise(a in concave(), b in concave()) {
-        let s = a.add(&b);
-        for t in PROBE {
-            assert_close(s.eval(t), a.eval(t) + b.eval(t), &format!("add value at t={t}"));
-        }
+        adds_pointwise(&a, &b)?;
     }
 
     #[test]
     fn sub_clamped_of_rate_minus_concave(c in 10.0f64..100.0, g in concave()) {
-        // The Theorem-1 shape [Ct − G(t)]₊ with C above the long-run rate.
-        prop_assume!(g.long_run_rate() < c);
-        let rate = Curve::rate(c).unwrap();
-        let s = rate.sub_clamped_closure(&g);
-        for t in PROBE {
-            assert_close(s.eval(t), (c * t - g.eval(t)).max(0.0), &format!("leftover at t={t}"));
-        }
+        leftover_is_clamped_difference(c, &g)?;
     }
 
     #[test]
@@ -189,27 +310,12 @@ proptest! {
 
     #[test]
     fn convolution_agrees_with_grid(a in any_curve(), b in any_curve()) {
-        // Every route of `convolve` must return the brute-force infimum.
-        let exact = a.convolve(&b);
-        let dt = 0.25;
-        for i in 0..128 {
-            let t = i as f64 * dt;
-            let e = exact.eval(t);
-            let brute = brute_convolve_at(&a, &b, t, 64);
-            if e.is_infinite() || brute.is_infinite() {
-                continue; // a jump to +∞ may sit within rounding of t
-            }
-            let tol = 1e-6 * (1.0 + e.abs().max(brute.abs()));
-            prop_assert!(e <= brute + tol, "exact {e} above brute force {brute} at t={t}");
-            prop_assert!(e >= brute - tol, "exact {e} below brute force {brute} at t={t}\nA={a:?}\nB={b:?}\nE={exact:?}");
-        }
+        agrees_with_grid(&a, &b)?;
     }
 
     #[test]
     fn long_run_rate_of_convolution_is_min(a in concave(), b in concave()) {
-        let c = a.convolve(&b);
-        let want = a.long_run_rate().min(b.long_run_rate());
-        assert_close(c.long_run_rate(), want, "long-run rate of convolution");
+        long_run_rate_is_min(&a, &b)?;
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Run-artifact collection (metrics, traces, events, manifest) and the
-//! figure scenarios' Monte Carlo overlay column.
+//! Run-artifact collection (metrics, events, manifest) and the figure
+//! scenarios' Monte Carlo overlay column.
 
 use crate::error::Error;
 use crate::experiments::simulate_cell;
@@ -8,15 +8,15 @@ use crate::CAPACITY;
 use nc_telemetry as tel;
 use nc_traffic::Mmoo;
 
-/// Writes the telemetry artifacts (`--metrics-out`, `--trace-out`,
-/// `--events-out`, and the run manifest) at the end of a scenario run.
+/// Writes the telemetry artifacts (`--metrics-out`, `--events-out`, and
+/// the run manifest) at the end of a scenario run.
 ///
 /// Construct with [`RunArtifacts::begin`] before the workload and call
 /// [`RunArtifacts::finish`] last; the workload folds its metric shards
 /// into the global registry in between.
 /// Without artifact flags every method is a no-op, and without the
-/// `telemetry` feature the files are written but carry empty metric and
-/// span sections.
+/// `telemetry` feature the files are written but carry empty metric
+/// sections.
 #[derive(Debug)]
 pub struct RunArtifacts {
     opts: RunOpts,
@@ -26,12 +26,10 @@ pub struct RunArtifacts {
 
 impl RunArtifacts {
     /// Starts artifact collection for `binary` (resets the global
-    /// registry and span buffer so the artifacts cover exactly this
-    /// run).
+    /// registry so the artifacts cover exactly this run).
     pub fn begin(binary: &str, opts: &RunOpts) -> Self {
         if opts.wants_artifacts() {
             tel::reset_global();
-            tel::reset_spans();
         }
         RunArtifacts {
             opts: opts.clone(),
@@ -47,19 +45,13 @@ impl RunArtifacts {
             return Ok(());
         }
         let set = tel::global_snapshot();
-        let spans = tel::spans_snapshot();
-        let dropped = tel::dropped_spans();
         let mut artifacts: Vec<(String, String)> = Vec::new();
         if let Some(p) = &self.opts.metrics_out {
             tel::export::write_file(p, &tel::export::prometheus(&set))?;
             artifacts.push(("metrics".to_string(), p.clone()));
         }
-        if let Some(p) = &self.opts.trace_out {
-            tel::export::write_file(p, &tel::export::chrome_trace(&self.binary, &spans, dropped))?;
-            artifacts.push(("trace".to_string(), p.clone()));
-        }
         if let Some(p) = &self.opts.events_out {
-            tel::export::write_file(p, &tel::export::events_jsonl(&set, &spans, dropped))?;
+            tel::export::write_file(p, &tel::export::events_jsonl(&set))?;
             artifacts.push(("events".to_string(), p.clone()));
         }
         if let Some(p) = &self.opts.json {

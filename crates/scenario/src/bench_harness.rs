@@ -357,12 +357,13 @@ fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
                 ..nc_sim::SimConfig::default()
             };
             let mut sim = nc_sim::TandemSim::new(cfg, 0x5EED);
-            sim.enable_telemetry();
-            let stats = sim.run(slots);
-            assert!(!stats.is_empty());
-            // The simulator buffers its telemetry in a per-run shard
-            // (merged in replication order by the Monte Carlo engine);
-            // flush it so the bench entry's op counts cover it.
+            for _ in 0..slots {
+                sim.step();
+            }
+            assert!(!sim.lane(0).stats().is_empty());
+            // The simulator keeps its counters per lane (merged in
+            // replication order by the Monte Carlo engine); flush them
+            // so the bench entry's op counts cover them.
             tel::merge_global(&sim.lane(0).metrics());
         }),
     });
@@ -394,7 +395,6 @@ fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
         // rows served by one arrival stream.
         body: Box::new(move || {
             let mut sim = nc_sim::TandemSim::with_lanes(&lanes, 0x5EED).expect("no fault plan");
-            sim.enable_telemetry();
             for _ in 0..slots {
                 sim.step();
             }

@@ -12,7 +12,6 @@ pub const USAGE: &str = "options:
   --sim             add simulated-quantile overlay columns (figure scenarios)
   --progress        live replication progress + ETA on stderr
   --metrics-out P   write Prometheus text-format metrics to P
-  --trace-out P     write a Chrome trace_event JSON profile to P
   --events-out P    write a JSONL telemetry event stream to P
   --manifest-out P  write the run-manifest JSON to P (defaults to
                     <first artifact>.manifest.json when any artifact
@@ -22,9 +21,9 @@ pub const USAGE: &str = "options:
 
 /// Command-line options shared by every scenario run:
 /// `--reps`, `--threads`, `--seed`, `--slots`, `--sim`, `--progress`,
-/// and the artifact outputs `--metrics-out`, `--trace-out`,
-/// `--events-out`, `--manifest-out` (plus `--json` where the scenario
-/// opts in via [`RunOpts::with_json`]).
+/// and the artifact outputs `--metrics-out`, `--events-out`,
+/// `--manifest-out` (plus `--json` where the scenario opts in via
+/// [`RunOpts::with_json`]).
 ///
 /// The same master seed always produces the same output, regardless of
 /// `--threads` (see [`MonteCarlo`]) and of whether telemetry is
@@ -45,8 +44,6 @@ pub struct RunOpts {
     pub progress: bool,
     /// Prometheus text-exposition output path (`--metrics-out`).
     pub metrics_out: Option<String>,
-    /// Chrome trace_event JSON output path (`--trace-out`).
-    pub trace_out: Option<String>,
     /// JSONL event-stream output path (`--events-out`).
     pub events_out: Option<String>,
     /// Run-manifest JSON output path (`--manifest-out`).
@@ -74,7 +71,6 @@ impl RunOpts {
             sim: false,
             progress: false,
             metrics_out: None,
-            trace_out: None,
             events_out: None,
             manifest_out: None,
             json: None,
@@ -102,7 +98,6 @@ impl RunOpts {
                 "--sim" => self.sim = true,
                 "--progress" => self.progress = true,
                 "--metrics-out" => self.metrics_out = Some(value(&mut it, "--metrics-out")?),
-                "--trace-out" => self.trace_out = Some(value(&mut it, "--trace-out")?),
                 "--events-out" => self.events_out = Some(value(&mut it, "--events-out")?),
                 "--manifest-out" => self.manifest_out = Some(value(&mut it, "--manifest-out")?),
                 "--json" if self.accepts_json => self.json = Some(value(&mut it, "--json")?),
@@ -120,15 +115,6 @@ impl RunOpts {
 
     /// Whether any telemetry artifact output was requested.
     pub fn wants_artifacts(&self) -> bool {
-        self.metrics_out.is_some()
-            || self.trace_out.is_some()
-            || self.events_out.is_some()
-            || self.manifest_out.is_some()
-    }
-
-    /// Whether per-replication metric shards are needed (any output
-    /// that renders the metric registry).
-    pub fn wants_metrics(&self) -> bool {
         self.metrics_out.is_some() || self.events_out.is_some() || self.manifest_out.is_some()
     }
 
@@ -139,20 +125,17 @@ impl RunOpts {
         self.manifest_out.clone().or_else(|| {
             self.metrics_out
                 .as_ref()
-                .or(self.trace_out.as_ref())
                 .or(self.events_out.as_ref())
                 .map(|p| format!("{p}.manifest.json"))
         })
     }
 
     /// The Monte Carlo plan of these options: replications, slots,
-    /// master seed and threads, with progress reporting and metric
-    /// collection per the flags.
+    /// master seed and threads, with progress reporting per the flags.
     pub fn monte_carlo(&self) -> MonteCarlo {
         MonteCarlo::new(self.reps, self.slots, self.seed)
             .threads(self.threads)
             .progress(self.progress)
-            .collect_metrics(self.wants_metrics())
     }
 
     /// A lane simulating `cfg` under these options' fault plan.
@@ -178,7 +161,7 @@ mod tests {
     fn runopts_defaults_and_flags() {
         let o = RunOpts::new(8, 250_000).parse(args(&[])).unwrap();
         assert_eq!((o.reps, o.threads, o.slots, o.sim), (8, 0, 250_000, false));
-        assert!(!o.progress && !o.wants_artifacts() && !o.wants_metrics());
+        assert!(!o.progress && !o.wants_artifacts());
         let o = RunOpts::new(8, 250_000)
             .parse(args(&[
                 "--reps",
@@ -208,16 +191,15 @@ mod tests {
     #[test]
     fn runopts_artifact_flags() {
         let o = RunOpts::new(2, 100)
-            .parse(args(&["--progress", "--metrics-out", "m.prom", "--trace-out", "t.json"]))
+            .parse(args(&["--progress", "--metrics-out", "m.prom", "--events-out", "e.jsonl"]))
             .unwrap();
-        assert!(o.progress && o.wants_artifacts() && o.wants_metrics());
+        assert!(o.progress && o.wants_artifacts());
         assert_eq!(o.metrics_out.as_deref(), Some("m.prom"));
         assert_eq!(o.manifest_path().as_deref(), Some("m.prom.manifest.json"));
 
-        // --trace-out alone needs no metric shards but still a manifest.
-        let o = RunOpts::new(2, 100).parse(args(&["--trace-out", "t.json"])).unwrap();
-        assert!(o.wants_artifacts() && !o.wants_metrics());
-        assert_eq!(o.manifest_path().as_deref(), Some("t.json.manifest.json"));
+        let o = RunOpts::new(2, 100).parse(args(&["--events-out", "e.jsonl"])).unwrap();
+        assert!(o.wants_artifacts());
+        assert_eq!(o.manifest_path().as_deref(), Some("e.jsonl.manifest.json"));
 
         let o = RunOpts::new(2, 100).parse(args(&["--manifest-out", "run.json"])).unwrap();
         assert_eq!(o.manifest_path().as_deref(), Some("run.json"));
@@ -230,8 +212,8 @@ mod tests {
         let o = RunOpts::new(2, 100).with_json().parse(args(&["--json", "v.json"])).unwrap();
         assert_eq!(o.json.as_deref(), Some("v.json"));
         assert!(RunOpts::new(2, 100).parse(args(&["--json", "v.json"])).is_err());
-        // --json alone does not switch on telemetry collection.
-        assert!(!o.wants_artifacts() && !o.wants_metrics());
+        // --json alone writes no telemetry artifact.
+        assert!(!o.wants_artifacts());
     }
 
     #[test]

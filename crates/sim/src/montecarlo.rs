@@ -79,10 +79,6 @@ pub struct MonteCarlo {
     /// replication counts from the shared work counter, throughput,
     /// and an ETA (works with or without the `telemetry` feature).
     pub progress: bool,
-    /// Collect per-replication simulator telemetry into
-    /// [`MonteCarloReport::metrics`] (effective only with the
-    /// `telemetry` feature compiled in).
-    pub collect_metrics: bool,
 }
 
 impl MonteCarlo {
@@ -93,7 +89,7 @@ impl MonteCarlo {
     /// Panics if `reps` is zero.
     pub fn new(reps: usize, slots: u64, master_seed: u64) -> Self {
         assert!(reps > 0, "MonteCarlo: need at least one replication");
-        MonteCarlo { reps, threads: 0, master_seed, slots, progress: false, collect_metrics: false }
+        MonteCarlo { reps, threads: 0, master_seed, slots, progress: false }
     }
 
     /// Sets the worker thread count (`0` = auto).
@@ -108,12 +104,6 @@ impl MonteCarlo {
         self
     }
 
-    /// Enables or disables per-replication telemetry collection.
-    pub fn collect_metrics(mut self, on: bool) -> Self {
-        self.collect_metrics = on;
-        self
-    }
-
     /// The per-replication seeds: the first `reps` outputs of the
     /// SplitMix64 sequence started at the master seed.
     pub fn seeds(&self) -> Vec<u64> {
@@ -125,9 +115,8 @@ impl MonteCarlo {
     /// with the given lanes and returns one report per lane, in lane
     /// order. Replication `i` simulates every lane on the arrival
     /// stream of the `i`-th seed ([`TandemSim::with_lanes`]); each
-    /// lane's per-replication statistics (and, with
-    /// [`MonteCarlo::collect_metrics`], its telemetry shards) are
-    /// merged in replication order. A lane's report is therefore the
+    /// lane's per-replication statistics and counters
+    /// ([`LaneSim::metrics`](crate::LaneSim::metrics)) are merged in replication order. A lane's report is therefore the
     /// one a run of that lane alone would give; a one-lane run is a
     /// list of one.
     ///
@@ -305,9 +294,6 @@ impl MonteCarlo {
             for lane in lanes {
                 sim.add_lane(lane).expect("fault plans checked against hops");
             }
-            if self.collect_metrics {
-                sim.enable_telemetry();
-            }
             sim.advance(self.slots);
         }));
         let sim = sim.ok_or(0_usize)?;
@@ -318,7 +304,7 @@ impl MonteCarlo {
             .into_lanes()
             .into_iter()
             .map(|mut lane| {
-                let metrics = if self.collect_metrics { lane.metrics() } else { MetricSet::new() };
+                let metrics = lane.metrics();
                 (lane.take_stats(), metrics)
             })
             .collect();
@@ -369,9 +355,9 @@ pub struct MonteCarloReport {
     /// All replications merged (in replication order).
     pub merged: DelayStats,
     /// Engine metrics (`mc_*`; see [`MonteCarlo::run`] for which lane
-    /// carries which) plus, with [`MonteCarlo::collect_metrics`], the
-    /// replication-order merge of the lane's simulator telemetry shards
-    /// (`sim_*`). Empty without the `telemetry` feature.
+    /// carries which) plus the replication-order merge of the lane's
+    /// simulator counters (`sim_*`). Empty without the `telemetry`
+    /// feature.
     pub metrics: MetricSet,
 }
 
@@ -509,9 +495,13 @@ mod tests {
 
     #[cfg(feature = "telemetry")]
     #[test]
-    fn collect_metrics_merges_sim_shards_deterministically() {
+    fn sim_counters_merge_deterministically() {
+        use nc_telemetry::{MetricKey, MetricValue};
+        fn sim(m: &MetricSet) -> Vec<(&MetricKey, &MetricValue)> {
+            m.iter().filter(|(key, _)| key.name.starts_with("sim_")).collect()
+        }
         let run = |threads| {
-            let mc = MonteCarlo::new(5, 2_000, 3).threads(threads).collect_metrics(true);
+            let mc = MonteCarlo::new(5, 2_000, 3).threads(threads);
             let bmux = SimConfig { scheduler: SchedulerKind::Bmux, ..cfg() };
             mc.run(&[Lane::new(cfg()), Lane::new(bmux)]).unwrap()
         };
@@ -521,15 +511,16 @@ mod tests {
             assert_eq!(a.metrics.counter_value("sim_slots_total", &[]), 5 * 2_000, "lane {k}");
             assert_eq!(
                 a.metrics.counter_value("sim_delay_samples_total", &[]),
-                b.metrics.counter_value("sim_delay_samples_total", &[]),
-                "sim metric merge must not depend on thread count"
+                a.merged.len() as u64,
+                "lane {k}"
             );
+            assert_eq!(sim(&a.metrics), sim(&b.metrics), "lane {k}: counters depend on threads");
             assert_eq!(a.metrics.counter_value("mc_replications_total", &[]), 5, "lane {k}");
         }
         // The run-wide engine series ride on the first lane only: one
         // observation per replication job.
         match a[0].metrics.get("mc_replication_seconds", &[]) {
-            Some(nc_telemetry::MetricValue::Histogram(h)) => assert_eq!(h.count(), 5),
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count(), 5),
             other => panic!("missing replication timings: {other:?}"),
         }
         assert!(a[0].metrics.get("mc_worker_busy_seconds", &[("worker", "0")]).is_some());

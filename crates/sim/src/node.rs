@@ -254,14 +254,6 @@ impl Node {
         self.counters
     }
 
-    /// Number of queued chunks, including one on the wire in
-    /// non-preemptive mode. `O(classes)`, so cheap enough to sample
-    /// every slot.
-    pub fn queue_len(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum::<usize>()
-            + usize::from(self.in_service.is_some())
-    }
-
     /// Total backlogged data across classes (including a partially
     /// transmitted chunk in non-preemptive mode).
     pub fn backlog(&self) -> f64 {
@@ -827,17 +819,6 @@ mod tests {
     #[should_panic(expected = "weights must be positive")]
     fn scfq_rejects_zero_weight() {
         let _ = Node::new(1.0, NodePolicy::Scfq(vec![0.0, 1.0]), 2);
-    }
-
-    #[test]
-    fn queue_len_counts_chunks_and_in_service() {
-        let mut n = Node::with_mode(3.0, fifo(2), 2, ServiceMode::NonPreemptive);
-        assert_eq!(n.queue_len(), 0);
-        n.enqueue(chunk(0, 10.0, 0));
-        n.enqueue(chunk(1, 1.0, 0));
-        assert_eq!(n.queue_len(), 2);
-        let _ = n.serve_slot_vec(0); // first chunk moves onto the wire
-        assert_eq!(n.queue_len(), 2, "partially served chunk still counts");
     }
 
     #[cfg(feature = "telemetry")]

@@ -16,49 +16,11 @@ use crate::node::{Chunk, Node, NodePolicy, ServiceMode};
 use crate::scheduler::SchedulerKind;
 use crate::source::MmooAggregate;
 use crate::stats::DelayStats;
-use nc_telemetry::{Histogram, MetricSet};
+use nc_telemetry::MetricSet;
 use nc_traffic::Mmoo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-
-/// Per-run simulator telemetry of one lane: queue/backlog histograms
-/// per node plus emission and sample counters. Only allocated when
-/// [`TandemSim::enable_telemetry`] was called; recording into it is a
-/// no-op unless the `telemetry` feature (which forwards to
-/// `nc-telemetry/enabled`) is compiled in.
-#[derive(Debug, Clone)]
-struct SimTelemetry {
-    /// Per-node end-of-slot queue length (chunks), sampled every slot.
-    queue_depth: Vec<Histogram>,
-    /// Per-node unfinished-work backlog (kb), tracked incrementally
-    /// (arrivals minus departures at original chunk sizes) so sampling
-    /// is O(1) per node per slot.
-    backlog: Vec<Histogram>,
-    backlog_now: Vec<f64>,
-    /// Per-slot through-aggregate emission sizes (kb, nonzero slots).
-    through_emission_kb: Histogram,
-    /// Per-node per-slot cross-aggregate emission sizes (kb).
-    cross_emission_kb: Vec<Histogram>,
-    slots: u64,
-    samples: u64,
-    warmup_discarded: u64,
-}
-
-impl SimTelemetry {
-    fn new(hops: usize) -> Self {
-        SimTelemetry {
-            queue_depth: vec![Histogram::new(); hops],
-            backlog: vec![Histogram::new(); hops],
-            backlog_now: vec![0.0; hops],
-            through_emission_kb: Histogram::new(),
-            cross_emission_kb: vec![Histogram::new(); hops],
-            slots: 0,
-            samples: 0,
-            warmup_discarded: 0,
-        }
-    }
-}
 
 /// Configuration of a tandem simulation: `n_through` MMOO flows
 /// traverse `hops` identical nodes; `n_cross` fresh MMOO flows enter at
@@ -259,13 +221,16 @@ pub struct LaneSim {
     /// Reusable per-node departure buffer passed to [`Node::serve_slot`].
     departures: Vec<Chunk>,
     stats: DelayStats,
-    /// Opt-in telemetry; `None` keeps the hot loop untouched.
-    telemetry: Option<SimTelemetry>,
     /// Fault injection; `None` keeps the hot loop untouched.
     faults: Option<FaultInjector>,
+    /// Slots served.
+    slots: u64,
     /// Through emissions that lost bits to fault drops (post-warmup
     /// entries only would undercount; all entries are counted).
     lost_emissions: u64,
+    /// Complete through emissions that entered during the warm-up and
+    /// so yielded no sample.
+    warmup_discarded: u64,
 }
 
 impl LaneSim {
@@ -303,9 +268,10 @@ impl LaneSim {
             forwarded: Vec::new(),
             departures: Vec::new(),
             stats: DelayStats::new(),
-            telemetry: None,
             faults,
+            slots: 0,
             lost_emissions: 0,
+            warmup_discarded: 0,
         })
     }
 
@@ -328,9 +294,6 @@ impl LaneSim {
                 bits: thr_bits,
                 lossy: false,
             });
-            if let Some(tel) = &mut self.telemetry {
-                tel.through_emission_kb.record(thr_bits);
-            }
         }
         for h in 0..self.cfg.hops {
             // Fault processes advance once per node per slot, in path
@@ -338,9 +301,6 @@ impl LaneSim {
             // keeps faulted runs bitwise deterministic.
             let eff_capacity =
                 self.faults.as_mut().map(|inj| inj.begin_slot(h, self.nodes[h].capacity()));
-            // Incremental backlog tracking: arrivals at this node this
-            // slot, minus departures below (at original chunk sizes).
-            let mut arrived_kb = 0.0_f64;
             for c in forwarded.drain(..) {
                 let dropped = match &mut self.faults {
                     Some(inj) => inj.drop_arrival(h),
@@ -352,13 +312,9 @@ impl LaneSim {
                     }
                     continue;
                 }
-                if self.telemetry.is_some() {
-                    arrived_kb += c.bits;
-                }
                 self.nodes[h].enqueue(c);
             }
             let (cross_bits, cross_packets) = emissions[h + 1];
-            let mut cross_arrived_kb = 0.0_f64;
             if cross_bits > 0.0 {
                 let per = cross_bits / cross_packets as f64;
                 for _ in 0..cross_packets {
@@ -369,7 +325,6 @@ impl LaneSim {
                     if dropped {
                         continue;
                     }
-                    cross_arrived_kb += per;
                     self.nodes[h].enqueue(Chunk { class: 1, bits: per, entry: t, node_arrival: t });
                 }
             }
@@ -377,16 +332,6 @@ impl LaneSim {
             match eff_capacity {
                 Some(cap) => self.nodes[h].serve_slot_capped(t, cap, &mut departures),
                 None => self.nodes[h].serve_slot(t, &mut departures),
-            }
-            if let Some(tel) = &mut self.telemetry {
-                let departed_kb: f64 = departures.iter().map(|c| c.bits).sum();
-                tel.backlog_now[h] =
-                    (tel.backlog_now[h] + arrived_kb + cross_arrived_kb - departed_kb).max(0.0);
-                tel.backlog[h].record(tel.backlog_now[h]);
-                tel.queue_depth[h].record(self.nodes[h].queue_len() as f64);
-                if cross_bits > 0.0 {
-                    tel.cross_emission_kb[h].record(cross_bits);
-                }
             }
             for mut c in departures.drain(..) {
                 if c.class != 0 {
@@ -402,9 +347,7 @@ impl LaneSim {
         }
         self.forwarded = forwarded;
         self.departures = departures;
-        if let Some(tel) = &mut self.telemetry {
-            tel.slots += 1;
-        }
+        self.slots += 1;
     }
 
     /// A through fragment left the final node: retire it against its
@@ -423,11 +366,8 @@ impl LaneSim {
                 self.lost_emissions += 1;
             } else if e.entry >= self.cfg.warmup {
                 self.stats.record((now - e.entry) as f64);
-                if let Some(tel) = &mut self.telemetry {
-                    tel.samples += 1;
-                }
-            } else if let Some(tel) = &mut self.telemetry {
-                tel.warmup_discarded += 1;
+            } else {
+                self.warmup_discarded += 1;
             }
         }
     }
@@ -492,17 +432,16 @@ impl LaneSim {
         self.lost_emissions
     }
 
-    /// Flushes the collected telemetry into a mergeable [`MetricSet`]
-    /// (`sim_*` namespace, per-node series labelled `node="h"`). Empty
-    /// unless [`TandemSim::enable_telemetry`] was called *and* the
-    /// `telemetry` feature is compiled in.
+    /// The lane's counters as a mergeable [`MetricSet`] (`sim_*`
+    /// namespace, per-node series labelled `node="h"`): slots served,
+    /// the samples held now (so none after [`TandemSim::run`] moved
+    /// them out), warm-up discards, and the node and fault counters.
+    /// Empty without the `telemetry` feature.
     pub fn metrics(&self) -> MetricSet {
         let mut m = MetricSet::new();
-        let Some(tel) = &self.telemetry else { return m };
-        m.counter_add("sim_slots_total", &[], tel.slots);
-        m.counter_add("sim_delay_samples_total", &[], tel.samples);
-        m.counter_add("sim_warmup_discarded_total", &[], tel.warmup_discarded);
-        m.histogram_merge("sim_through_emission_kb", &[], &tel.through_emission_kb);
+        m.counter_add("sim_slots_total", &[], self.slots);
+        m.counter_add("sim_delay_samples_total", &[], self.stats.len() as u64);
+        m.counter_add("sim_warmup_discarded_total", &[], self.warmup_discarded);
         for (h, node) in self.nodes.iter().enumerate() {
             let idx = h.to_string();
             let labels: [(&str, &str); 1] = [("node", idx.as_str())];
@@ -511,9 +450,6 @@ impl LaneSim {
             m.counter_add("sim_node_chunks_completed_total", &labels, c.completed_chunks);
             m.counter_add("sim_node_chunk_splits_total", &labels, c.chunk_splits);
             m.counter_add("sim_node_edf_deadline_misses_total", &labels, c.deadline_misses);
-            m.histogram_merge("sim_node_queue_depth", &labels, &tel.queue_depth[h]);
-            m.histogram_merge("sim_node_backlog_kb", &labels, &tel.backlog[h]);
-            m.histogram_merge("sim_cross_emission_kb", &labels, &tel.cross_emission_kb[h]);
             if let Some(fc) = self.fault_counters() {
                 m.counter_add("sim_fault_degraded_slots_total", &labels, fc.degraded_slots[h]);
                 m.counter_add("sim_fault_outage_slots_total", &labels, fc.outage_slots[h]);
@@ -606,20 +542,6 @@ impl TandemSim {
     /// inside the simulation, the lane it happened in.
     pub(crate) fn busy_lane(&self) -> usize {
         self.busy_lane
-    }
-
-    /// Turns on per-node telemetry collection (queue-depth and backlog
-    /// histograms, emission and sample counters) in every lane. The
-    /// recorded values never feed back into the simulation, so results
-    /// are bitwise-identical with telemetry on or off; without the
-    /// `telemetry` cargo feature the collection itself is erased and
-    /// [`LaneSim::metrics`] stays empty.
-    pub fn enable_telemetry(&mut self) {
-        for lane in &mut self.lanes {
-            if lane.telemetry.is_none() {
-                lane.telemetry = Some(SimTelemetry::new(lane.cfg.hops));
-            }
-        }
     }
 
     /// Current slot.
@@ -921,51 +843,56 @@ mod tests {
         assert!(bottleneck.mean().unwrap() > uniform.mean().unwrap());
     }
 
-    #[test]
-    fn telemetry_does_not_change_delay_samples() {
-        let cfg = light_cfg(SchedulerKind::Fifo);
-        let plain = TandemSim::new(cfg, 77).run(20_000);
-        let mut sim = TandemSim::new(cfg, 77);
-        sim.enable_telemetry();
-        let instrumented = sim.run(20_000);
-        assert_eq!(plain.len(), instrumented.len());
-        assert_eq!(plain.mean(), instrumented.mean());
-        assert_eq!(plain, instrumented);
-    }
-
+    /// Every through emission yields a sample, falls in the warm-up,
+    /// loses bits to a fault or is still in the network, and the lane's
+    /// counters say which.
     #[cfg(feature = "telemetry")]
     #[test]
-    fn telemetry_metrics_cover_nodes_and_samples() {
-        use nc_telemetry::MetricValue;
+    fn metrics_account_for_every_through_emission() {
         let cfg = light_cfg(SchedulerKind::Fifo);
-        let mut sim = TandemSim::new(cfg, 9);
-        sim.enable_telemetry();
-        let stats = sim.run(20_000);
-        let m = sim.lane(0).metrics();
-        assert_eq!(m.counter_value("sim_slots_total", &[]), 20_000);
-        assert_eq!(m.counter_value("sim_delay_samples_total", &[]), stats.len() as u64);
-        for h in 0..cfg.hops {
-            let idx = h.to_string();
-            let labels: [(&str, &str); 1] = [("node", idx.as_str())];
-            assert!(m.counter_value("sim_node_scheduler_decisions_total", &labels) > 0);
-            match m.get("sim_node_queue_depth", &labels) {
-                Some(MetricValue::Histogram(qd)) => assert_eq!(qd.count(), 20_000),
-                other => panic!("missing queue depth for node {h}: {other:?}"),
+        let drops = FaultPlan::uniform(vec![crate::FaultModel::Drop { prob: 0.01 }]).unwrap();
+        for plan in [None, Some(drops)] {
+            let mut sim = TandemSim::with_lanes(&[Lane::new(cfg).faults(plan.clone())], 9).unwrap();
+            let mut emitted = 0;
+            for _ in 0..20_000 {
+                sim.step();
+                emitted += u64::from(sim.arrivals.emissions[0].0 > 0.0);
             }
-            match m.get("sim_node_backlog_kb", &labels) {
-                // End-of-slot backlog can legitimately be all-zero at
-                // low utilization; one sample per slot must exist.
-                Some(MetricValue::Histogram(b)) => assert_eq!(b.count(), 20_000),
-                other => panic!("missing backlog for node {h}: {other:?}"),
+            let lane = sim.lane(0);
+            let m = lane.metrics();
+            let count = |name: &str| m.counter_value(name, &[]);
+            assert_eq!(count("sim_slots_total"), 20_000);
+            assert_eq!(count("sim_delay_samples_total"), lane.stats().len() as u64);
+            let discarded = count("sim_warmup_discarded_total");
+            assert!(discarded > 0 && discarded <= cfg.warmup, "{discarded} warm-up discards");
+            let lost = if plan.is_some() {
+                assert!(lane.lost_emissions() > 0);
+                count("sim_fault_lost_emissions_total")
+            } else {
+                assert!(m.get("sim_fault_lost_emissions_total", &[]).is_none());
+                0
+            };
+            assert_eq!(lost, lane.lost_emissions());
+            let inside = lane.outstanding.len() as u64;
+            assert_eq!(count("sim_delay_samples_total") + discarded + lost + inside, emitted);
+            for h in 0..cfg.hops {
+                let idx = h.to_string();
+                let labels: [(&str, &str); 1] = [("node", idx.as_str())];
+                assert!(m.counter_value("sim_node_scheduler_decisions_total", &labels) > 0);
             }
+            // `run` moves the samples out; the slots stay counted.
+            let samples = sim.run(0).len() as u64;
+            assert_eq!(samples, count("sim_delay_samples_total"));
+            let after = sim.lane(0).metrics();
+            assert_eq!(after.counter_value("sim_delay_samples_total", &[]), 0);
+            assert_eq!(after.counter_value("sim_slots_total", &[]), 20_000);
         }
     }
 
     #[cfg(not(feature = "telemetry"))]
     #[test]
-    fn telemetry_metrics_empty_without_the_feature() {
+    fn metrics_empty_without_the_feature() {
         let mut sim = TandemSim::new(light_cfg(SchedulerKind::Fifo), 9);
-        sim.enable_telemetry();
         let _ = sim.run(1_000);
         assert!(sim.lane(0).metrics().is_empty());
     }

@@ -1,14 +1,11 @@
-//! Artifact exporters: Prometheus text exposition, JSONL events, and
-//! Chrome `trace_event` JSON.
+//! Artifact exporters: Prometheus text exposition and JSONL events.
 //!
-//! All exporters are pure functions of a [`MetricSet`] snapshot and a
-//! span list, so they work identically whether the `enabled` feature
-//! was compiled in (an uninstrumented build just exports empty
-//! artifacts).
+//! Both exporters are pure functions of a [`MetricSet`] snapshot, so
+//! they work identically whether the `enabled` feature was compiled in
+//! (an uninstrumented build just exports empty artifacts).
 
 use crate::json;
 use crate::metrics::{Histogram, MetricSet, MetricValue};
-use crate::spans::SpanEvent;
 use std::io::Write;
 use std::path::Path;
 
@@ -71,10 +68,9 @@ fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-/// Renders metrics and spans as one JSON document per line (JSONL):
-/// `counter`/`gauge`/`histogram` records followed by `span` records,
-/// with a final `trace_dropped` record when the span buffer overflowed.
-pub fn events_jsonl(set: &MetricSet, spans: &[SpanEvent], dropped_spans: u64) -> String {
+/// Renders metrics as one JSON document per line (JSONL): one
+/// `counter`, `gauge` or `histogram` record per series.
+pub fn events_jsonl(set: &MetricSet) -> String {
     let mut out = String::new();
     for (key, value) in set.iter() {
         let labels = labels_json(&key.labels);
@@ -114,19 +110,6 @@ pub fn events_jsonl(set: &MetricSet, spans: &[SpanEvent], dropped_spans: u64) ->
             }
         }
     }
-    for s in spans {
-        out.push_str(&format!(
-            "{{\"type\":\"span\",\"name\":{},\"tid\":{},\"ts_us\":{},\"dur_us\":{},\"depth\":{}}}\n",
-            json::string(s.name),
-            s.tid,
-            json::num(s.ts_us),
-            json::num(s.dur_us),
-            s.depth
-        ));
-    }
-    if dropped_spans > 0 {
-        out.push_str(&format!("{{\"type\":\"trace_dropped\",\"value\":{dropped_spans}}}\n"));
-    }
     out
 }
 
@@ -134,30 +117,6 @@ fn labels_json(labels: &[(String, String)]) -> String {
     let parts: Vec<String> =
         labels.iter().map(|(k, v)| format!("{}:{}", json::string(k), json::string(v))).collect();
     format!("{{{}}}", parts.join(","))
-}
-
-/// Renders the spans as a Chrome `trace_event` JSON document ("X"
-/// complete events), loadable in `chrome://tracing` and Perfetto.
-pub fn chrome_trace(process_name: &str, spans: &[SpanEvent], dropped_spans: u64) -> String {
-    let mut events = Vec::with_capacity(spans.len() + 1);
-    events.push(format!(
-        "{{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-        json::string(process_name)
-    ));
-    for s in spans {
-        events.push(format!(
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"cat\":\"telemetry\",\
-             \"ts\":{},\"dur\":{}}}",
-            s.tid,
-            json::string(s.name),
-            json::num(s.ts_us),
-            json::num(s.dur_us)
-        ));
-    }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"droppedSpans\":{dropped_spans},\"traceEvents\":[\n{}\n]}}\n",
-        events.join(",\n")
-    )
 }
 
 /// Writes `content` to `path` crash-safely, creating parent
@@ -204,32 +163,16 @@ mod tests {
     use super::*;
     use crate::json;
 
-    fn spans() -> Vec<SpanEvent> {
-        vec![
-            SpanEvent { name: "outer", tid: 1, ts_us: 0.0, dur_us: 100.0, depth: 0 },
-            SpanEvent { name: "inner", tid: 1, ts_us: 10.0, dur_us: 50.0, depth: 1 },
-        ]
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_all_events() {
-        let t = chrome_trace("validate", &spans(), 7);
-        json::validate(&t).unwrap();
-        assert!(t.contains("\"ph\":\"X\""));
-        assert!(t.contains("\"inner\""));
-        assert!(t.contains("\"droppedSpans\":7"));
-    }
-
     #[test]
     fn events_jsonl_lines_each_validate() {
         let mut set = MetricSet::new();
         set.counter_add("a_total", &[("node", "0")], 3);
         set.gauge_set("g", &[], 1.5);
         set.observe("h", &[], 2.0);
-        let out = events_jsonl(&set, &spans(), 1);
+        let out = events_jsonl(&set);
         let lines: Vec<&str> = out.lines().collect();
         if crate::ENABLED {
-            assert_eq!(lines.len(), 3 + 2 + 1);
+            assert_eq!(lines.len(), 3);
         }
         for line in lines {
             json::validate(line).unwrap_or_else(|e| panic!("{line}: {e}"));

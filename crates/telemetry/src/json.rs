@@ -358,6 +358,11 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     let text = raw_str(b, start, *pos);
     let v: f64 = text.parse().map_err(|_| format!("bad number at byte {start}"))?;
+    // JSON has no infinity: a literal beyond `f64` (`1e999`) is an
+    // error, not +∞.
+    if !v.is_finite() {
+        return Err(format!("number out of range at byte {start}"));
+    }
     Ok(Json::Num(v))
 }
 
@@ -445,6 +450,17 @@ mod tests {
         // Builder output round-trips through the parser.
         let original = "a\"b\\c\nd\te\u{1}f\u{1f600}";
         assert_eq!(parse(&string(original)).unwrap().as_str(), Some(original));
+    }
+
+    #[test]
+    fn numbers_beyond_f64_are_rejected() {
+        for doc in ["1e999", "-1e999", "{\"u_stop\": 1e999}", "[1, 2e400]"] {
+            let err = parse(doc).expect_err(doc);
+            assert!(err.contains("out of range"), "{doc}: {err}");
+        }
+        // Underflow rounds to zero, which is finite.
+        assert_eq!(parse("1e-999").unwrap().as_f64(), Some(0.0));
+        assert_eq!(parse("1.7976931348623157e308").unwrap().as_f64(), Some(f64::MAX));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Zero-dependency telemetry for the linksched workspace: mergeable
-//! metrics, span profiling, and machine-readable run artifacts.
+//! metrics and machine-readable run artifacts.
 //!
 //! The crate has **no external dependencies** (the build environment is
 //! offline) and two operating modes selected at compile time by the
@@ -11,7 +11,7 @@
 //!   [`counter`] with a run-time name and [`merge_global`] take the
 //!   thread's keyed map instead. Code that owns its data records into a
 //!   local [`MetricSet`] shard, merged deterministically like `nc-sim`'s
-//!   `DelayStats`. [`span`] guards append to a bounded trace buffer.
+//!   `DelayStats`.
 //! * **disabled** (default) — every recording call is an inlineable
 //!   no-op with no clock reads, locks, or allocation; the exporters and
 //!   [`RunManifest`] still work (they emit empty metric sections), so
@@ -38,7 +38,6 @@
 //! static SOLVE_SECONDS: tel::Timing = tel::Timing::new("example_solve_seconds");
 //!
 //! fn solve() -> f64 {
-//!     let _span = tel::span("example.solve");
 //!     let _timer = SOLVE_SECONDS.start();
 //!     SOLVE_CALLS.add(1);
 //!     42.0
@@ -64,7 +63,6 @@ pub mod json;
 mod manifest;
 mod metrics;
 mod registry;
-mod spans;
 
 pub use manifest::{git_describe, RunManifest};
 pub use metrics::{
@@ -72,10 +70,6 @@ pub use metrics::{
 };
 pub use registry::{
     counter, global_snapshot, merge_global, reset_global, Counter, Timing, TimingGuard,
-};
-pub use spans::{
-    dropped_spans, reset_spans, set_trace_capacity, span, spans_snapshot, SpanEvent, SpanGuard,
-    DEFAULT_TRACE_CAPACITY,
 };
 
 /// Whether the `enabled` feature was compiled in.

@@ -77,11 +77,6 @@ impl ExpBound {
         self.prefactor * (-self.decay * sigma).exp()
     }
 
-    /// Evaluates the bound clamped to `[0, 1]`, as a probability.
-    pub fn eval_prob(&self, sigma: f64) -> f64 {
-        self.eval(sigma).min(1.0)
-    }
-
     /// The slack `σ(ε) = ln(M/ε)/α` at which the bound equals `ε`,
     /// clamped at zero.
     ///
@@ -167,22 +162,6 @@ impl ExpBound {
                 .sum::<f64>();
         ExpBound { prefactor: ln_m.exp(), decay: 1.0 / w }
     }
-
-    /// Pointwise sum of two bounds *without* optimizing the slack split:
-    /// `ε(σ) = ε₁(σ) + ε₂(σ)` is not exponential, so this returns a
-    /// conservative exponential majorant
-    /// `(M₁ + M₂)·e^{−min(α₁,α₂)σ}`.
-    ///
-    /// Prefer [`ExpBound::inf_convolution`] when the slack can be split.
-    pub fn add_conservative(&self, other: &ExpBound) -> ExpBound {
-        if self.is_zero() {
-            return *other;
-        }
-        if other.is_zero() {
-            return *self;
-        }
-        ExpBound { prefactor: self.prefactor + other.prefactor, decay: self.decay.min(other.decay) }
-    }
 }
 
 impl std::fmt::Display for ExpBound {
@@ -217,8 +196,6 @@ mod tests {
         assert!(z.is_zero());
         assert_eq!(z.eval(0.0), 0.0);
         assert_eq!(z.sigma_for(1e-9), None);
-        let e = ExpBound::new(2.0, 1.0);
-        assert_eq!(z.add_conservative(&e), e);
         assert_eq!(ExpBound::inf_convolution(&[z, z]), z);
     }
 
@@ -370,16 +347,6 @@ mod tests {
         let z = ExpBound::zero();
         assert_eq!(ExpBound::inf_convolution_runs([(z, 3)]), z);
         assert_eq!(ExpBound::inf_convolution_runs([(ExpBound::new(2.0, 1.0), 0), (z, 1)]), z);
-    }
-
-    #[test]
-    fn add_conservative_majorizes() {
-        let a = ExpBound::new(1.0, 0.5);
-        let b = ExpBound::new(2.0, 1.5);
-        let s = a.add_conservative(&b);
-        for sigma in [0.0, 1.0, 4.0, 10.0] {
-            assert!(s.eval(sigma) >= a.eval(sigma) + b.eval(sigma) - 1e-12);
-        }
     }
 
     #[test]

@@ -77,40 +77,6 @@ impl Ebb {
         assert!(gamma > 0.0, "sample_path_envelope: gamma must be positive");
         StatEnvelope::linear(self.rho + gamma, self.interval_bound().geometric_sum(gamma))
     }
-
-    /// Aggregates independent EBB processes with a common decay `α` by
-    /// the Chernoff/MGF argument: `M = Π M_j`, `ρ = Σ ρ_j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flows` is empty or the decays differ by more than a
-    /// relative `1e-9` (aggregation is only exponential for a common
-    /// moment parameter).
-    pub fn aggregate_independent(flows: &[Ebb]) -> Ebb {
-        assert!(!flows.is_empty(), "aggregate_independent: need at least one flow");
-        let alpha = flows[0].alpha;
-        let mut m = 1.0;
-        let mut rho = 0.0;
-        for f in flows {
-            assert!(
-                (f.alpha - alpha).abs() <= 1e-9 * alpha,
-                "aggregate_independent: all flows must share the decay α"
-            );
-            m *= f.m;
-            rho += f.rho;
-        }
-        Ebb { m, rho, alpha }
-    }
-
-    /// Aggregates `n` i.i.d. copies of this process: `(M^n, n·ρ, α)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn scale_flows(&self, n: usize) -> Ebb {
-        assert!(n > 0, "scale_flows: need at least one flow");
-        Ebb { m: self.m.powi(n as i32), rho: self.rho * n as f64, alpha: self.alpha }
-    }
 }
 
 impl std::fmt::Display for Ebb {
@@ -131,33 +97,6 @@ mod tests {
         let q = 1.0 - (-0.5 * 0.25_f64).exp();
         assert!((env.bound().prefactor() - 2.0 / q).abs() < 1e-9);
         assert!((env.bound().decay() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregation_adds_rates_multiplies_prefactors() {
-        let a = Ebb::new(2.0, 5.0, 0.4);
-        let b = Ebb::new(3.0, 7.0, 0.4);
-        let agg = Ebb::aggregate_independent(&[a, b]);
-        assert!((agg.m() - 6.0).abs() < 1e-12);
-        assert!((agg.rho() - 12.0).abs() < 1e-12);
-        assert!((agg.alpha() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scale_flows_matches_aggregate() {
-        let a = Ebb::new(1.5, 2.0, 0.3);
-        let s = a.scale_flows(4);
-        let agg = Ebb::aggregate_independent(&[a, a, a, a]);
-        assert!((s.m() - agg.m()).abs() < 1e-12);
-        assert!((s.rho() - agg.rho()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "must share the decay")]
-    fn aggregation_rejects_mixed_alpha() {
-        let a = Ebb::new(1.0, 1.0, 0.4);
-        let b = Ebb::new(1.0, 1.0, 0.5);
-        let _ = Ebb::aggregate_independent(&[a, b]);
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl StatEnvelope {
     pub fn rate(&self) -> f64 {
         self.curve.long_run_rate()
     }
-
-    /// Whether the envelope is deterministic (never violated).
-    pub fn is_deterministic(&self) -> bool {
-        self.bound.is_zero()
-    }
 }
 
 #[cfg(test)]
@@ -107,9 +102,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn det_envelope_into_stat_is_deterministic() {
+    fn det_envelope_into_stat_has_the_zero_bound() {
         let e = DetEnvelope::leaky_bucket(1.0, 4.0).into_stat();
-        assert!(e.is_deterministic());
+        assert!(e.bound().is_zero());
         assert_eq!(e.rate(), 1.0);
         assert_eq!(e.curve().eval_right(0.0), 4.0);
     }
@@ -118,7 +113,7 @@ mod tests {
     fn linear_envelope_accessors() {
         let e = StatEnvelope::linear(3.0, ExpBound::new(2.0, 0.5));
         assert_eq!(e.rate(), 3.0);
-        assert!(!e.is_deterministic());
+        assert!(!e.bound().is_zero());
         assert_eq!(e.curve().eval(2.0), 6.0);
         assert!((e.bound().eval(0.0) - 2.0).abs() < 1e-12);
     }

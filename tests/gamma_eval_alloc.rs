@@ -78,8 +78,6 @@ fn gamma_evals() -> u64 {
 
 #[test]
 fn delay_bound_allocations_do_not_grow_with_the_path() {
-    // Span events go to a growing buffer; keep them out of the count.
-    nc_telemetry::set_trace_capacity(0);
     for scheduler in [PathScheduler::Fifo, PathScheduler::Delta(-3.0), PathScheduler::Bmux] {
         let (short, short_evals) = one_search(2, scheduler);
         let (long, long_evals) = one_search(30, scheduler);

@@ -65,7 +65,7 @@ fn lanes(packet_size: Option<f64>) -> Vec<Lane> {
 }
 
 /// Everything a lane measured: its exact delay histogram, losses,
-/// fault counters and telemetry.
+/// fault counters and `sim_*` counters.
 fn fingerprint(sim: &TandemSim, k: usize) -> impl PartialEq + std::fmt::Debug {
     let lane = sim.lane(k);
     let counters = lane
@@ -77,14 +77,12 @@ fn fingerprint(sim: &TandemSim, k: usize) -> impl PartialEq + std::fmt::Debug {
 fn assert_lanes_match_single_runs(packet_size: Option<f64>) {
     let lanes = lanes(packet_size);
     let mut joint = TandemSim::with_lanes(&lanes, SEED).expect("fault plans fit");
-    joint.enable_telemetry();
     for _ in 0..SLOTS {
         joint.step();
     }
     assert_eq!(joint.lanes().len(), lanes.len());
     for (k, lane) in lanes.iter().enumerate() {
         let mut alone = TandemSim::with_lanes(std::slice::from_ref(lane), SEED).expect("fits");
-        alone.enable_telemetry();
         for _ in 0..SLOTS {
             alone.step();
         }
