@@ -5,6 +5,7 @@ use crate::error::Error;
 use crate::experiments::simulate_cell;
 use crate::opts::RunOpts;
 use crate::CAPACITY;
+use nc_sim::Lane;
 use nc_telemetry as tel;
 use nc_traffic::Mmoo;
 
@@ -85,7 +86,6 @@ pub const OVERLAY_EPS: f64 = 1e-3;
 ///
 /// # Errors
 ///
-/// [`Error::Sim`] if the options' fault plan does not match `hops`;
 /// [`Error::Runtime`] if a replication panicked.
 pub fn sim_overlay(
     opts: &RunOpts,
@@ -104,7 +104,7 @@ pub fn sim_overlay(
         packet_size: None,
     };
     let cell = format!("overlay-h{hops}-n{n_through}-c{n_cross}");
-    let report = simulate_cell(&opts.monte_carlo(), &[cell], &[opts.lane(cfg)])?.remove(0);
+    let report = simulate_cell(&opts.monte_carlo(), &[cell], &[Lane::new(cfg)])?.remove(0);
     let q = 1.0 - OVERLAY_EPS;
     Ok(match (report.merged.quantile(q), report.quantile_spread(q)) {
         (Some(m), Some((lo, hi))) => format!("{m:9.2} [{lo:.2}, {hi:.2}]"),

@@ -394,7 +394,7 @@ fn suite(smoke: bool, threads: usize, guard: bool) -> Vec<Workload> {
         // The validate experiment's H = 2 section: its five scheduler
         // rows served by one arrival stream.
         body: Box::new(move || {
-            let mut sim = nc_sim::TandemSim::with_lanes(&lanes, 0x5EED).expect("no fault plan");
+            let mut sim = nc_sim::TandemSim::with_lanes(&lanes, 0x5EED);
             for _ in 0..slots {
                 sim.step();
             }

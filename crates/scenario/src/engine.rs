@@ -32,8 +32,7 @@ impl Engine {
     }
 
     /// The scenario's default options: `sim.reps`/`sim.slots`/`sim.seed`
-    /// from the file, the scenario's fault plan, `--json` accepted only
-    /// by validation scenarios.
+    /// from the file, `--json` accepted only by validation scenarios.
     pub fn default_opts(scenario: &Scenario) -> RunOpts {
         let mut opts = RunOpts::new(scenario.sim.reps, scenario.sim.slots);
         if let Some(seed) = scenario.sim.seed {
@@ -42,7 +41,6 @@ impl Engine {
         if matches!(scenario.experiment, Experiment::Validate(_)) {
             opts = opts.with_json();
         }
-        opts.faults = scenario.faults.clone();
         opts
     }
 
@@ -53,11 +51,11 @@ impl Engine {
     /// for byte for a fixed scenario + options.
     ///
     /// Failures surface as the typed [`Error`] taxonomy, so callers can
-    /// map a `validate`/`faulted` run too short to pass its warm-up (a
-    /// usage error), a bad fault plan, a runtime failure, and an
-    /// infeasible analysis onto distinct exit codes.
+    /// map a `validate` run too short to pass its warm-up (a usage
+    /// error), a runtime failure, and an infeasible analysis onto
+    /// distinct exit codes.
     pub fn run(self) -> Result<RunSummary, Error> {
-        if let Experiment::Validate(_) | Experiment::Faulted(_) = &self.scenario.experiment {
+        if let Experiment::Validate(_) = &self.scenario.experiment {
             experiments::check_past_warmup(self.opts.slots)?;
         }
         let artifacts = RunArtifacts::begin(&self.scenario.name, &self.opts);
@@ -94,10 +92,6 @@ impl Engine {
                 None
             }
             Experiment::Simulate(p) => Some(experiments::cli::simulate(p, &self.opts)?),
-            Experiment::Faulted(p) => {
-                experiments::faulted::run(p, &self.opts)?;
-                None
-            }
         };
         artifacts
             .finish()

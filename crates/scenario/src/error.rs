@@ -28,9 +28,6 @@ pub enum Error {
         /// What is wrong with it.
         detail: String,
     },
-    /// A simulator-layer error: an invalid fault configuration (exit
-    /// code 4 — it is a configuration problem).
-    Sim(nc_sim::Error),
     /// The run itself failed: artifact write errors, empty statistics,
     /// and other execution problems (exit code 6).
     Runtime(String),
@@ -47,7 +44,7 @@ impl Error {
     /// |------|-------|
     /// | 2 | command-line usage |
     /// | 3 | scenario file I/O |
-    /// | 4 | scenario parse/validation (incl. fault config, bad analysis inputs) |
+    /// | 4 | scenario parse/validation (incl. bad analysis inputs) |
     /// | 6 | runtime failure |
     /// | 7 | analysis infeasible / non-finite |
     ///
@@ -58,7 +55,6 @@ impl Error {
             Error::Usage(_) => 2,
             Error::Io { .. } => 3,
             Error::Scenario { .. } => 4,
-            Error::Sim(_) => 4,
             Error::Runtime(_) => 6,
             Error::Analysis(nc_core::Error::InvalidInput(_)) => 4,
             Error::Analysis(_) => 7,
@@ -73,7 +69,6 @@ impl fmt::Display for Error {
             Error::Io { path, source } => write!(f, "cannot read {path}: {source}"),
             Error::Scenario { path: Some(p), detail } => write!(f, "{p}: {detail}"),
             Error::Scenario { path: None, detail } => write!(f, "{detail}"),
-            Error::Sim(e) => write!(f, "{e}"),
             Error::Runtime(msg) => write!(f, "{msg}"),
             Error::Analysis(e) => write!(f, "{e}"),
         }
@@ -84,16 +79,9 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Io { source, .. } => Some(source),
-            Error::Sim(e) => Some(e),
             Error::Analysis(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<nc_sim::Error> for Error {
-    fn from(e: nc_sim::Error) -> Self {
-        Error::Sim(e)
     }
 }
 
@@ -129,15 +117,12 @@ mod tests {
 
     #[test]
     fn config_flavored_errors_map_to_the_validation_code() {
-        assert_eq!(Error::Sim(nc_sim::Error::FaultConfig("p".into())).exit_code(), 4);
         assert_eq!(Error::Analysis(nc_core::Error::InvalidInput("x".into())).exit_code(), 4);
         assert_eq!(Error::Analysis(nc_core::Error::NonFinite("y".into())).exit_code(), 7);
     }
 
     #[test]
     fn from_conversions_wrap_the_layered_errors() {
-        let e: Error = nc_sim::Error::FaultConfig("bad".into()).into();
-        assert!(matches!(e, Error::Sim(_)));
         let e: Error = nc_core::Error::Infeasible.into();
         assert!(matches!(e, Error::Analysis(_)));
         assert!(e.to_string().contains("infeasible"));

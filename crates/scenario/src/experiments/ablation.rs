@@ -22,7 +22,7 @@ use crate::{flows_for_utilization, tandem, CAPACITY, EPSILON};
 use nc_core::e2e::netbound;
 use nc_core::e2e::optimizer::{explicit, solve, NodeParams};
 use nc_core::PathScheduler;
-use nc_sim::{SchedulerKind, SimConfig};
+use nc_sim::{Lane, SchedulerKind, SimConfig};
 use nc_traffic::{Ebb, ExpBound, Mmoo};
 use std::hint::black_box;
 use std::time::Instant;
@@ -180,7 +180,7 @@ fn ablation_engine(opts: &RunOpts) -> Result<(), Error> {
     // Wall-clock vs thread count; the merged statistics must be
     // identical across runs.
     let par = opts.monte_carlo();
-    let lane = [opts.lane(cfg)];
+    let lane = [Lane::new(cfg)];
     let t0 = Instant::now();
     let seq = simulate_cell(&par.clone().threads(1), &["engine-seq".into()], &lane)?.remove(0);
     let t_seq = t0.elapsed();

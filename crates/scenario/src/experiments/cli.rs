@@ -9,7 +9,7 @@ use crate::opts::RunOpts;
 use crate::sched::path_scheduler;
 use nc_core::MmooTandem;
 use nc_core::PathScheduler;
-use nc_sim::{DelayStats, SimConfig};
+use nc_sim::{DelayStats, Lane, SimConfig};
 use nc_traffic::Mmoo;
 
 pub(crate) fn bound(p: &Bound) -> Result<(), Error> {
@@ -94,7 +94,7 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
         None => format!("C = {} Mbps", p.capacity),
     };
     println!(
-        "simulating {} slots: H = {}, {capacity_note}, N0 = {}, Nc = {}, {:?}{}{}{}",
+        "simulating {} slots: H = {}, {capacity_note}, N0 = {}, Nc = {}, {:?}{}{}",
         opts.slots,
         p.hops,
         p.through,
@@ -102,11 +102,10 @@ pub(crate) fn simulate(p: &Simulate, opts: &RunOpts) -> Result<DelayStats, Error
         p.sched,
         p.packet.map(|l| format!(", packets of {l} kb")).unwrap_or_default(),
         if opts.reps > 1 { format!(", {} reps", opts.reps) } else { String::new() },
-        if opts.faults.is_some() { ", faulted links" } else { "" }
     );
     // Replication i runs under the i-th seed derived from the master
     // seed, so the merge is bitwise-identical for every thread count.
-    let lane = opts.lane(cfg).capacities(p.capacities.clone());
+    let lane = Lane::new(cfg).capacities(p.capacities.clone());
     let stats = simulate_cell(&opts.monte_carlo(), &["simulate".into()], &[lane])?.remove(0).merged;
     if stats.is_empty() {
         return Err(Error::Runtime("no samples recorded (all within warm-up?)".into()));

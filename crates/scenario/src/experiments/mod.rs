@@ -4,7 +4,6 @@
 
 pub(crate) mod ablation;
 pub(crate) mod cli;
-pub(crate) mod faulted;
 pub(crate) mod mix_sweep;
 pub(crate) mod path_sweep;
 pub(crate) mod utilization_sweep;
@@ -13,12 +12,11 @@ pub(crate) mod validate;
 use crate::error::Error;
 use nc_sim::{Lane, MonteCarlo, MonteCarloReport};
 
-/// Warm-up slots per replication of the `validate` and `faulted`
-/// tandems: delay samples whose entry slot falls inside it are
-/// discarded.
+/// Warm-up slots per replication of the `validate` tandems: delay
+/// samples whose entry slot falls inside it are discarded.
 pub(crate) const TANDEM_WARMUP: u64 = 10_000;
 
-/// Rejects a `validate`/`faulted` run whose replications would end
+/// Rejects a `validate` run whose replications would end
 /// inside the warm-up and so record no delay sample (the tables would
 /// print `NaN` quantiles and empty-sample verdicts).
 pub(crate) fn check_past_warmup(slots: u64) -> Result<(), Error> {
@@ -51,18 +49,17 @@ pub(crate) fn simulate_cell(
     lanes: &[Lane],
 ) -> Result<Vec<MonteCarloReport>, Error> {
     assert_eq!(cells.len(), lanes.len(), "one cell name per lane");
-    match mc.run(lanes) {
-        Ok(reports) => {
-            for report in &reports {
-                nc_telemetry::merge_global(&report.metrics);
-            }
-            Ok(reports)
-        }
-        Err(nc_sim::Error::ReplicationsPanicked { panicked, reps, lane }) => Err(Error::Runtime(
-            format!("{panicked} of {reps} replication(s) panicked in cell {}", cells[lane]),
-        )),
-        Err(e) => Err(e.into()),
+    let reports =
+        mc.run(lanes).map_err(|nc_sim::Error::ReplicationsPanicked { panicked, reps, lane }| {
+            Error::Runtime(format!(
+                "{panicked} of {reps} replication(s) panicked in cell {}",
+                cells[lane]
+            ))
+        })?;
+    for report in &reports {
+        nc_telemetry::merge_global(&report.metrics);
     }
+    Ok(reports)
 }
 
 #[cfg(test)]

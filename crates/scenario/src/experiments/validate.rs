@@ -18,7 +18,7 @@ use crate::opts::RunOpts;
 use crate::sched::path_scheduler;
 use nc_core::{deterministic_delay_bound, LeakyBucket, MmooTandem, PathScheduler};
 use nc_minplus::Curve;
-use nc_sim::{SchedulerKind, SimConfig};
+use nc_sim::{Lane, SchedulerKind, SimConfig};
 use nc_telemetry::json;
 use nc_traffic::Mmoo;
 
@@ -64,7 +64,7 @@ pub(crate) fn run(p: &Validate, opts: &RunOpts, name: &str) -> Result<(), Error>
             rows.push((case, fair, bound));
             cells.push(format!("h{hops}-n{n_through}-c{n_cross}-{}", case.label));
             let cfg = cfg(capacity, hops, n_through, n_cross, case.sched, source);
-            lanes.push(opts.lane(cfg));
+            lanes.push(Lane::new(cfg));
         }
         let reports = simulate_cell(&opts.monte_carlo(), &cells, &lanes)?;
         for ((case, fair, bound), report) in rows.into_iter().zip(reports) {

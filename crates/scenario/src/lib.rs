@@ -51,7 +51,7 @@ pub use artifacts::{sim_overlay, RunArtifacts, OVERLAY_EPS};
 pub use engine::{Engine, RunSummary};
 pub use error::Error;
 pub use model::{
-    Bound, CrossSweep, Experiment, Faulted, MixSweep, PathSweep, Scenario, SimDefaults, Simulate,
+    Bound, CrossSweep, Experiment, MixSweep, PathSweep, Scenario, SimDefaults, Simulate,
     UtilizationSweep, Validate, ValidateCase,
 };
 pub use opts::{RunOpts, USAGE};

@@ -8,7 +8,7 @@
 use crate::error::Error;
 use crate::experiments::validate::{CROSS_CHECK_CROSS, CROSS_CHECK_THROUGH};
 use crate::sched::parse_sched;
-use nc_sim::{FaultModel, FaultPlan, SchedulerKind};
+use nc_sim::SchedulerKind;
 use nc_telemetry::json::{self, Json};
 
 /// The experiment flags of `linksched bound|sweep|simulate` and the
@@ -24,8 +24,12 @@ const CLI_PARAMS: [(&str, &str); 8] = [
     ("--packet", "packet"),
 ];
 
+/// The top-level keys of a scenario document; any other key is an
+/// error rather than silently ignored.
+const SCENARIO_KEYS: [&str; 5] = ["name", "title", "experiment", "params", "sim"];
+
 /// A parsed scenario file: name, optional table title, the experiment
-/// description, simulation defaults, and an optional fault plan.
+/// description and simulation defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Scenario name; used for the run manifest and artifact labels.
@@ -37,9 +41,6 @@ pub struct Scenario {
     /// Defaults for the Monte Carlo options (overridable from the
     /// command line).
     pub sim: SimDefaults,
-    /// Per-node fault injection applied to every simulation of this
-    /// scenario (`faults` block; `None` = clean links).
-    pub faults: Option<FaultPlan>,
 }
 
 /// Default Monte Carlo options carried by a scenario; command-line
@@ -79,8 +80,6 @@ pub enum Experiment {
     CrossSweep(CrossSweep),
     /// A tandem simulation (the CLI's `simulate` command).
     Simulate(Simulate),
-    /// Bound-violation rates on clean vs. faulted links, per scheduler.
-    Faulted(Faulted),
 }
 
 /// Parameters of a utilization sweep (Fig. 2): through utilization held
@@ -220,28 +219,6 @@ pub struct Simulate {
     pub packet: Option<f64>,
 }
 
-/// Parameters of a faulted-link ablation: for each scheduler, the
-/// nominal-link analytical bound is compared against simulated
-/// violation rates on clean and faulted links (the scenario's `faults`
-/// block supplies the fault plan).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Faulted {
-    /// Link capacity in kb per slot (scaled down so simulation reaches
-    /// the tail).
-    pub capacity: f64,
-    /// Violation probability ε of the analytical bounds.
-    pub epsilon: f64,
-    /// Path length `H`.
-    pub hops: usize,
-    /// Number of through flows.
-    pub through: usize,
-    /// Number of cross flows per node.
-    pub cross: usize,
-    /// Scheduler rows; fair-queueing entries are compared against the
-    /// BMUX envelope.
-    pub schedulers: Vec<ValidateCase>,
-}
-
 impl Scenario {
     /// Loads and parses a scenario file, with the failure cause typed:
     /// unreadable files are [`Error::Io`] (exit code 3), malformed
@@ -314,6 +291,13 @@ impl Scenario {
 
     /// Builds and validates a scenario from a parsed document.
     fn from_doc(doc: &Json) -> Result<Self, String> {
+        let keys = doc.as_object().unwrap_or_default();
+        if let Some((key, _)) = keys.iter().find(|(k, _)| !SCENARIO_KEYS.contains(&k.as_str())) {
+            return Err(format!(
+                "unknown top-level key `{key}` (expected {})",
+                SCENARIO_KEYS.join(", ")
+            ));
+        }
         let name = req_str(doc, "name")?;
         let title = opt_str(doc, "title")?;
         let kind = req_str(doc, "experiment")?;
@@ -371,17 +355,15 @@ impl Scenario {
                 sched: sched_field(params, Some("fifo"))??,
                 packet: opt_f64(params, "packet")?,
             }),
-            "faulted" => Experiment::Faulted(parse_faulted(params)?),
             other => {
                 return Err(format!(
                     "unknown experiment `{other}` (expected utilization_sweep, mix_sweep, \
-                     path_sweep, validate, ablation, bound, cross_sweep, simulate, or faulted)"
+                     path_sweep, validate, ablation, bound, cross_sweep, or simulate)"
                 ))
             }
         };
         let sim = parse_sim(doc)?;
-        let faults = parse_faults(doc)?;
-        let scenario = Scenario { name, title, experiment, sim, faults };
+        let scenario = Scenario { name, title, experiment, sim };
         scenario.check()?;
         Ok(scenario)
     }
@@ -495,26 +477,6 @@ impl Scenario {
                     return Err("`params.epsilon` must lie in (0, 1)".into());
                 }
             }
-            Experiment::Faulted(p) => {
-                check_point(p.hops, p.through, p.capacity)?;
-                if !eps_ok(p.epsilon) {
-                    return Err("`params.epsilon` must lie in (0, 1)".into());
-                }
-                if p.schedulers.is_empty() {
-                    return Err("`params.schedulers` must list at least one case".into());
-                }
-                match &self.faults {
-                    Some(plan) if !plan.is_empty() => {
-                        plan.check_hops(p.hops).map_err(|e| e.to_string())?;
-                    }
-                    _ => {
-                        return Err(
-                            "a `faulted` experiment needs a non-empty top-level `faults` block"
-                                .into(),
-                        )
-                    }
-                }
-            }
             Experiment::Simulate(p) => {
                 check_point(p.hops, p.through, p.capacity)?;
                 check_packet(p.packet)?;
@@ -522,9 +484,6 @@ impl Scenario {
                     return Err("`params.packet` cannot be combined with a gps scheduler: \
                                 packetized GPS is not modelled (scfq is)"
                         .into());
-                }
-                if let Some(plan) = &self.faults {
-                    plan.check_hops(p.hops).map_err(|e| e.to_string())?;
                 }
                 if let Some(caps) = &p.capacities {
                     if caps.len() != p.hops {
@@ -588,7 +547,7 @@ fn parse_validate(params: &Json) -> Result<Validate, String> {
     })
 }
 
-/// The `params.schedulers` rows of a `validate` or `faulted` scenario.
+/// The `params.schedulers` rows of a `validate` scenario.
 fn parse_cases(params: &Json) -> Result<Vec<ValidateCase>, String> {
     let cases_raw = params
         .get("schedulers")
@@ -603,85 +562,6 @@ fn parse_cases(params: &Json) -> Result<Vec<ValidateCase>, String> {
         schedulers.push(ValidateCase { label, sched });
     }
     Ok(schedulers)
-}
-
-fn parse_faulted(params: &Json) -> Result<Faulted, String> {
-    let schedulers = parse_cases(params)?;
-    Ok(Faulted {
-        capacity: f64_field_or(params, "capacity", 20.0)?,
-        epsilon: f64_field_or(params, "epsilon", 1e-3)?,
-        hops: usize_field(params, "hops")?,
-        through: usize_field(params, "through")?,
-        cross: usize_field(params, "cross")?,
-        schedulers,
-    })
-}
-
-/// Parses the top-level `faults` block: either an array of fault-model
-/// objects applied to every node, or `{"per_node": [[...], ...]}` with
-/// one model list per hop. Model objects are keyed by `kind`.
-fn parse_faults(doc: &Json) -> Result<Option<FaultPlan>, String> {
-    let Some(block) = doc.get("faults") else {
-        return Ok(None);
-    };
-    let plan = match block {
-        Json::Null => return Ok(None),
-        Json::Array(models) => {
-            let models = parse_fault_models(models).map_err(|e| format!("`faults`: {e}"))?;
-            FaultPlan::uniform(models)
-        }
-        other => {
-            let per_node_raw = other
-                .get("per_node")
-                .and_then(Json::as_array)
-                .ok_or("`faults` must be an array of models or {\"per_node\": [[...], ...]}")?;
-            let mut per_node = Vec::new();
-            for (h, node) in per_node_raw.iter().enumerate() {
-                let list = node
-                    .as_array()
-                    .ok_or_else(|| format!("`faults.per_node[{h}]` must be an array"))?;
-                per_node.push(
-                    parse_fault_models(list).map_err(|e| format!("`faults.per_node[{h}]`: {e}"))?,
-                );
-            }
-            FaultPlan::per_node(per_node)
-        }
-    };
-    plan.map(Some).map_err(|e| e.to_string())
-}
-
-fn parse_fault_models(models: &[Json]) -> Result<Vec<FaultModel>, String> {
-    models
-        .iter()
-        .enumerate()
-        .map(|(i, m)| parse_fault_model(m).map_err(|e| format!("model [{i}]: {e}")))
-        .collect()
-}
-
-fn parse_fault_model(m: &Json) -> Result<FaultModel, String> {
-    let kind = req_str(m, "kind")?;
-    match kind.as_str() {
-        "gilbert_elliott" => Ok(FaultModel::GilbertElliott {
-            p_fail: f64_field(m, "p_fail")?,
-            p_repair: f64_field(m, "p_repair")?,
-            capacity_factor: f64_field_or(m, "capacity_factor", 0.0)?,
-        }),
-        "degradation" => Ok(FaultModel::Degradation {
-            prob: f64_field(m, "prob")?,
-            factor: f64_field(m, "factor")?,
-        }),
-        "stall" => Ok(FaultModel::Stall {
-            prob: f64_field(m, "prob")?,
-            duration: m
-                .get("duration")
-                .and_then(Json::as_u64)
-                .ok_or("missing or non-integer `duration`")?,
-        }),
-        "drop" => Ok(FaultModel::Drop { prob: f64_field(m, "prob")? }),
-        other => Err(format!(
-            "unknown fault kind `{other}` (expected gilbert_elliott, degradation, stall, or drop)"
-        )),
-    }
 }
 
 fn parse_sim(doc: &Json) -> Result<SimDefaults, String> {

@@ -1,6 +1,6 @@
 //! Command-line options of `linksched run`, shared by every scenario.
 
-use nc_sim::{FaultPlan, Lane, MonteCarlo, SimConfig};
+use nc_sim::MonteCarlo;
 use std::str::FromStr;
 
 /// Usage text for the options shared by every scenario run.
@@ -53,9 +53,6 @@ pub struct RunOpts {
     pub json: Option<String>,
     /// Whether this run accepts `--json` (validate only).
     pub accepts_json: bool,
-    /// Fault plan applied to every simulation (from the scenario's
-    /// `faults` block; never set from the command line).
-    pub faults: Option<FaultPlan>,
 }
 
 impl RunOpts {
@@ -75,7 +72,6 @@ impl RunOpts {
             manifest_out: None,
             json: None,
             accepts_json: false,
-            faults: None,
         }
     }
 
@@ -136,11 +132,6 @@ impl RunOpts {
         MonteCarlo::new(self.reps, self.slots, self.seed)
             .threads(self.threads)
             .progress(self.progress)
-    }
-
-    /// A lane simulating `cfg` under these options' fault plan.
-    pub fn lane(&self, cfg: SimConfig) -> Lane {
-        Lane::new(cfg).faults(self.faults.clone())
     }
 }
 

@@ -15,7 +15,7 @@
 //! * the tandem topology of Fig. 1: a through aggregate crossing `H`
 //!   nodes, with fresh cross traffic entering at every node and leaving
 //!   after one hop; one simulation can serve the same arrivals to
-//!   several lanes (schedulers, capacities, fault plans) at once,
+//!   several lanes (schedulers, capacities) at once,
 //! * Markov-modulated on-off sources matching `nc-traffic`'s MMOO
 //!   model, per flow and as ON-count aggregates,
 //! * single-node trace replay ([`replay_single_node`]), which executes
@@ -54,7 +54,6 @@
 
 mod binomial;
 mod error;
-mod faults;
 mod montecarlo;
 mod node;
 mod pool;
@@ -64,7 +63,6 @@ mod stats;
 mod tandem;
 
 pub use error::Error;
-pub use faults::{FaultCounters, FaultInjector, FaultModel, FaultPlan};
 pub use montecarlo::{MonteCarlo, MonteCarloReport};
 pub use node::{Chunk, Node, NodeCounters, NodePolicy, ServiceMode};
 pub use pool::{effective_threads, run_indexed};

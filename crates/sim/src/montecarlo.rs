@@ -39,7 +39,7 @@
 //! };
 //! let bmux = SimConfig { scheduler: SchedulerKind::Bmux, ..cfg };
 //! let mc = MonteCarlo::new(4, 5_000, 42);
-//! let reports = mc.run(&[Lane::new(cfg), Lane::new(bmux)]).expect("no fault plan to mismatch");
+//! let reports = mc.run(&[Lane::new(cfg), Lane::new(bmux)]).expect("no replication panics");
 //! let fifo = &reports[0];
 //! assert_eq!(fifo.per_rep.len(), 4);
 //! assert!(fifo.merged.len() > 10_000);
@@ -128,16 +128,14 @@ impl MonteCarlo {
     ///
     /// # Errors
     ///
-    /// [`Error::FaultConfig`] if a lane's fault plan does not match its
-    /// `hops` (before any replication runs). A replication that panics
-    /// does not abort the others: the panic is caught, every remaining
-    /// replication still runs, and then the run fails with
-    /// [`Error::ReplicationsPanicked`] instead of reporting statistics
-    /// from fewer replications than planned. The error names the
-    /// lowest-index lane that panicked and counts the replications that
-    /// lane panicked in: the count a run of that lane alone would give,
-    /// because a replication in which one lane panics is simulated
-    /// again without that lane.
+    /// A replication that panics does not abort the others: the panic
+    /// is caught, every remaining replication still runs, and then the
+    /// run fails with [`Error::ReplicationsPanicked`] instead of
+    /// reporting statistics from fewer replications than planned. The
+    /// error names the lowest-index lane that panicked and counts the
+    /// replications that lane panicked in: the count a run of that lane
+    /// alone would give, because a replication in which one lane panics
+    /// is simulated again without that lane.
     ///
     /// # Panics
     ///
@@ -147,16 +145,11 @@ impl MonteCarlo {
     /// replication and so fail the run as above.
     pub fn run(&self, lanes: &[Lane]) -> Result<Vec<MonteCarloReport>, Error> {
         assert!(!lanes.is_empty(), "MonteCarlo: need at least one lane");
-        for lane in lanes {
-            if let Some(plan) = &lane.faults {
-                plan.check_hops(lane.cfg.hops)?;
-            }
-        }
         self.run_with(lanes.len(), |seed| self.replicate(lanes, seed))
     }
 
-    /// [`MonteCarlo::run`] of `lanes` lanes after its checks, with the
-    /// replication body (`seed` → [`Replication`]) as a parameter.
+    /// [`MonteCarlo::run`] of `lanes` lanes, with the replication body
+    /// (`seed` → [`Replication`]) as a parameter.
     fn run_with(
         &self,
         lanes: usize,
@@ -292,7 +285,7 @@ impl MonteCarlo {
         let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let sim = sim.insert(TandemSim::without_lanes(&lanes[0].cfg, seed));
             for lane in lanes {
-                sim.add_lane(lane).expect("fault plans checked against hops");
+                sim.add_lane(lane);
             }
             sim.advance(self.slots);
         }));
@@ -398,7 +391,6 @@ impl MonteCarloReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPlan;
     use crate::scheduler::SchedulerKind;
     use crate::tandem::SimConfig;
 
@@ -476,13 +468,13 @@ mod tests {
     }
 
     /// Each lane's report is the report of a run of that lane alone,
-    /// bit for bit, with per-lane schedulers and fault plans.
+    /// bit for bit, with per-lane schedulers and capacities.
     #[test]
     fn every_lane_reports_what_it_reports_alone() {
         let lanes = [
             Lane::new(cfg()),
             Lane::new(SimConfig { scheduler: SchedulerKind::Bmux, ..cfg() }),
-            Lane::new(cfg()).faults(Some(fault_plan())),
+            Lane::new(cfg()).capacities(Some(vec![12.0, 10.0])),
         ];
         let mc = MonteCarlo::new(3, 3_000, 17).threads(2);
         let together = mc.run(&lanes).unwrap();
@@ -542,18 +534,6 @@ mod tests {
         run_one(&MonteCarlo::new(1, 100, 3).threads(1).progress(true), Lane::new(cfg()));
         let took = t0.elapsed();
         assert!(took < Duration::from_millis(150), "a tiny plan took {took:?}");
-    }
-
-    fn fault_plan() -> FaultPlan {
-        FaultPlan::uniform(vec![
-            crate::faults::FaultModel::GilbertElliott {
-                p_fail: 0.05,
-                p_repair: 0.3,
-                capacity_factor: 0.4,
-            },
-            crate::faults::FaultModel::Drop { prob: 0.01 },
-        ])
-        .unwrap()
     }
 
     /// A lane of packetized GPS, which the simulator does not model: it
@@ -653,24 +633,5 @@ mod tests {
         assert_eq!(uniform, run(Lane::new(cfg()).capacities(Some(caps))));
         let slower = run(Lane::new(cfg()).capacities(Some(vec![8.0, 8.0])));
         assert_ne!(uniform, slower);
-    }
-
-    #[test]
-    fn faulted_runs_are_thread_count_invariant() {
-        let run = |threads: usize| {
-            let mc = MonteCarlo::new(5, 2_000, 77).threads(threads);
-            run_one(&mc, Lane::new(cfg()).faults(Some(fault_plan()))).merged
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-    }
-
-    #[test]
-    fn fault_plan_hops_mismatch_is_a_typed_error() {
-        let plan = FaultPlan::per_node(vec![vec![], vec![], vec![]]).unwrap();
-        let lanes = [Lane::new(cfg()), Lane::new(cfg()).faults(Some(plan))];
-        let err = MonteCarlo::new(2, 100, 1).run(&lanes).unwrap_err();
-        assert!(matches!(err, Error::FaultConfig(_)), "{err}");
     }
 }

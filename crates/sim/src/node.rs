@@ -244,11 +244,6 @@ impl Node {
         }
     }
 
-    /// Per-slot capacity.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Telemetry event counters accumulated so far.
     pub fn counters(&self) -> NodeCounters {
         self.counters
@@ -321,21 +316,6 @@ impl Node {
         let mut out = Vec::new();
         self.serve_slot(slot, &mut out);
         out
-    }
-
-    /// Like [`Node::serve_slot`], but with this slot's capacity limited
-    /// to `capacity` (a degraded link). The cap is clamped to the
-    /// nominal capacity — a fault can only remove service, never add it
-    /// — and a non-positive cap serves nothing (a full outage slot).
-    /// The node's nominal capacity is untouched for subsequent slots.
-    pub fn serve_slot_capped(&mut self, slot: u64, capacity: f64, out: &mut Vec<Chunk>) {
-        if capacity.is_nan() || capacity <= 0.0 {
-            return;
-        }
-        let nominal = self.capacity;
-        self.capacity = capacity.min(nominal);
-        self.serve_slot(slot, out);
-        self.capacity = nominal;
     }
 
     /// The backlogged class to serve next, counted as one scheduling

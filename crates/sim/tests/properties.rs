@@ -1,10 +1,7 @@
 //! Property-based tests for the simulator: invariants that must hold
 //! for every scheduler, load, and service mode.
 
-use nc_sim::{
-    Chunk, FaultInjector, FaultModel, FaultPlan, Node, NodePolicy, SchedulerKind, ServiceMode,
-    SimConfig, TandemSim,
-};
+use nc_sim::{Chunk, Node, NodePolicy, SchedulerKind, ServiceMode, SimConfig, TandemSim};
 use proptest::prelude::*;
 
 /// A Δ offset: zero, a small whole number of slots, or `+∞` (a
@@ -196,79 +193,5 @@ proptest! {
         // sample-path-wise for the mean (up to fp noise).
         prop_assert!(hi.mean().unwrap() <= lo.mean().unwrap() + 1e-9,
             "priority {} vs bmux {}", hi.mean().unwrap(), lo.mean().unwrap());
-    }
-}
-
-/// Arbitrary valid fault model (parameters inside the validated ranges).
-fn any_fault_model() -> impl Strategy<Value = FaultModel> {
-    prop_oneof![
-        // p_repair must be positive: a zero-repair link never recovers.
-        (0.0f64..=1.0, 0.001f64..=1.0, 0.0f64..=1.0).prop_map(
-            |(p_fail, p_repair, capacity_factor)| FaultModel::GilbertElliott {
-                p_fail,
-                p_repair,
-                capacity_factor,
-            }
-        ),
-        (0.0f64..=1.0, 0.0f64..=1.0)
-            .prop_map(|(prob, factor)| FaultModel::Degradation { prob, factor }),
-        (0.0f64..=1.0, 1u64..50).prop_map(|(prob, duration)| FaultModel::Stall { prob, duration }),
-        (0.0f64..=1.0).prop_map(|prob| FaultModel::Drop { prob }),
-    ]
-}
-
-fn any_fault_plan() -> impl Strategy<Value = FaultPlan> {
-    prop_oneof![
-        prop::collection::vec(any_fault_model(), 1..4)
-            .prop_map(|m| FaultPlan::uniform(m).expect("valid models")),
-        prop::collection::vec(prop::collection::vec(any_fault_model(), 0..3), 1..4)
-            .prop_map(|per| FaultPlan::per_node(per).expect("valid models")),
-    ]
-}
-
-proptest! {
-    /// The faulted effective capacity never exceeds the nominal link
-    /// capacity, for any stack of fault models, any seed, and any slot.
-    #[test]
-    fn faulted_capacity_never_exceeds_nominal(
-        plan in any_fault_plan(),
-        seed in 0u64..u64::MAX,
-        nominal in 0.1f64..200.0,
-    ) {
-        let hops = plan.node_count().unwrap_or(3);
-        let mut inj = FaultInjector::new(&plan, hops, seed).expect("plan fits");
-        for _slot in 0..500 {
-            for node in 0..hops {
-                let eff = inj.begin_slot(node, nominal);
-                prop_assert!(
-                    (0.0..=nominal).contains(&eff),
-                    "effective capacity {eff} outside [0, {nominal}]"
-                );
-            }
-        }
-    }
-
-    /// Fault streams are a pure function of (plan, seed): two injectors
-    /// over the same plan and seed produce bitwise-identical capacity
-    /// sequences and drop decisions.
-    #[test]
-    fn fault_streams_replay_bitwise(
-        plan in any_fault_plan(),
-        seed in 0u64..u64::MAX,
-    ) {
-        let hops = plan.node_count().unwrap_or(2);
-        let mut a = FaultInjector::new(&plan, hops, seed).expect("plan fits");
-        let mut b = FaultInjector::new(&plan, hops, seed).expect("plan fits");
-        for _slot in 0..200 {
-            for node in 0..hops {
-                prop_assert_eq!(
-                    a.begin_slot(node, 25.0).to_bits(),
-                    b.begin_slot(node, 25.0).to_bits()
-                );
-                if a.has_drops() {
-                    prop_assert_eq!(a.drop_arrival(node), b.drop_arrival(node));
-                }
-            }
-        }
     }
 }

@@ -62,9 +62,8 @@ fn print_usage() -> ExitCode {
 
 /// Applies the engine flags on top of the scenario's defaults and runs
 /// it. Maps the engine's typed errors to distinct exit codes (see
-/// `nc_scenario::Error::exit_code`): 2 usage, 3 file I/O, 4 bad
-/// scenario/fault configuration, 6 runtime failures, 7 infeasible
-/// analysis. Code 5 is retired and no longer produced; 6 and 7 keep
+/// `nc_scenario::Error::exit_code`): 2 usage, 3 file I/O, 4 invalid
+/// scenario, 6 runtime failures, 7 infeasible analysis. Code 5 is retired and no longer produced; 6 and 7 keep
 /// their numbers.
 fn run_engine(scenario: Scenario, flags: Vec<String>) -> ExitCode {
     let opts = match Engine::default_opts(&scenario).parse(flags) {

@@ -48,7 +48,6 @@ fn hetero_bound_dominates_simulation_with_bottleneck() {
         packet_size: None,
     };
     let stats = TandemSim::with_lanes(&[Lane::new(cfg).capacities(Some(capacities.to_vec()))], 77)
-        .unwrap()
         .run(400_000);
     assert!(stats.len() > 10_000);
     let emp = stats.violation_fraction(bound);
@@ -74,8 +73,7 @@ fn hetero_reduces_to_homogeneous_in_simulation() {
         packet_size: None,
     };
     let a = TandemSim::new(cfg, 5).run(100_000);
-    let b = TandemSim::with_lanes(&[Lane::new(cfg).capacities(Some(vec![20.0; 3]))], 5)
-        .unwrap()
-        .run(100_000);
+    let b =
+        TandemSim::with_lanes(&[Lane::new(cfg).capacities(Some(vec![20.0; 3]))], 5).run(100_000);
     assert_eq!(a, b);
 }

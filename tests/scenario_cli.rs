@@ -80,23 +80,14 @@ fn hetero_simulation_matches_golden() {
     assert_matches_golden("simulate_hetero.json", &[], "tests/golden/small/simulate_hetero.txt");
 }
 
-/// The `validate` and `faulted` tandems (every scheduler row, clean
-/// and faulted links) are pinned at a size just past their 10 000-slot
-/// warm-up, so their simulated sample paths are checked on every run.
+/// The `validate` tandem (every scheduler row) is pinned at a size just
+/// past its 10 000-slot warm-up, so its simulated sample paths are
+/// checked on every run.
 const SMALL_TANDEM: [&str; 4] = ["--reps", "2", "--slots", "12000"];
 
 #[test]
 fn small_validate_matches_golden() {
     assert_matches_golden("validate.json", &SMALL_TANDEM, "tests/golden/small/validate_small.txt");
-}
-
-#[test]
-fn small_faulted_tandem_matches_golden() {
-    assert_matches_golden(
-        "faulted_tandem.json",
-        &SMALL_TANDEM,
-        "tests/golden/small/faulted_tandem_small.txt",
-    );
 }
 
 /// Packetized FIFO, SP, EDF, SCFQ and BMUX, fluid SCFQ, a zero EDF
@@ -309,23 +300,21 @@ fn validate_emits_parsable_artifacts_and_stays_deterministic() {
     assert_eq!(results, repeat.read("v.json"), "results JSON differs between runs");
 }
 
-/// A `validate`/`faulted` run that ends inside the warm-up would
-/// record no samples; it is a usage error (2) naming the warm-up, and
-/// prints no table.
+/// A `validate` run that ends inside the warm-up would record no
+/// samples; it is a usage error (2) naming the warm-up, and prints no
+/// table.
 #[test]
 fn tandem_runs_inside_the_warmup_are_usage_errors() {
-    for scenario in ["validate.json", "faulted_tandem.json"] {
-        for slots in ["6000", "10000"] {
-            let out = Command::new(env!("CARGO_BIN_EXE_linksched"))
-                .args(["run", &repo_path(&format!("examples/scenarios/{scenario}"))])
-                .args(["--reps", "1", "--slots", slots])
-                .output()
-                .expect("spawn");
-            assert_eq!(out.status.code(), Some(2), "{scenario} --slots {slots}");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains("10000-slot warm-up"), "{scenario}: {stderr}");
-            assert!(out.stdout.is_empty(), "{scenario}: no table on a rejected run");
-        }
+    for slots in ["6000", "10000"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_linksched"))
+            .args(["run", &repo_path("examples/scenarios/validate.json")])
+            .args(["--reps", "1", "--slots", slots])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--slots {slots}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("10000-slot warm-up"), "{stderr}");
+        assert!(out.stdout.is_empty(), "no table on a rejected run");
     }
 }
 
@@ -464,34 +453,32 @@ fn with_threads<'a>(base: &[&'a str], threads: &'a str) -> Vec<&'a str> {
     v
 }
 
-/// A fault-injected scenario run is bitwise deterministic: identical
-/// stdout at 1, 2, and 8 worker threads (the per-node fault streams are
-/// seeded per replication, independent of scheduling onto threads).
+/// A multi-lane scenario run is bitwise deterministic: `validate`
+/// prints identical stdout at 1, 2 and 8 worker threads. Eight
+/// replications give each of the eight workers one.
 #[test]
-fn faulted_scenario_is_deterministic_across_thread_counts() {
-    let scenario = repo_path("examples/scenarios/faulted_tandem.json");
-    let base = ["run", scenario.as_str(), "--reps", "4", "--slots", "15000"];
+fn validate_is_deterministic_across_thread_counts() {
+    let scenario = repo_path("examples/scenarios/validate.json");
+    let base = ["run", scenario.as_str(), "--reps", "8", "--slots", "12000"];
     let reference = run(&with_threads(&base, "1")).stdout;
     for threads in ["2", "8"] {
         let out = run(&with_threads(&base, threads)).stdout;
         assert_eq!(
             String::from_utf8_lossy(&reference),
             String::from_utf8_lossy(&out),
-            "faulted run output changed between --threads 1 and --threads {threads}"
+            "validate output changed between --threads 1 and --threads {threads}"
         );
     }
 }
 
-/// Every `validate` row and every clean and faulted `faulted` run of a
-/// table is simulated on one shared arrival stream; the tables must
-/// not depend on how the replications are spread over threads.
+/// Every `validate` row of a table is simulated on one shared arrival
+/// stream; the tables must not depend on how the replications are
+/// spread over threads.
 #[test]
 fn tandem_tables_are_identical_at_one_and_two_threads() {
-    for scenario in ["validate.json", "faulted_tandem.json"] {
-        let one = run_scenario(scenario, &[&SMALL_TANDEM[..], &["--threads", "1"]].concat());
-        let two = run_scenario(scenario, &[&SMALL_TANDEM[..], &["--threads", "2"]].concat());
-        assert_eq!(one, two, "{scenario}: stdout differs between --threads 1 and 2");
-    }
+    let one = run_scenario("validate.json", &[&SMALL_TANDEM[..], &["--threads", "1"]].concat());
+    let two = run_scenario("validate.json", &[&SMALL_TANDEM[..], &["--threads", "2"]].concat());
+    assert_eq!(one, two, "stdout differs between --threads 1 and 2");
 }
 
 /// `-h`/`--help` after a command prints the usage to stdout and exits
@@ -570,6 +557,22 @@ fn exit_codes_distinguish_failure_classes() {
     .unwrap();
     let out = probe(&["run", &file, "--reps", "2"]);
     assert_eq!(out.status.code(), Some(4), "a gps + packet scenario file is exit code 4");
+
+    // A top-level key outside the schema (a retired block, a typo) is an
+    // invalid scenario (4) that names the key, never silently ignored.
+    let simulate = r#""name": "k", "experiment": "simulate", "params": {"hops": 1, "through": 5}"#;
+    for (key, extra) in [
+        ("faults", r#""faults": [{"kind": "drop", "prob": 0.01}]"#),
+        ("titel", r#""titel": "misspelled title""#),
+    ] {
+        let file = scratch.path(&format!("{key}.json"));
+        std::fs::write(&file, format!("{{{simulate}, {extra}}}")).unwrap();
+        let out = probe(&["run", &file, "--reps", "1", "--slots", "2000"]);
+        assert_eq!(out.status.code(), Some(4), "top-level `{key}` is exit code 4");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown top-level key `{key}`")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{key}: nothing runs");
+    }
 }
 
 /// JSON has no infinity: a number beyond `f64` is an invalid scenario
