@@ -471,16 +471,6 @@ fn validate_is_deterministic_across_thread_counts() {
     }
 }
 
-/// Every `validate` row of a table is simulated on one shared arrival
-/// stream; the tables must not depend on how the replications are
-/// spread over threads.
-#[test]
-fn tandem_tables_are_identical_at_one_and_two_threads() {
-    let one = run_scenario("validate.json", &[&SMALL_TANDEM[..], &["--threads", "1"]].concat());
-    let two = run_scenario("validate.json", &[&SMALL_TANDEM[..], &["--threads", "2"]].concat());
-    assert_eq!(one, two, "stdout differs between --threads 1 and 2");
-}
-
 /// `-h`/`--help` after a command prints the usage to stdout and exits
 /// 0, as `linksched --help` does, whatever else is on the line.
 #[test]
